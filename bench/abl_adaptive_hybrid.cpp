@@ -46,7 +46,9 @@ Result<HybridRun> run_bt(const std::string& overrides, int n) {
         (void)engine.flush();
         return r.is_ok() ? 0 : 1;
       }));
-  if (HybridizationGovernor* gov = system.runtime().governor()) {
+  const Tenant* host = system.runtime().find_tenant(0);
+  if (host == nullptr) return out;
+  if (const HybridizationGovernor* gov = host->governor.get()) {
     out.promotions = gov->promotions();
     out.demotions = gov->demotions();
     out.mmap_override_ewma = gov->override_ewma(SysFamily::kMmap);
@@ -55,7 +57,7 @@ Result<HybridRun> run_bt(const std::string& overrides, int n) {
     out.mmap_overridden_at_exit =
         gov->state(SysFamily::kMmap) == HybridizationGovernor::State::kOverridden;
   }
-  if (FaultPlan* plan = system.runtime().fault_plan()) {
+  if (const FaultPlan* plan = host->fault_plan.get()) {
     out.faults_injected = plan->injected(FaultClass::kOverrideFail);
     out.faults_recovered = plan->recovered(FaultClass::kOverrideFail);
   }

@@ -76,9 +76,10 @@ CellResult run_cell(const std::string& fault_spec, bool sync_channel,
   });
   cell.ran = r.is_ok();
   if (r.is_ok()) cell.results_clean = r->exit_code == 0;
-  if (const FaultPlan* plan = system.runtime().fault_plan()) {
-    cell.injected = plan->injected_total();
-    cell.recovered = plan->recovered_total();
+  if (const Tenant* host = system.runtime().find_tenant(0);
+      host != nullptr && host->fault_plan != nullptr) {
+    cell.injected = host->fault_plan->injected_total();
+    cell.recovered = host->fault_plan->recovered_total();
   }
   for (const auto& [name, counter] :
        metrics::Registry::instance().counters_with_prefix("channel/")) {

@@ -217,9 +217,10 @@ FaultRun measure_fault_leg(std::uint64_t seed, bool spin) {
   run.ok = r.is_ok() && r->exit_code == 0;
   run.checksum = s_checksum;
   run.requests = channel_counter_sum("requests_served");
-  if (FaultPlan* plan = system.runtime().fault_plan()) {
-    run.recovered = plan->injected_total() > 0 &&
-                    plan->recovered_total() > 0;
+  if (const Tenant* host = system.runtime().find_tenant(0);
+      host != nullptr && host->fault_plan != nullptr) {
+    run.recovered = host->fault_plan->injected_total() > 0 &&
+                    host->fault_plan->recovered_total() > 0;
   }
   end_measurement(
       strfmt("pool-fault-seed%llu-%s",

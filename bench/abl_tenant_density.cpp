@@ -1,5 +1,5 @@
 // Ablation: multi-tenant hosting density. One HybridSystem hosts N tenants —
-// the implicit tenant 0 plus N-1 created ones — each booting its HRT view
+// the host tenant 0 plus N-1 created ones — each booting its HRT view
 // from the cached pre-built image (a sparse PML4 stamp over the already
 // booted kernel) instead of the ~2.2 ms cold boot, then running a mixed
 // Vessel / VCODE / Tributary workload. An open-loop generator: every tenant

@@ -70,14 +70,10 @@ class Machine {
   void tlb_shootdown(unsigned initiator, const std::vector<unsigned>& targets,
                      const std::vector<std::uint64_t>& vaddrs);
 
-  // Deterministic fault injection (lost shootdown IPIs). The plan outlives
-  // the machine's use of it; nullptr disables injection.
-  void set_fault_plan(FaultPlan* plan) noexcept { fault_plan_ = plan; }
-
-  // Per-initiator-core fault-plan resolution for multi-tenant runs: when
-  // installed, the resolver maps a shootdown's initiating core to the plan
-  // that governs it (nullptr = no injection for that initiator), replacing
-  // the machine-wide plan above. nullptr restores single-plan behavior.
+  // Deterministic fault injection (lost shootdown IPIs), resolved per
+  // initiating core: the resolver maps a shootdown's initiator to the plan
+  // that governs it (nullptr = no injection for that initiator). The plans
+  // outlive the machine's use of them. No resolver, no injection.
   using IpiFaultResolver = std::function<FaultPlan*(unsigned initiator)>;
   void set_ipi_fault_resolver(IpiFaultResolver fn) {
     ipi_fault_resolver_ = std::move(fn);
@@ -95,7 +91,6 @@ class Machine {
   PageTables paging_;
   std::vector<std::unique_ptr<Core>> cores_;
   std::uint64_t ipis_sent_ = 0;
-  FaultPlan* fault_plan_ = nullptr;
   IpiFaultResolver ipi_fault_resolver_;
 };
 

@@ -16,21 +16,18 @@ const char* kTransportNames[2] = {"async", "sync"};
 }  // namespace
 
 EventChannel::EventChannel(vmm::Hvm& hvm, ros::LinuxSim& linux, Sched& sched,
-                           unsigned hrt_core, int id)
-    : EventChannel(hvm, linux, sched, hrt_core, id, TenantBinding{}) {}
-
-EventChannel::EventChannel(vmm::Hvm& hvm, ros::LinuxSim& linux, Sched& sched,
                            unsigned hrt_core, int id, TenantBinding tenant)
     : hvm_(&hvm), linux_(&linux), sched_(&sched), hrt_core_(hrt_core),
       id_(id), tenant_(tenant) {
   metrics::Registry& reg = metrics::Registry::instance();
-  // Instruments live in the owning tenant's namespace. Tenant 0 resolves
-  // the bare pre-tenant names; a created tenant's channels are named by
-  // their tenant-local ordinal so a recreated tenant exports identically.
+  // Instruments live in the owning tenant's namespace, named by the export
+  // naming rule (see TenantBinding).
   const std::string ns = metrics::Registry::tenant_prefix(tenant_.tenant_id);
-  const int mid = tenant_.local_ordinal >= 0 ? tenant_.local_ordinal : id_;
+  int mid = id_;
   if (tenant_.tenant_id != 0) {
+    mid = tenant_.local_ordinal;
     tenant_args_ = strfmt(",\"tenant\":%d", tenant_.tenant_id);
+    tenant_tag_ = strfmt(" tenant=%d", tenant_.tenant_id);
   }
   for (int kind = 0; kind < 2; ++kind) {
     for (int transport = 0; transport < 2; ++transport) {
@@ -837,9 +834,7 @@ void EventChannel::partner_die() {
                 static_cast<std::uint64_t>(id_), 0, "", tenant_.tenant_id);
   // Snapshot before fail_inflight() so the stuck slots are still visible.
   FlightRecorder::instance().take_snapshot(
-      strfmt("partner-death: chan%d", id_) +
-      (tenant_.tenant_id != 0 ? strfmt(" tenant=%d", tenant_.tenant_id)
-                              : std::string{}));
+      strfmt("partner-death: chan%d", id_) + tenant_tag_);
   fail_inflight();
   // Preserve join semantics: the partner's task lingers — failing any
   // straggler submissions, serving nothing — until the HRT thread exits, so
@@ -908,8 +903,7 @@ void EventChannel::check_watchdog(std::uint64_t seq) {
              static_cast<unsigned long long>(seq),
              static_cast<unsigned long long>(meta.span),
              static_cast<unsigned long long>(age)) +
-      (tenant_.tenant_id != 0 ? strfmt(" tenant=%d", tenant_.tenant_id)
-                              : std::string{}));
+      tenant_tag_);
 }
 
 std::string EventChannel::debug_state() const {

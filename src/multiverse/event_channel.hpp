@@ -43,6 +43,26 @@
 
 namespace mv::multiverse {
 
+// Attribution of a channel to its owning tenant: the tenant id (tags
+// flight-recorder events, traces, and the MV_CHECK context), a tenant-local
+// channel ordinal (ordinals restart at 0 per tenant incarnation, so
+// destroy-then-recreate exports identically even though group ids keep
+// climbing), and the tenant's cached SLO instruments (resolved once at
+// tenant_create; null pointers are skipped on the hot path, never looked up).
+//
+// Export naming rule, applied in the EventChannel constructor and nowhere
+// else: tenant 0's channels keep the bare pre-tenant names — instruments
+// named by group id (channel/<id>/...) and no tenant tag in traces or
+// flight-recorder snapshots — so single-tenant output is bitwise unchanged.
+// Every other tenant's instruments are tenant/<tenant>/channel/<ordinal>/...
+struct TenantBinding {
+  int tenant_id = 0;
+  int local_ordinal = 0;
+  metrics::Histogram* slo_latency = nullptr;
+  metrics::Counter* slo_watchdog_stalls = nullptr;
+  metrics::Counter* slo_doorbells_suppressed = nullptr;
+};
+
 class EventChannel final : public naut::LegacyChannel {
  public:
   // Shared-page ring layout (all offsets within the channel page). Exposed
@@ -93,31 +113,10 @@ class EventChannel final : public naut::LegacyChannel {
   // Request kinds in a slot's kind word.
   enum : std::uint64_t { kIdle = 0, kSyscall = 1, kFault = 2 };
 
-  // Attribution of this channel to a created tenant. The default (tenant 0,
-  // the implicit host tenant) names instruments exactly as the pre-tenant
-  // code did and wires no SLO hooks, so single-tenant behavior is bitwise
-  // unchanged. For a created tenant the runtime passes the tenant id (tags
-  // flight-recorder events, traces, and the MV_CHECK context), a
-  // tenant-local channel ordinal (instrument names become
-  // tenant/<id>/channel/<ordinal>/... — ordinals restart at 0 per tenant
-  // incarnation, so destroy-then-recreate exports identically even though
-  // group ids keep climbing), and the tenant's cached SLO instruments
-  // (resolved once at tenant_create; null pointers are skipped on the hot
-  // path, never looked up).
-  struct TenantBinding {
-    int tenant_id = 0;
-    int local_ordinal = -1;  // < 0: use the group id in instrument names
-    metrics::Histogram* slo_latency = nullptr;
-    metrics::Counter* slo_watchdog_stalls = nullptr;
-    metrics::Counter* slo_doorbells_suppressed = nullptr;
-  };
-
   // `id` names the channel in metrics/traces (the runtime passes the
   // execution-group id; white-box tests may leave the default).
   EventChannel(vmm::Hvm& hvm, ros::LinuxSim& linux, Sched& sched,
-               unsigned hrt_core, int id = 0);
-  EventChannel(vmm::Hvm& hvm, ros::LinuxSim& linux, Sched& sched,
-               unsigned hrt_core, int id, TenantBinding tenant);
+               unsigned hrt_core, int id = 0, TenantBinding tenant = {});
   ~EventChannel() override;
 
   [[nodiscard]] int id() const noexcept { return id_; }
@@ -320,9 +319,11 @@ class EventChannel final : public naut::LegacyChannel {
   unsigned hrt_core_;
   int id_ = 0;
   TenantBinding tenant_{};
-  // Pre-rendered `,"tenant":N` JSON fragment for trace args (empty for
-  // tenant 0, keeping single-tenant trace output byte-identical).
+  // Pre-rendered tenant tags (empty for tenant 0, see TenantBinding): the
+  // `,"tenant":N` JSON fragment for trace args and the ` tenant=N` suffix
+  // for flight-recorder snapshot reasons.
   std::string tenant_args_;
+  std::string tenant_tag_;
   std::uint64_t page_ = 0;
   ros::Thread* partner_ = nullptr;
   bool sync_mode_ = false;

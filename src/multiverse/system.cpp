@@ -160,10 +160,10 @@ Result<HybridSystem::TenantRunResult> HybridSystem::run_tenants(
   const std::size_t tenants = programs.size() - 1;
 
   std::vector<ros::Process*> procs(programs.size(), nullptr);
-  // Program 0 is the implicit tenant 0: it boots the stack, warms the
-  // service pool into its own process (pool workers must not live in — and
-  // die with — a transient tenant), serves its workload, and keeps the
-  // system up until every created tenant has finished.
+  // Program 0 is tenant 0: it boots the stack, warms the service pool into
+  // its own process (pool workers must not live in — and die with — a
+  // transient tenant), serves its workload, and keeps the system up until
+  // every created tenant has finished.
   MV_ASSIGN_OR_RETURN(
       procs[0],
       linux_.spawn(
@@ -242,9 +242,8 @@ Result<HybridSystem::TenantRunResult> HybridSystem::run_tenants(
 HybridSystem::TenantMetricsExport HybridSystem::export_tenant_metrics(
     int tenant_id) {
   TenantMetricsExport out;
-  // Tenant 0 is the host and always live; created tenants export live as
-  // long as their instruments are still in the registry.
-  if (tenant_id == 0 || runtime_.find_tenant(tenant_id) != nullptr) {
+  // Live tenants (tenant 0 from startup on) export from the registry.
+  if (runtime_.find_tenant(tenant_id) != nullptr) {
     auto& reg = metrics::Registry::instance();
     out.found = true;
     out.json = reg.to_json(tenant_id);

@@ -94,8 +94,8 @@ class HybridSystem {
     std::string name;
     std::function<int(ros::SysIface&)> guest_main;  // runs in the tenant's HRT
     // Per-tenant deterministic fault spec (empty = fault-free tenant); only
-    // honored for created tenants — program 0 (tenant 0) uses the embedded
-    // config's runtime-wide plan.
+    // honored for created tenants — program 0 (tenant 0) takes its plan from
+    // the embedded config's `option fault`.
     std::string fault_spec;
   };
   struct TenantRunResult {
@@ -109,9 +109,9 @@ class HybridSystem {
   };
 
   // Host every program as its own tenant in ONE system: program 0 boots the
-  // stack (the implicit tenant 0) and stays up until the others finish; each
-  // later program waits for startup, tenant_creates itself (cached-image
-  // boot), runs hybridized, and destroys its tenant on the way out. The
+  // stack (tenant 0) and stays up until the others finish; each later
+  // program waits for startup, tenant_creates itself (cached-image boot),
+  // runs hybridized, and destroys its tenant on the way out. The
   // config must allow the head count (`option tenants N` via
   // extra_override_config). A single program delegates to run_hybrid and is
   // bitwise identical to it.
@@ -119,8 +119,8 @@ class HybridSystem {
 
   // Machine-readable per-tenant metric export: JSON and Prometheus-style
   // text, every instrument labeled with its owning tenant. For a live
-  // tenant (or tenant 0, which is always live) the export reads the
-  // registry directly; for an already-destroyed tenant it replays the
+  // tenant (tenant 0 from startup on) the export reads the registry
+  // directly; for an already-destroyed tenant it replays the
   // snapshot tenant_destroy captured. `found` is false when the id was
   // never a tenant this run.
   struct TenantMetricsExport {

@@ -362,7 +362,6 @@ Status AddressSpace::poke(std::uint64_t vaddr, const void* data,
                           std::uint64_t len) {
   const auto* src = static_cast<const std::uint8_t*>(data);
   while (len > 0) {
-    const std::uint64_t page = page_floor(vaddr);
     auto leaf = machine_->paging().lookup(cr3_, vaddr);
     if (!leaf || page_floor(leaf->paddr) == zero_page_) {
       // Materialize a private frame as a write fault would.

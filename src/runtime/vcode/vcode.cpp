@@ -36,9 +36,16 @@ Result<Vm::Vec> Vm::make_vec(std::vector<double> data) {
                       sys_->mmap(0, vec.guest_len,
                                  ros::kProtRead | ros::kProtWrite,
                                  ros::kMapPrivate | ros::kMapAnonymous));
-  // First-touch the backing so residency and fault behaviour are real.
+  // First-touch the backing so residency and fault behaviour are real. A
+  // page that cannot be touched fails the allocation (and so the program)
+  // instead of leaving the vector silently unbacked.
   for (std::uint64_t off = 0; off < vec.guest_len; off += hw::kPageSize) {
-    (void)sys_->mem_touch(vec.guest_base + off, hw::Access::kWrite);
+    const Status touched =
+        sys_->mem_touch(vec.guest_base + off, hw::Access::kWrite);
+    if (!touched.is_ok()) {
+      release(vec);
+      return touched;
+    }
   }
   vec.data = std::move(data);
   ++stats_.vectors_allocated;

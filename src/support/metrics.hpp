@@ -12,8 +12,8 @@
 // by name once (constructor / first use) and then touch only a cached
 // pointer on the hot path — an increment or a bounded histogram insert.
 //
-// Tenant dimension: instruments are namespaced by owner. The implicit
-// tenant 0 uses bare names ("channel/1/queue_wait"), so single-tenant runs
+// Tenant dimension: instruments are namespaced by owner. The host tenant
+// 0 uses bare names ("channel/1/queue_wait"), so single-tenant runs
 // are bitwise identical to the pre-tenant registry; created tenants prefix
 // theirs with "tenant/<id>/" (tenant_prefix()). Handles are resolved once at
 // tenant_create and cached, so the per-increment hot path never sees the
@@ -92,7 +92,7 @@ class Registry {
  public:
   static Registry& instance() noexcept;
 
-  // Instrument-name prefix for a tenant's namespace: "" for the implicit
+  // Instrument-name prefix for a tenant's namespace: "" for the host
   // tenant 0 (bare names keep single-tenant runs bitwise identical),
   // "tenant/<id>/" otherwise.
   [[nodiscard]] static std::string tenant_prefix(int tenant);

@@ -155,15 +155,11 @@ class Hvm {
   // runtime routes it to the channel's server wake path).
   void register_ros_doorbell(RosDoorbell fn);
 
-  // Deterministic fault injection (dropped/duplicated doorbell deliveries).
-  // nullptr disables injection.
-  void set_fault_plan(FaultPlan* plan) noexcept { fault_plan_ = plan; }
-
-  // Per-channel fault-plan resolution for multi-tenant runs: when installed,
-  // the resolver maps a doorbell's channel id to the plan that governs it
-  // (nullptr = no injection for that channel), replacing the process-wide
-  // plan above so one tenant's fault schedule cannot touch another tenant's
-  // channels. nullptr restores the single-plan behavior.
+  // Deterministic fault injection (dropped/duplicated doorbell deliveries),
+  // resolved per channel: the resolver maps a doorbell's channel id to the
+  // plan that governs it (nullptr = no injection for that channel), so one
+  // tenant's fault schedule cannot touch another tenant's channels. No
+  // resolver, no injection.
   using DoorbellFaultResolver = std::function<FaultPlan*(std::uint64_t)>;
   void set_doorbell_fault_resolver(DoorbellFaultResolver fn) {
     doorbell_fault_resolver_ = std::move(fn);
@@ -238,7 +234,6 @@ class Hvm {
   std::uint64_t ros_signal_handler_ = 0;
   UserInterrupt ros_user_interrupt_;
   RosDoorbell ros_doorbell_;
-  FaultPlan* fault_plan_ = nullptr;
   DoorbellFaultResolver doorbell_fault_resolver_;
 };
 

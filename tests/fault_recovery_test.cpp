@@ -344,9 +344,10 @@ GuestObservation run_workload(const std::string& fault_spec,
     obs.served_syscalls = r->total_syscalls;
     obs.histogram = r->syscall_histogram;
   }
-  if (FaultPlan* plan = system.runtime().fault_plan()) {
-    obs.injected = plan->injected_total();
-    obs.recovered = plan->recovered_total();
+  if (const Tenant* host = system.runtime().find_tenant(0);
+      host != nullptr && host->fault_plan != nullptr) {
+    obs.injected = host->fault_plan->injected_total();
+    obs.recovered = host->fault_plan->recovered_total();
   }
   return obs;
 }
@@ -456,7 +457,8 @@ TEST(FaultScheduleTest, InjectionEngagesRecoveryMachinery) {
   });
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   EXPECT_EQ(r->exit_code, 0);
-  FaultPlan* plan = system.runtime().fault_plan();
+  ASSERT_NE(system.runtime().find_tenant(0), nullptr);
+  FaultPlan* plan = system.runtime().find_tenant(0)->fault_plan.get();
   ASSERT_NE(plan, nullptr);
   EXPECT_GT(plan->injected_total(), 0u);
   EXPECT_GT(plan->recovered_total(), 0u);
@@ -477,7 +479,8 @@ TEST(FaultScheduleTest, DelayedWakeupsOnSyncChannelRecover) {
   });
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   EXPECT_EQ(r->exit_code, 0);
-  FaultPlan* plan = system.runtime().fault_plan();
+  ASSERT_NE(system.runtime().find_tenant(0), nullptr);
+  FaultPlan* plan = system.runtime().find_tenant(0)->fault_plan.get();
   ASSERT_NE(plan, nullptr);
   EXPECT_GT(plan->injected(FaultClass::kDelayWakeup), 0u);
   EXPECT_EQ(plan->recovered(FaultClass::kDelayWakeup),

@@ -234,7 +234,9 @@ TEST(HybridizeGovernorTest, PromotesHotFamilyAfterThresholdCalls) {
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   EXPECT_EQ(r->exit_code, 0);
 
-  HybridizationGovernor* gov = sys.runtime().governor();
+  Tenant* host = sys.runtime().find_tenant(0);
+  ASSERT_NE(host, nullptr);
+  HybridizationGovernor* gov = host->governor.get();
   ASSERT_NE(gov, nullptr);
   EXPECT_EQ(gov->state(SysFamily::kMmap), State::kOverridden);
   EXPECT_EQ(gov->state(SysFamily::kMunmap), State::kOverridden);
@@ -251,8 +253,8 @@ TEST(HybridizeGovernorTest, PromotesHotFamilyAfterThresholdCalls) {
   EXPECT_EQ(r->syscall_histogram["mmap"], 5u);
   EXPECT_EQ(r->syscall_histogram["munmap"], 5u);
   // Promotion shows up in the runtime-mutable table, flight recorder aside.
-  EXPECT_TRUE(sys.runtime().override_table().at(SysFamily::kMmap).active);
-  EXPECT_NE(sys.runtime().override_table().at(SysFamily::kMmap).kernel_vaddr,
+  EXPECT_TRUE(host->override_table.at(SysFamily::kMmap).active);
+  EXPECT_NE(host->override_table.at(SysFamily::kMmap).kernel_vaddr,
             0u);
 }
 
@@ -276,7 +278,9 @@ TEST(HybridizeGovernorTest, StaticOverridesStartOverriddenAndStayQuiet) {
   });
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   EXPECT_EQ(r->exit_code, 0);
-  HybridizationGovernor* gov = sys.runtime().governor();
+  Tenant* host = sys.runtime().find_tenant(0);
+  ASSERT_NE(host, nullptr);
+  HybridizationGovernor* gov = host->governor.get();
   ASSERT_NE(gov, nullptr);
   EXPECT_EQ(gov->state(SysFamily::kMmap), State::kOverridden);
   EXPECT_EQ(gov->promotions(), 0u);
@@ -312,7 +316,9 @@ TEST(HybridizeGovernorTest, InjectedFailureDemotesThenRepromotesWithBackoff) {
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   EXPECT_EQ(r->exit_code, 0);
 
-  HybridizationGovernor* gov = sys.runtime().governor();
+  Tenant* host = sys.runtime().find_tenant(0);
+  ASSERT_NE(host, nullptr);
+  HybridizationGovernor* gov = host->governor.get();
   ASSERT_NE(gov, nullptr);
   // promote@2 -> fail (backoff target 4) -> promote@4 -> fail (target 8) ->
   // promote@8 -> fail -> third consecutive failure exceeds demote_on_fail=2:
@@ -322,11 +328,11 @@ TEST(HybridizeGovernorTest, InjectedFailureDemotesThenRepromotesWithBackoff) {
             gov->options().promote_after << 2);
   EXPECT_GE(gov->promotions(), 3u);
   EXPECT_GE(gov->demotions(), 3u);
-  EXPECT_FALSE(sys.runtime().override_table().at(SysFamily::kMmap).active);
+  EXPECT_FALSE(host->override_table.at(SysFamily::kMmap).active);
 
   // Every injected override failure was recovered by demoting + retrying
   // forwarded.
-  FaultPlan* plan = sys.runtime().fault_plan();
+  FaultPlan* plan = host->fault_plan.get();
   ASSERT_NE(plan, nullptr);
   EXPECT_GT(plan->injected(FaultClass::kOverrideFail), 0u);
   EXPECT_EQ(plan->recovered(FaultClass::kOverrideFail),

@@ -253,7 +253,7 @@ TEST(WatchdogTest, StallSnapshotCarriesTenantTag) {
   vmm::Hvm hvm{machine, {}};
   ros::LinuxSim kernel{machine, sched, {}};
   metrics::Registry& reg = metrics::Registry::instance();
-  EventChannel::TenantBinding binding;
+  TenantBinding binding;
   binding.tenant_id = 7;
   binding.local_ordinal = 0;
   binding.slo_watchdog_stalls = &reg.counter("tenant/7/watchdog/stalls");

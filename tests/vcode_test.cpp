@@ -11,10 +11,55 @@
 namespace mv::vcode {
 namespace {
 
+// The process's own iface, except that every first-touch fails the way an
+// unrepairable guest fault does.
+class FailingTouchIface final : public ros::SysIface {
+ public:
+  explicit FailingTouchIface(ros::SysIface& inner) : inner_(&inner) {}
+
+  Result<std::uint64_t> syscall(ros::SysNr nr,
+                                std::array<std::uint64_t, 6> args) override {
+    return inner_->syscall(nr, args);
+  }
+  Status mem_read(std::uint64_t vaddr, void* out, std::uint64_t len) override {
+    return inner_->mem_read(vaddr, out, len);
+  }
+  Status mem_write(std::uint64_t vaddr, const void* in,
+                   std::uint64_t len) override {
+    return inner_->mem_write(vaddr, in, len);
+  }
+  Status mem_touch(std::uint64_t, hw::Access) override {
+    return err(Err::kFault, "unrepaired fault");
+  }
+  ros::TimeVal vdso_gettimeofday() override {
+    return inner_->vdso_gettimeofday();
+  }
+  std::uint64_t vdso_getpid() override { return inner_->vdso_getpid(); }
+  Result<int> thread_create(ros::GuestThreadFn fn) override {
+    return inner_->thread_create(std::move(fn));
+  }
+  Status thread_join(int tid) override { return inner_->thread_join(tid); }
+  void thread_yield() override { inner_->thread_yield(); }
+  Status sigaction(int sig, ros::GuestSigHandler handler) override {
+    return inner_->sigaction(sig, std::move(handler));
+  }
+  std::uint64_t scratch_base() override { return inner_->scratch_base(); }
+  std::uint64_t scratch_size() override { return inner_->scratch_size(); }
+  void charge_user(std::uint64_t cycles) override {
+    inner_->charge_user(cycles);
+  }
+  [[nodiscard]] Mode mode() const override { return inner_->mode(); }
+
+ private:
+  ros::SysIface* inner_;
+};
+
 class VcodeTest : public ::testing::Test {
  protected:
-  // Run a program natively; returns guest stdout (PRINT output).
-  std::string run(const std::string& program, Status* status = nullptr) {
+  // Run a program natively; returns guest stdout (PRINT output). With
+  // `fail_touch` the VM runs on a FailingTouchIface.
+  std::string run(const std::string& program, Status* status = nullptr,
+                  bool fail_touch = false) {
     // Tear down in dependency order before rebuilding.
     proc_ = nullptr;
     linux_.reset();
@@ -25,7 +70,8 @@ class VcodeTest : public ::testing::Test {
     linux_ = std::make_unique<ros::LinuxSim>(
         *machine_, *sched_, ros::LinuxSim::Config{{0}, false, 0});
     auto proc = linux_->spawn("vcode", [&, program](ros::SysIface& sys) {
-      Vm vm(sys);
+      FailingTouchIface failing(sys);
+      Vm vm(fail_touch ? static_cast<ros::SysIface&>(failing) : sys);
       const Status s = vm.run(program);
       if (status != nullptr) *status = s;
       stats_ = vm.stats();
@@ -159,6 +205,19 @@ TEST_F(VcodeTest, NoLeaksAcrossRun) {
   EXPECT_LT(proc_->as->resident_pages(), 70u);
 }
 
+TEST_F(VcodeTest, FirstTouchFailureFailsTheProgram) {
+  // A vector whose backing cannot be touched fails the program (no output,
+  // non-zero exit) instead of running on silently unbacked storage, and its
+  // mapping is released rather than leaked.
+  Status s;
+  EXPECT_EQ(run("CONST 3\nIOTA\nPRINT\n", &s, /*fail_touch=*/true), "");
+  EXPECT_EQ(s.code(), Err::kFault);
+  EXPECT_EQ(proc_->exit_code, 1);
+  EXPECT_EQ(stats_.vectors_allocated, 0u);
+  EXPECT_EQ(proc_->syscall_count(ros::SysNr::kMunmap),
+            proc_->syscall_count(ros::SysNr::kMmap));
+}
+
 // The hybridization property, runtime #2: identical output, forwarded work.
 TEST(VcodeHybridTest, IdenticalOutputUnderMultiverse) {
   const std::string program =
@@ -184,6 +243,38 @@ TEST(VcodeHybridTest, IdenticalOutputUnderMultiverse) {
   EXPECT_EQ(native->stdout_text, "[85344]\n[105]\n");
   EXPECT_GT(hybrid->forwarded_syscalls, 10u);  // the mmap/munmap churn
   EXPECT_EQ(native->minor_faults, hybrid->minor_faults);
+}
+
+// Tenants interleaving on one HRT core: each VCODE tenant's first vector
+// lands in a top-level page-table slot its cached-boot root has not seen, so
+// its first touch needs a forwarded fault and a re-merge while the other
+// tenants fault at the same address on the same core. Every tenant must
+// still complete.
+TEST(VcodeHybridTest, TenantsSharingAnHrtCoreAllComplete) {
+  multiverse::SystemConfig cfg;
+  cfg.ros_cores = {0, 1};
+  cfg.hrt_cores = {2};
+  cfg.extra_override_config = "option tenants 5\n";
+  multiverse::HybridSystem sys(cfg);
+  std::vector<multiverse::HybridSystem::TenantProgram> programs;
+  for (int i = 0; i < 5; ++i) {
+    programs.push_back({"vcode",
+                        [](ros::SysIface& s) {
+                          Vm vm(s);
+                          return vm.run("CONST 60\nIOTA\nREDUCE +\nPRINT\n")
+                                         .is_ok()
+                                     ? 0
+                                     : 1;
+                        },
+                        ""});
+  }
+  auto r = sys.run_tenants(std::move(programs));
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  ASSERT_EQ(r->programs.size(), 5u);
+  for (const auto& program : r->programs) {
+    EXPECT_EQ(program.exit_code, 0);
+    EXPECT_EQ(program.stdout_text, "[1770]\n");
+  }
 }
 
 }  // namespace
