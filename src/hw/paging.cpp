@@ -224,27 +224,43 @@ void PageTables::free_hierarchy(std::uint64_t root) {
 
 void PageTables::visit_level(
     std::uint64_t table, int level, std::uint64_t vaddr_prefix,
+    std::uint64_t lo, std::uint64_t hi,
     const std::function<void(std::uint64_t, const TranslateOk&)>& fn) const {
-  for (std::uint64_t i = 0; i < 512; ++i) {
+  const int shift = 12 + 9 * (level - 1);
+  // Sign-extend to canonical form; ascending index is ascending vaddr.
+  const auto canonical = [](std::uint64_t v) {
+    return ((v >> 47) & 1) != 0 ? v | 0xffff000000000000ull : v;
+  };
+  // Start at the entry covering `lo` when it lies inside this table; every
+  // entry before it ends below the range.
+  const std::uint64_t first =
+      lo > canonical(vaddr_prefix) ? pt_index(lo, level) : 0;
+  for (std::uint64_t i = first; i < 512; ++i) {
+    const std::uint64_t prefix = vaddr_prefix | (i << shift);
+    const std::uint64_t vaddr = canonical(prefix);
+    if (vaddr >= hi) break;
     const std::uint64_t entry = entry_at(table, static_cast<unsigned>(i));
     if ((entry & kPtePresent) == 0) continue;
-    const int shift = 12 + 9 * (level - 1);
-    std::uint64_t vaddr = vaddr_prefix | (i << shift);
     const bool large_leaf = level == 2 && (entry & kPtePs) != 0;
     if (level == 1 || large_leaf) {
-      // Sign-extend to canonical form.
-      if ((vaddr >> 47) & 1) vaddr |= 0xffff000000000000ull;
-      fn(vaddr, TranslateOk{entry & kPteAddrMask, entry & ~kPteAddrMask});
+      // The entry covering `lo` may start below it (an unaligned `lo`, or a
+      // 2 MiB page straddling it): a leaf is in range only by its base.
+      if (vaddr >= lo) {
+        fn(vaddr, TranslateOk{entry & kPteAddrMask, entry & ~kPteAddrMask});
+      }
     } else {
-      visit_level(entry & kPteAddrMask, level - 1, vaddr, fn);
+      visit_level(entry & kPteAddrMask, level - 1, prefix, lo, hi, fn);
     }
   }
 }
 
 void PageTables::for_each_mapping(
-    std::uint64_t root,
+    std::uint64_t root, std::uint64_t lo, std::uint64_t hi,
     const std::function<void(std::uint64_t, const TranslateOk&)>& fn) const {
-  visit_level(root, 4, 0, fn);
+  // No page lies in the non-canonical hole, so a range starting there starts
+  // at the higher half; this keeps `lo` a valid index source at every level.
+  if (!is_canonical(lo)) lo = kHigherHalfBase;
+  if (lo < hi) visit_level(root, 4, 0, lo, hi, fn);
 }
 
 }  // namespace mv::hw

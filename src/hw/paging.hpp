@@ -29,6 +29,10 @@ enum PteFlags : std::uint64_t {
 inline constexpr std::uint64_t kLargePageSize = 2ull << 20;  // 2 MiB
 
 inline constexpr std::uint64_t kPteAddrMask = 0x000ffffffffff000ull;
+// First canonical higher-half address.
+inline constexpr std::uint64_t kHigherHalfBase = 0xffff800000000000ull;
+// Exclusive range end above every page: the last page starts at 2^64 - 4K.
+inline constexpr std::uint64_t kVaddrEnd = ~0ull;
 inline constexpr int kPml4Entries = 512;
 // The merger copies the user half: entries [0, 256) of the PML4.
 inline constexpr int kUserPml4Entries = 256;
@@ -107,9 +111,12 @@ class PageTables {
   // Leaf data frames are NOT freed (they belong to their owners).
   void free_hierarchy(std::uint64_t root);
 
-  // Visit every present leaf mapping (for tests and RSS accounting).
+  // Visit, in ascending address order, every present leaf whose base vaddr
+  // lies in [lo, hi); [0, kVaddrEnd) is the whole tree. Only entries that
+  // overlap the range are read, so the cost follows the range, not the
+  // size of the address space.
   void for_each_mapping(
-      std::uint64_t root,
+      std::uint64_t root, std::uint64_t lo, std::uint64_t hi,
       const std::function<void(std::uint64_t vaddr, const TranslateOk&)>& fn)
       const;
 
@@ -127,6 +134,7 @@ class PageTables {
   void free_level(std::uint64_t table, int level);
   void visit_level(
       std::uint64_t table, int level, std::uint64_t vaddr_prefix,
+      std::uint64_t lo, std::uint64_t hi,
       const std::function<void(std::uint64_t, const TranslateOk&)>& fn) const;
 
   PhysMem* mem_;

@@ -318,8 +318,8 @@ void AddressSpace::unmap_range_pages(std::uint64_t start, std::uint64_t end,
   // the shared zero page alone.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> present;
   machine_->paging().for_each_mapping(
-      cr3_, [&](std::uint64_t va, const hw::TranslateOk& t) {
-        if (va >= start && va < end) present.emplace_back(va, t.paddr);
+      cr3_, start, end, [&](std::uint64_t va, const hw::TranslateOk& t) {
+        present.emplace_back(va, t.paddr);
       });
   if (present.empty()) return;
   std::vector<std::uint64_t> vaddrs;

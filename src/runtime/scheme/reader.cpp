@@ -228,8 +228,12 @@ Result<Value> Reader::parse(const std::string& src, std::size_t* pos,
                             std::size_t* line) {
   // Each nesting level costs one host C++ frame (parse -> parse_list ->
   // parse); cap it so pathological input errors instead of overflowing the
-  // host stack.
-  constexpr int kMaxDepth = 2048;
+  // host stack. Budget per level, parse + parse_list by -fstack-usage
+  // (GCC 12): ~1 KiB at -O2/-O3, 2.4 KiB at -O0, and 9.0 KiB (-O2) to
+  // 13 KiB (-O3) under ASan/UBSan with -D_GLIBCXX_ASSERTIONS. 1024 levels
+  // thus need at most ~13 MiB of the 16 MiB task stack in every build CI
+  // runs.
+  constexpr int kMaxDepth = 1024;
   if (depth_ >= kMaxDepth) {
     return err(Err::kParse, "expression nesting too deep");
   }

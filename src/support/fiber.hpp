@@ -8,11 +8,8 @@
 #include <ucontext.h>
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
-#include <vector>
 
 namespace mv {
 
@@ -23,7 +20,9 @@ class Fiber {
   using Entry = std::function<void()>;
 
   // Stack must be large enough for the deepest simulated call chain; Scheme
-  // evaluation recurses, so default generously.
+  // evaluation recurses, so default generously. The size only reserves
+  // address space: the host commits a stack page when the fiber first
+  // touches it.
   explicit Fiber(Entry entry, std::size_t stack_size = 1024 * 1024,
                  std::string name = {});
   ~Fiber();
@@ -33,7 +32,8 @@ class Fiber {
 
   // Switch from the scheduler into this fiber; returns when the fiber yields
   // or finishes. Must be called from outside any fiber (the scheduler
-  // context) or from another fiber's stack via Scheduler only.
+  // context) or from another fiber's stack via Scheduler only. The stack of
+  // a fiber that has finished is unmapped before this returns.
   void resume();
 
   // Yield from inside this fiber back to whoever resumed it.
@@ -50,11 +50,15 @@ class Fiber {
 
  private:
   static void trampoline();
+  void release_stack();
 
   Entry entry_;
   State state_ = State::kReady;
   std::string name_;
-  std::vector<std::uint8_t> stack_;
+  // Anonymous mapping: one PROT_NONE guard page, then the stack. Null once
+  // released.
+  void* mapping_ = nullptr;
+  std::size_t mapping_size_ = 0;
   ucontext_t context_{};
   ucontext_t return_context_{};
   Fiber* prev_ = nullptr;  // fiber (or scheduler) we were resumed from

@@ -177,10 +177,9 @@ std::vector<std::string> Sched::blocked_names() const {
 }
 
 Sched::Task* Sched::find(TaskId id) {
-  for (auto& task : tasks_) {
-    if (task->id == id) return task.get();
-  }
-  return nullptr;
+  // Ids are dense from 1 and tasks are never erased, so an id is its index.
+  if (id == kNoTask || id > tasks_.size()) return nullptr;
+  return tasks_[id - 1].get();
 }
 
 const Sched::Task* Sched::find(TaskId id) const {

@@ -86,6 +86,9 @@ class Sched {
     TaskId id = kNoTask;
     unsigned core = 0;
     std::string name;
+    // Kept until ~Sched: the fiber gives its stack back when it finishes,
+    // but the record (and the closure it holds) stays, so no later task
+    // reuses its address as a key.
     std::unique_ptr<Fiber> fiber;
     bool blocked = false;
     bool done = false;
@@ -96,7 +99,7 @@ class Sched {
   const Task* find(TaskId id) const;
   void account_slice(const Task& task, std::uint64_t begin, std::uint64_t end);
 
-  std::vector<std::unique_ptr<Task>> tasks_;
+  std::vector<std::unique_ptr<Task>> tasks_;  // index = id - 1, never erased
   std::deque<TaskId> run_queue_;
   TaskId current_ = kNoTask;
   TaskId next_id_ = 1;

@@ -271,11 +271,12 @@ TEST_F(PagingTest, LargePageVisitedByForEach) {
                                  kPtePresent | kPteWrite)
                   .is_ok());
   int count = 0;
-  pt_.for_each_mapping(*root, [&](std::uint64_t vaddr, const TranslateOk& t) {
-    ++count;
-    EXPECT_EQ(vaddr, 0xffff800000600000ull);
-    EXPECT_NE(t.flags & kPtePs, 0u);
-  });
+  pt_.for_each_mapping(
+      *root, 0, kVaddrEnd, [&](std::uint64_t vaddr, const TranslateOk& t) {
+        ++count;
+        EXPECT_EQ(vaddr, 0xffff800000600000ull);
+        EXPECT_NE(t.flags & kPtePs, 0u);
+      });
   EXPECT_EQ(count, 1);
   // free_hierarchy must not treat the large-page data as a table.
   pt_.free_hierarchy(*root);
@@ -292,10 +293,11 @@ TEST_F(PagingTest, ForEachMappingVisitsAll) {
                   .is_ok());
   int count = 0;
   bool saw_high = false;
-  pt_.for_each_mapping(*root, [&](std::uint64_t vaddr, const TranslateOk&) {
-    ++count;
-    if (vaddr == 0xffff800000002000ull) saw_high = true;
-  });
+  pt_.for_each_mapping(
+      *root, 0, kVaddrEnd, [&](std::uint64_t vaddr, const TranslateOk&) {
+        ++count;
+        if (vaddr == 0xffff800000002000ull) saw_high = true;
+      });
   EXPECT_EQ(count, 2);
   EXPECT_TRUE(saw_high);
 }

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "multiverse/system.hpp"
 #include "ros/linux.hpp"
@@ -97,7 +100,7 @@ TEST_P(PagingPropertyTest, TranslateAgreesWithReferenceModel) {
   }
   // Exhaustive final sweep via for_each_mapping.
   std::size_t visited = 0;
-  pt.for_each_mapping(*root,
+  pt.for_each_mapping(*root, 0, hw::kVaddrEnd,
                       [&](std::uint64_t vaddr, const hw::TranslateOk& t) {
                         ++visited;
                         const auto it = model.find(vaddr);
@@ -109,6 +112,126 @@ TEST_P(PagingPropertyTest, TranslateAgreesWithReferenceModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PagingPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 42, 1337, 9999));
+
+// =========================================================================
+// Paging: a range walk visits exactly the whole-tree walk's leaves whose base
+// lies in [lo, hi), in the same (ascending) order.
+// =========================================================================
+
+class PagingRangeWalkTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PagingRangeWalkTest, RangeWalkEqualsFilteredWholeWalk) {
+  Rng rng(GetParam());
+  constexpr std::uint64_t kMem = 1 << 25;
+  hw::PhysMem mem(kMem);
+  // Frames for the 2 MiB pages, reserved before any table is allocated.
+  const std::uint64_t large_frames[] = {kMem - 2 * hw::kLargePageSize,
+                                        kMem - hw::kLargePageSize};
+  for (const std::uint64_t frame : large_frames) {
+    ASSERT_TRUE(mem.reserve_range(frame, hw::kLargePageSize).is_ok());
+  }
+  hw::PageTables pt(mem);
+  auto root = pt.new_root();
+  ASSERT_TRUE(root.is_ok());
+
+  // Table boundaries at every level, lower and higher half: a PT spans
+  // 2 MiB, a PD 1 GiB, a PDPT (one PML4 entry) 512 GiB, and PML4 entry 256
+  // starts the higher half.
+  constexpr std::uint64_t kPtSpan = 1ull << 21;
+  constexpr std::uint64_t kPdSpan = 1ull << 30;
+  constexpr std::uint64_t kPdptSpan = 1ull << 39;
+  const std::uint64_t edges[] = {
+      kPtSpan * 3,
+      kPdSpan * 2,
+      kPdptSpan * 5,
+      1ull << 47,  // end of the lower half
+      hw::kHigherHalfBase + kPtSpan * 7,
+      hw::kHigherHalfBase + kPdSpan * 3,
+      hw::kHigherHalfBase + kPdptSpan * 9,
+  };
+  constexpr std::size_t kEdges = sizeof(edges) / sizeof(edges[0]);
+  // 4 KiB pages on both sides of each edge; only below the end of the lower
+  // half, where the non-canonical hole begins.
+  for (std::size_t e = 0; e < kEdges; ++e) {
+    for (std::uint64_t n = 0; n < 12; ++n) {
+      const bool below = edges[e] == 1ull << 47 || rng.below(2) == 0;
+      const std::uint64_t vaddr = below ? edges[e] - (n + 1) * hw::kPageSize
+                                        : edges[e] + n * hw::kPageSize;
+      auto frame = mem.alloc_frame();
+      ASSERT_TRUE(frame.is_ok());
+      ASSERT_TRUE(pt.map_page(*root, vaddr, *frame, hw::kPtePresent).is_ok());
+    }
+  }
+  // Two 2 MiB pages, away from the 4 KiB ones: one ending at a PD boundary
+  // in the lower half, one in the higher half.
+  const std::uint64_t large_vaddrs[] = {kPdSpan * 4 - hw::kLargePageSize,
+                                        hw::kHigherHalfBase + kPdSpan};
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(pt.map_large_page(*root, large_vaddrs[i], large_frames[i],
+                                  hw::kPtePresent | hw::kPteWrite)
+                    .is_ok());
+  }
+
+  using Leaf = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>;
+  const auto walk = [&](std::uint64_t lo, std::uint64_t hi) {
+    std::vector<Leaf> out;
+    pt.for_each_mapping(*root, lo, hi,
+                        [&](std::uint64_t vaddr, const hw::TranslateOk& t) {
+                          out.emplace_back(vaddr, t.paddr, t.flags);
+                        });
+    return out;
+  };
+  const std::vector<Leaf> all = walk(0, hw::kVaddrEnd);
+  ASSERT_EQ(all.size(), kEdges * 12 + 2);
+  ASSERT_TRUE(std::is_sorted(all.begin(), all.end()));
+  const auto expect_range = [&](std::uint64_t lo, std::uint64_t hi) {
+    std::vector<Leaf> want;
+    for (const Leaf& leaf : all) {
+      if (std::get<0>(leaf) >= lo && std::get<0>(leaf) < hi) {
+        want.push_back(leaf);
+      }
+    }
+    EXPECT_EQ(walk(lo, hi), want) << std::hex << "[" << lo << ", " << hi
+                                  << ")";
+  };
+  // An address near an edge or a 2 MiB page, at byte granularity.
+  const auto near = [&] {
+    const std::uint64_t base = rng.below(4) == 0
+                                   ? large_vaddrs[rng.below(2)] +
+                                         rng.below(2) * hw::kLargePageSize
+                                   : edges[rng.below(kEdges)];
+    const std::uint64_t delta =
+        rng.below(20) * hw::kPageSize + rng.below(2) * rng.below(hw::kPageSize);
+    return rng.below(2) == 0 ? base - delta : base + delta;
+  };
+
+  for (int i = 0; i < 200; ++i) {
+    std::uint64_t lo = near();
+    std::uint64_t hi = near();
+    if (lo > hi) std::swap(lo, hi);
+    expect_range(lo, hi);
+  }
+  // A 2 MiB page straddling each range edge: skipped when its base is below
+  // `lo`, kept when its base is below `hi`.
+  for (const std::uint64_t large : large_vaddrs) {
+    expect_range(large + hw::kPageSize, large + hw::kPageSize + kPdSpan);
+    expect_range(large - kPtSpan * 3, large + hw::kPageSize);
+  }
+  // Empty and inverted ranges visit nothing.
+  const std::uint64_t empty_at = edges[rng.below(kEdges)];
+  EXPECT_TRUE(walk(empty_at, empty_at).empty());
+  EXPECT_TRUE(walk(empty_at + hw::kPageSize, empty_at).empty());
+  // Higher-half ranges, including one that starts in the non-canonical hole.
+  expect_range(hw::kHigherHalfBase, hw::kVaddrEnd);
+  expect_range(hw::kHigherHalfBase + kPtSpan * 7 - hw::kPageSize * 5,
+               hw::kHigherHalfBase + kPdptSpan * 9 + hw::kPageSize * 3);
+  expect_range(1ull << 47, hw::kHigherHalfBase + kPdSpan * 3);
+  expect_range(0x0000f00000000000ull, hw::kVaddrEnd);
+  expect_range(0, 1ull << 47);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PagingRangeWalkTest,
+                         ::testing::Values(3, 17, 256, 4096, 31337, 424242));
 
 // =========================================================================
 // AddressSpace: random mmap/munmap/mprotect/touch against invariants.
@@ -185,7 +308,8 @@ TEST_P(VmaPropertyTest, ResidentAccountingAndAccessSemantics) {
   // high-water mark is >= the current residency.
   std::uint64_t leaves = 0;
   machine.paging().for_each_mapping(
-      p.as->cr3(), [&](std::uint64_t vaddr, const hw::TranslateOk&) {
+      p.as->cr3(), 0, hw::kVaddrEnd,
+      [&](std::uint64_t vaddr, const hw::TranslateOk&) {
         if (vaddr != ros::kVvarVaddr) ++leaves;
       });
   EXPECT_EQ(leaves, p.as->resident_pages());

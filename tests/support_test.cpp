@@ -2,7 +2,13 @@
 // RNG determinism, fibers, and the cooperative scheduler.
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <cerrno>
+#include <csignal>
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -221,6 +227,69 @@ TEST(FiberTest, CurrentTracksExecution) {
   EXPECT_EQ(Fiber::current(), nullptr);
 }
 
+// Recurses `levels` deep with a `kFrame`-byte frame per level and returns the
+// lowest frame address reached. Each frame is written at both ends and used
+// after the call, so every level really occupies its stack.
+template <std::size_t kFrame>
+std::uintptr_t dig(std::uint64_t levels) {
+  volatile char frame[kFrame];
+  frame[0] = 1;
+  frame[kFrame - 1] = 1;
+  if (levels == 0) return reinterpret_cast<std::uintptr_t>(&frame[0]);
+  const std::uintptr_t lowest = dig<kFrame>(levels - 1);
+  frame[1] = frame[0];
+  return lowest;
+}
+
+// The guard page of the fiber under test, and a SIGSEGV handler (run on an
+// alternate stack: the fiber's is exhausted) that reports whether the fault
+// hit it.
+std::uintptr_t g_guard_lo = 0;
+std::uintptr_t g_guard_hi = 0;
+
+void report_segv(int, siginfo_t* info, void*) {
+  const auto addr = reinterpret_cast<std::uintptr_t>(info->si_addr);
+  const bool on_guard = addr >= g_guard_lo && addr < g_guard_hi;
+  const char* msg =
+      on_guard ? "fault on the guard page\n" : "fault elsewhere\n";
+  (void)!write(STDERR_FILENO, msg, std::strlen(msg));
+  _exit(on_guard ? 3 : 4);
+}
+
+TEST(FiberDeathTest, StackOverflowFaultsOnGuardPage) {
+  constexpr std::size_t kStack = 64 * 1024;
+  EXPECT_EXIT(
+      {
+        static char alt_stack[64 * 1024];
+        stack_t ss{};
+        ss.ss_sp = alt_stack;
+        ss.ss_size = sizeof(alt_stack);
+        sigaltstack(&ss, nullptr);
+        struct sigaction sa{};
+        sa.sa_sigaction = report_segv;
+        sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
+        sigaction(SIGSEGV, &sa, nullptr);
+        Fiber f(
+            [] {
+              // The entry frames sit in the stack's top page, so the stack
+              // ends at the next page boundary and the guard page lies
+              // kStack below that.
+              volatile char anchor = 0;
+              const auto page =
+                  static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+              const std::uintptr_t top =
+                  (reinterpret_cast<std::uintptr_t>(&anchor) + page - 1) &
+                  ~(page - 1);
+              g_guard_hi = top - kStack;
+              g_guard_lo = g_guard_hi - page;
+              (void)dig<256>(~std::uint64_t{0});
+            },
+            kStack);
+        f.resume();
+      },
+      ::testing::ExitedWithCode(3), "fault on the guard page");
+}
+
 // --- scheduler -------------------------------------------------------------------
 
 TEST(SchedTest, RunsAllTasksRoundRobin) {
@@ -274,6 +343,48 @@ TEST(SchedTest, SpawnFromInsideTask) {
   }, "parent");
   ASSERT_TRUE(sched.run().is_ok());
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(SchedTest, TaskCanUseHalfItsStack) {
+  Sched sched;
+  std::uintptr_t top = 0;
+  std::uintptr_t lowest = 0;
+  sched.spawn(0, [&] {
+    volatile char anchor = 0;
+    top = reinterpret_cast<std::uintptr_t>(&anchor);
+    lowest = dig<4096>(2100);
+  }, "deep");
+  ASSERT_TRUE(sched.run().is_ok());
+  EXPECT_GE(top - lowest, std::uintptr_t{8} << 20);
+}
+
+TEST(SchedTest, FinishedTaskStackIsUnmapped) {
+  Sched sched;
+  std::uintptr_t on_stack = 0;
+  sched.spawn(0, [&] {
+    volatile char local = 0;
+    on_stack = reinterpret_cast<std::uintptr_t>(&local);
+  }, "short");
+  ASSERT_TRUE(sched.run().is_ok());
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  unsigned char resident = 0;
+  errno = 0;
+  EXPECT_EQ(mincore(reinterpret_cast<void*>(on_stack & ~(page - 1)), page,
+                    &resident),
+            -1);
+  EXPECT_EQ(errno, ENOMEM);
+}
+
+TEST(SchedTest, UnknownIdsAreNotTasks) {
+  Sched sched;
+  const TaskId id = sched.spawn(0, [] {}, "t");
+  EXPECT_FALSE(sched.finished(id));
+  EXPECT_TRUE(sched.finished(kNoTask));
+  EXPECT_TRUE(sched.finished(id + 1));
+  EXPECT_EQ(sched.task_name(kNoTask), "<unknown>");
+  EXPECT_EQ(sched.task_name(id + 1), "<unknown>");
+  EXPECT_EQ(sched.task_name(id), "t");
+  ASSERT_TRUE(sched.run().is_ok());
 }
 
 TEST(SchedTest, FinishedQuery) {
