@@ -10,13 +10,6 @@ namespace mv::scheme {
 
 using hw::kPageSize;
 
-namespace {
-// The heap needs its own view of the SIGSEGV handler so nested uses (the
-// engine installs exactly one heap) can find the right Heap. A single
-// process-wide heap pointer suffices for the simulator.
-thread_local Heap* g_active_heap = nullptr;
-}  // namespace
-
 Heap::Heap(ros::SysIface& sys, Config config) : sys_(&sys), config_(config) {}
 
 std::vector<Value>& Heap::current_stack() {
@@ -38,19 +31,17 @@ std::vector<Value>& Heap::current_stack() {
 
 Status Heap::init() {
   if (initialized_) return Status::ok();
-  g_active_heap = this;
-  // rt_sigaction: the barrier handler. On a write fault inside a protected
-  // chunk the handler unprotects that chunk and records it dirty.
-  barrier_handler_ = [](int, std::uint64_t fault_addr, ros::SysIface& hsys) {
-    Heap* heap = g_active_heap;
-    if (heap == nullptr) return;
-    for (auto& chunk : heap->chunks_) {
+  // rt_sigaction: this heap's barrier handler. On a write fault inside a
+  // protected chunk it unprotects that chunk and records it dirty.
+  barrier_handler_ = [this](int, std::uint64_t fault_addr,
+                            ros::SysIface& hsys) {
+    for (auto& chunk : chunks_) {
       if (fault_addr >= chunk->guest_base &&
-          fault_addr < chunk->guest_base + heap->config_.chunk_bytes) {
-        (void)hsys.mprotect(chunk->guest_base, heap->config_.chunk_bytes,
+          fault_addr < chunk->guest_base + config_.chunk_bytes) {
+        (void)hsys.mprotect(chunk->guest_base, config_.chunk_bytes,
                             ros::kProtRead | ros::kProtWrite);
         chunk->protected_ = false;
-        ++heap->stats_.barrier_hits;
+        ++stats_.barrier_hits;
         return;
       }
     }
@@ -108,15 +99,7 @@ Status Heap::map_chunk() {
 void Heap::add_chunk(std::uint64_t guest_base) {
   auto chunk = std::make_unique<Chunk>();
   chunk->guest_base = guest_base;
-  const std::uint64_t n = cells_per_chunk();
-  chunk->cells.reserve(n);
-  chunk->free_list.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    auto cell = std::make_unique<Cell>();
-    cell->guest_addr = guest_base + i * config_.cell_bytes;
-    chunk->free_list.push_back(cell.get());
-    chunk->cells.push_back(std::move(cell));
-  }
+  chunk->unbuilt = cells_per_chunk();
   chunks_.push_back(std::move(chunk));
 }
 
@@ -146,7 +129,8 @@ Result<Cell*> Heap::alloc(Cell::Type type) {
   // old-space survivors and are only written through the barrier.
   Chunk* target = nullptr;
   for (auto& chunk : chunks_) {
-    if (!chunk->free_list.empty() && !chunk->protected_) {
+    if ((!chunk->free_list.empty() || chunk->unbuilt > 0) &&
+        !chunk->protected_) {
       target = chunk.get();
       break;
     }
@@ -155,9 +139,19 @@ Result<Cell*> Heap::alloc(Cell::Type type) {
     MV_RETURN_IF_ERROR(map_chunk());
     target = chunks_.back().get();
   }
-  Cell* cell = target->free_list.back();
-  target->free_list.pop_back();
-  cell->reset();
+  Cell* cell = nullptr;
+  if (!target->free_list.empty()) {
+    cell = target->free_list.back();
+    target->free_list.pop_back();
+    cell->reset();
+  } else {
+    // Build the highest never-used slot.
+    --target->unbuilt;
+    target->cells.push_back(std::make_unique<Cell>());
+    cell = target->cells.back().get();
+    cell->guest_addr =
+        target->guest_base + target->unbuilt * config_.cell_bytes;
+  }
   cell->type = type;
   ++target->live;
   ++since_gc_;
@@ -272,13 +266,15 @@ void Heap::collect() {
   }
   if (extra_marker_) extra_marker_([this](Value v) { mark(v); });
 
-  // Sweep. Chunks that end up empty are munmap'ed (but keep a small arena
-  // so the allocator does not thrash map/unmap).
+  // Sweep in ascending guest address (reverse build order), so free lists
+  // refill as prebuilt ones would. Chunks that end up empty are munmap'ed
+  // (but keep a small arena so the allocator does not thrash map/unmap).
   std::uint64_t swept = 0;
   for (auto& chunk : chunks_) {
     chunk->free_list.clear();
     chunk->live = 0;
-    for (auto& cell : chunk->cells) {
+    for (auto it = chunk->cells.rbegin(); it != chunk->cells.rend(); ++it) {
+      Cell* cell = it->get();
       if (cell->marked) {
         cell->marked = false;
         ++chunk->live;
@@ -287,7 +283,7 @@ void Heap::collect() {
           ++swept;
           cell->reset();
         }
-        chunk->free_list.push_back(cell.get());
+        chunk->free_list.push_back(cell);
       }
     }
   }

@@ -63,6 +63,8 @@ class Heap {
 
   Heap(ros::SysIface& sys, Config config);
   Heap(ros::SysIface& sys) : Heap(sys, Config{}) {}
+  Heap(const Heap&) = delete;  // the installed barrier handler holds `this`
+  Heap& operator=(const Heap&) = delete;
 
   // Install the SIGSEGV barrier handler (rt_sigaction) and premap the
   // initial arena. Call once at engine startup.
@@ -121,9 +123,13 @@ class Heap {
   }
 
  private:
+  // Cells are built on first hand-out. Never-used slots [0, unbuilt) have no
+  // Cell yet and lie below every built cell, so building the highest one
+  // keeps a prebuilt free list's order (slots 0..n-1, popped from the back).
   struct Chunk {
     std::uint64_t guest_base = 0;
-    std::vector<std::unique_ptr<Cell>> cells;
+    std::uint64_t unbuilt = 0;
+    std::vector<std::unique_ptr<Cell>> cells;  // descending guest address
     std::vector<Cell*> free_list;
     std::uint64_t live = 0;
     bool protected_ = false;

@@ -8,6 +8,7 @@
 #include "ros/linux.hpp"
 #include "runtime/scheme/engine.hpp"
 #include "runtime/scheme/programs.hpp"
+#include "support/rng.hpp"
 #include "support/strings.hpp"
 
 namespace mv::scheme {
@@ -45,10 +46,17 @@ class SchemeTest : public ::testing::Test {
     return proc_->stdout_text;
   }
 
-  void run_guest(std::function<int(ros::SysIface&)> guest) {
+  using GuestFn = std::function<int(ros::SysIface&)>;
+
+  void run_guest(GuestFn guest) { run_guests({std::move(guest)}); }
+
+  // One guest process per function, all on one core: they interleave at
+  // sched_yield. procs_ keeps spawn order; proc_ is the first.
+  void run_guests(std::vector<GuestFn> guests) {
     // Tear down in dependency order before rebuilding (address spaces hold
     // machine references).
     proc_ = nullptr;
+    procs_.clear();
     linux_.reset();
     sched_.reset();
     machine_.reset();
@@ -57,9 +65,12 @@ class SchemeTest : public ::testing::Test {
     linux_ = std::make_unique<ros::LinuxSim>(
         *machine_, *sched_, ros::LinuxSim::Config{{0}, false, 0});
     ASSERT_TRUE(install_boot_files(linux_->fs()).is_ok());
-    auto proc = linux_->spawn("scheme", std::move(guest));
-    ASSERT_TRUE(proc.is_ok());
-    proc_ = *proc;
+    for (GuestFn& guest : guests) {
+      auto proc = linux_->spawn("scheme", std::move(guest));
+      ASSERT_TRUE(proc.is_ok());
+      procs_.push_back(*proc);
+    }
+    proc_ = procs_.front();
     const Status s = linux_->run_all();
     ASSERT_TRUE(s.is_ok()) << s.to_string();
   }
@@ -68,6 +79,7 @@ class SchemeTest : public ::testing::Test {
   std::unique_ptr<Sched> sched_;
   std::unique_ptr<ros::LinuxSim> linux_;
   ros::Process* proc_ = nullptr;
+  std::vector<ros::Process*> procs_;
 };
 
 // --- reader / printer -----------------------------------------------------------
@@ -405,6 +417,256 @@ TEST_F(SchemeTest, WriteBarriersTakeSigsegvs) {
   EXPECT_GT(proc_->signals_delivered, 0u);
   EXPECT_GE(proc_->syscall_count(ros::SysNr::kRtSigreturn), 1u);
   EXPECT_GE(proc_->syscall_count(ros::SysNr::kMprotect), 2u);
+}
+
+// Two engines in two guest processes. Engine A arms its write barriers,
+// engine B starts in the second process, then A mutates its old data while
+// B is alive or after B was destroyed. Each process's SIGSEGV handler must
+// resolve the fault against its own heap.
+class TwoEngineBarrierTest : public SchemeTest {
+ protected:
+  struct Hits {
+    std::uint64_t first = 0;
+    std::uint64_t second = 0;
+  };
+
+  Hits run(bool second_alive) {
+    enum class Step { kStart, kFirstArmed, kSecondUp, kFirstDone };
+    Step step = Step::kStart;
+    // Bounded, so a killed partner fails the test instead of hanging it.
+    auto wait_for = [&step](ros::SysIface& sys, Step s) {
+      for (int i = 0; i < 1000 && step < s; ++i) sys.sched_yield();
+      return step >= s;
+    };
+    Engine::Config cfg;
+    cfg.heap.gc_allocation_trigger = 4000;
+    cfg.load_boot_files = false;
+    Hits hits;
+    run_guests({
+        [&](ros::SysIface& sys) {
+          Engine engine(sys, cfg);
+          EXPECT_TRUE(engine.init().is_ok());
+          // `old` survives a collection, so its chunk is write-protected.
+          auto r = engine.eval_string(
+              "(define old (make-vector 3000 0))"
+              "(define (churn n)"
+              "  (if (= n 0) 'ok (begin (cons 1 2) (churn (- n 1)))))"
+              "(churn 10000)");
+          EXPECT_TRUE(r.is_ok()) << r.status().to_string();
+          step = Step::kFirstArmed;
+          EXPECT_TRUE(wait_for(sys, Step::kSecondUp));
+          auto v = engine.eval_to_string(
+              "(vector-set! old 5 'mutated) (vector-ref old 5)");
+          EXPECT_TRUE(v.is_ok()) << v.status().to_string();
+          EXPECT_EQ(v.value_or(""), "mutated");
+          hits.first = engine.heap().stats().barrier_hits;
+          step = Step::kFirstDone;
+          return 0;
+        },
+        [&](ros::SysIface& sys) {
+          EXPECT_TRUE(wait_for(sys, Step::kFirstArmed));
+          {
+            Engine engine(sys, cfg);
+            EXPECT_TRUE(engine.init().is_ok());
+            if (second_alive) {
+              step = Step::kSecondUp;
+              EXPECT_TRUE(wait_for(sys, Step::kFirstDone));
+            }
+            hits.second = engine.heap().stats().barrier_hits;
+          }
+          if (step < Step::kSecondUp) step = Step::kSecondUp;
+          return 0;
+        },
+    });
+    return hits;
+  }
+};
+
+TEST_F(TwoEngineBarrierTest, FaultResolvesAgainstItsOwnHeapBesideALiveEngine) {
+  const Hits hits = run(/*second_alive=*/true);
+  EXPECT_GT(hits.first, 0u);
+  EXPECT_EQ(hits.second, 0u);
+  EXPECT_GT(procs_[0]->signals_delivered, 0u);
+}
+
+TEST_F(TwoEngineBarrierTest, FaultResolvesAgainstItsOwnHeapAfterAnEngineDies) {
+  const Hits hits = run(/*second_alive=*/false);
+  EXPECT_GT(hits.first, 0u);
+  EXPECT_EQ(hits.second, 0u);
+  EXPECT_GT(procs_[0]->signals_delivered, 0u);
+}
+
+// Hand-out order. The heap builds a chunk's cells on first hand-out; it must
+// give out the same guest addresses, and end with the same GcStats, as the
+// free list it replaces: slots 0..n-1 pushed in order and popped from the
+// back, with each sweep re-filing every unmarked slot in ascending order.
+// The model below is that prebuilt free list, driven through random
+// alloc/root/unroot/write/collect sequences on a heap with small chunks.
+TEST_F(SchemeTest, HeapHandsOutCellsInPrebuiltFreeListOrder) {
+  Heap::Config cfg;
+  cfg.chunk_bytes = 2 * 4096;
+  cfg.cell_bytes = 512;  // 16 cells per chunk
+  cfg.gc_allocation_trigger = 24;
+  cfg.min_chunks = 2;
+  cfg.startup_chunks = 4;
+  cfg.startup_trim = 1;
+  const std::uint64_t n = cfg.chunk_bytes / cfg.cell_bytes;
+
+  struct ModelChunk {
+    std::uint64_t base = 0;  // learned from the chunk's first hand-out
+    bool base_known = false;
+    std::vector<std::uint64_t> free;
+    std::vector<bool> in_use;
+    std::uint64_t live = 0;
+    bool write_protected = false;
+  };
+  struct Obj {
+    Cell* cell;
+    ModelChunk* chunk;
+    std::uint64_t slot;
+  };
+
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE(strfmt("seed %llu", static_cast<unsigned long long>(seed)));
+    run_guest([&](ros::SysIface& sys) {
+      std::vector<std::unique_ptr<ModelChunk>> chunks;
+      auto new_chunk = [&chunks, n] {
+        auto chunk = std::make_unique<ModelChunk>();
+        for (std::uint64_t i = 0; i < n; ++i) chunk->free.push_back(i);
+        chunk->in_use.assign(n, false);
+        chunks.push_back(std::move(chunk));
+      };
+      GcStats want;
+      want.chunks_mapped = static_cast<std::uint64_t>(cfg.startup_chunks);
+      want.chunks_unmapped = static_cast<std::uint64_t>(cfg.startup_trim);
+      for (int i = 0; i < cfg.startup_chunks - cfg.startup_trim; ++i) {
+        new_chunk();
+      }
+      std::vector<Obj> rooted;
+      std::vector<Obj> unrooted;  // allocated since the last collection
+      std::uint64_t since_gc = 0;
+
+      auto model_collect = [&] {
+        ++want.collections;
+        since_gc = 0;
+        for (auto& chunk : chunks) {
+          std::vector<bool> marked(n, false);
+          for (const Obj& o : rooted) {
+            if (o.chunk == chunk.get()) marked[o.slot] = true;
+          }
+          chunk->free.clear();
+          chunk->live = 0;
+          for (std::uint64_t slot = 0; slot < n; ++slot) {
+            if (marked[slot]) {
+              ++chunk->live;
+              continue;
+            }
+            if (chunk->in_use[slot]) {
+              ++want.cells_swept;
+              --want.live_cells;
+              chunk->in_use[slot] = false;
+            }
+            chunk->free.push_back(slot);
+          }
+        }
+        for (std::size_t i = chunks.size(); i-- > 0;) {
+          if (chunks.size() <= cfg.min_chunks) break;
+          if (chunks[i]->live == 0) {
+            chunks.erase(chunks.begin() + static_cast<long>(i));
+            ++want.chunks_unmapped;
+          }
+        }
+        for (auto& chunk : chunks) {
+          if (chunk->live > 0) chunk->write_protected = true;
+        }
+        unrooted.clear();
+      };
+      auto model_alloc = [&]() -> Obj {
+        if (since_gc >= cfg.gc_allocation_trigger) model_collect();
+        ModelChunk* target = nullptr;
+        for (auto& chunk : chunks) {
+          if (!chunk->free.empty() && !chunk->write_protected) {
+            target = chunk.get();
+            break;
+          }
+        }
+        if (target == nullptr) {
+          new_chunk();
+          ++want.chunks_mapped;
+          target = chunks.back().get();
+        }
+        const std::uint64_t slot = target->free.back();
+        target->free.pop_back();
+        target->in_use[slot] = true;
+        ++target->live;
+        ++since_gc;
+        ++want.cells_allocated;
+        ++want.live_cells;
+        return Obj{nullptr, target, slot};
+      };
+
+      Heap heap(sys, cfg);
+      heap.set_extra_root_marker([&rooted](const Heap::RootVisitor& visit) {
+        for (const Obj& o : rooted) visit(Value::from_cell(o.cell));
+      });
+      EXPECT_TRUE(heap.init().is_ok());
+      Rng rng(seed);
+      auto take = [&rng](std::vector<Obj>& from) {
+        const std::size_t i = rng.below(from.size());
+        const Obj o = from[i];
+        from.erase(from.begin() + static_cast<long>(i));
+        return o;
+      };
+      for (int op = 0; op < 600; ++op) {
+        const std::uint64_t pick = rng.below(100);
+        if (pick < 55) {
+          Obj o = model_alloc();
+          auto cell = heap.alloc(Cell::Type::kPair);
+          EXPECT_TRUE(cell.is_ok());
+          if (!cell.is_ok()) return 1;
+          o.cell = *cell;
+          const std::uint64_t addr = o.cell->guest_addr;
+          if (!o.chunk->base_known) {
+            o.chunk->base = addr - o.slot * cfg.cell_bytes;
+            o.chunk->base_known = true;
+            EXPECT_EQ(o.chunk->base % 4096, 0u) << "op " << op;
+          }
+          EXPECT_EQ(addr, o.chunk->base + o.slot * cfg.cell_bytes)
+              << "op " << op;
+          unrooted.push_back(o);
+        } else if (pick < 70 && !unrooted.empty()) {
+          rooted.push_back(take(unrooted));
+        } else if (pick < 82 && !rooted.empty()) {
+          unrooted.push_back(take(rooted));
+        } else if (pick < 94 && !rooted.empty()) {
+          const Obj& o = rooted[rng.below(rooted.size())];
+          heap.write_barrier(o.cell);
+          if (o.chunk->write_protected) {
+            o.chunk->write_protected = false;
+            ++want.barrier_hits;
+          }
+        } else if (pick >= 94) {
+          heap.collect();
+          model_collect();
+        }
+      }
+      const GcStats& got = heap.stats();
+      EXPECT_EQ(got.collections, want.collections);
+      EXPECT_EQ(got.cells_allocated, want.cells_allocated);
+      EXPECT_EQ(got.cells_swept, want.cells_swept);
+      EXPECT_EQ(got.chunks_mapped, want.chunks_mapped);
+      EXPECT_EQ(got.chunks_unmapped, want.chunks_unmapped);
+      EXPECT_EQ(got.barrier_hits, want.barrier_hits);
+      EXPECT_EQ(got.live_cells, want.live_cells);
+      // Enough traffic that every part of the model was exercised.
+      EXPECT_GT(want.collections, 5u);
+      EXPECT_GT(want.cells_swept, 0u);
+      EXPECT_GT(want.barrier_hits, 0u);
+      EXPECT_GT(want.chunks_mapped,
+                static_cast<std::uint64_t>(cfg.startup_chunks));
+      return 0;
+    });
+  }
 }
 
 // Rooting stress: with the trigger at 1 every allocation runs a full
