@@ -45,6 +45,7 @@ SymId Engine::intern(const std::string& name) {
   if (it != sym_ids_.end()) return it->second;
   const SymId id = static_cast<SymId>(sym_names_.size());
   sym_names_.push_back(name);
+  globals_.emplace_back();
   sym_ids_[name] = id;
   return id;
 }
@@ -79,7 +80,7 @@ Status Engine::init() {
   heap_.set_sys_provider([this]() -> ros::SysIface& { return sys(); });
   MV_RETURN_IF_ERROR(heap_.init());
   heap_.set_extra_root_marker([this](const Heap::RootVisitor& visit) {
-    for (const auto& [sym, v] : globals_) visit(v);
+    for (const GlobalSlot& g : globals_) visit(g.value);
     for (const auto& [id, v] : thread_thunks_) visit(v);
     if (global_env_ != nullptr) visit(Value::from_cell(global_env_));
     // Bytecode engine roots: compiled literals plus every live VM
@@ -232,8 +233,7 @@ Result<int> Engine::spawn_interpreter_thread(Value thunk) {
     ThreadIfaceScope scope(*this, child);
     const auto it = thread_thunks_.find(id);
     if (it == thread_thunks_.end()) return;
-    std::vector<Value> no_args;
-    auto r = apply_value(it->second, no_args);
+    auto r = apply_value(it->second, {});
     if (!r) {
       (void)child.write_str(2, "thread error: " + r.status().to_string() +
                                    "\n");
@@ -287,7 +287,7 @@ Result<Cell*> Engine::make_env(Cell* parent) {
   return cell;
 }
 
-Result<Value> Engine::make_list(const std::vector<Value>& items) {
+Result<Value> Engine::make_list(std::span<const Value> items) {
   RootScope scope(heap_);
   Value list = Value::nil();
   for (std::size_t i = items.size(); i-- > 0;) {
@@ -299,9 +299,17 @@ Result<Value> Engine::make_list(const std::vector<Value>& items) {
 
 // --- environments ---------------------------------------------------------------
 
+Status Engine::unbound_error(SymId sym) const {
+  return err(Err::kNoEnt, "unbound variable: " + sym_name(sym));
+}
+
+Status Engine::unbound_set_error(SymId sym) const {
+  return err(Err::kNoEnt, "set!: unbound variable " + sym_name(sym));
+}
+
 Status Engine::env_define(Cell* env, SymId sym, Value v) {
   if (env == global_env_ || env == nullptr) {
-    globals_[sym] = v;
+    bind_global(sym, v);
     return Status::ok();
   }
   heap_.write_barrier(env);
@@ -326,11 +334,9 @@ Status Engine::env_set(Cell* env, SymId sym, Value v) {
       }
     }
   }
-  const auto it = globals_.find(sym);
-  if (it == globals_.end()) {
-    return err(Err::kNoEnt, "set!: unbound variable " + sym_name(sym));
-  }
-  it->second = v;
+  Value* const slot = global_slot(sym);
+  if (slot == nullptr) return unbound_set_error(sym);
+  *slot = v;
   return Status::ok();
 }
 
@@ -341,25 +347,26 @@ Result<Value> Engine::env_lookup(Cell* env, SymId sym) {
       if (s == sym) return v;
     }
   }
-  const auto it = globals_.find(sym);
-  if (it != globals_.end()) return it->second;
-  return err(Err::kNoEnt, "unbound variable: " + sym_name(sym));
+  if (const Value* slot = global_slot(sym)) return *slot;
+  return unbound_error(sym);
 }
 
 void Engine::define_global(const std::string& name, Value v) {
-  globals_[intern(name)] = v;
+  bind_global(intern(name), v);
 }
 
 void Engine::define_builtin(const std::string& name, BuiltinFn fn) {
   auto b = make_builtin(name, std::move(fn));
-  if (b) globals_[intern(name)] = *b;
+  if (b) bind_global(intern(name), *b);
 }
 
 // --- printing --------------------------------------------------------------------
 
 namespace {
 std::string format_real(double d) {
-  if (d == static_cast<std::int64_t>(d) && std::abs(d) < 1e15) {
+  // Range check first: converting NaN, inf or a huge flonum to an integer
+  // is undefined.
+  if (std::abs(d) < 1e15 && d == static_cast<std::int64_t>(d)) {
     return strfmt("%.1f", d);
   }
   std::string s = strfmt("%.9g", d);

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -65,7 +66,7 @@ class Engine {
   // or compile + VM).
   Result<Value> eval_toplevel(Value form);
   // Non-tail application (used by apply/map and embedding code).
-  Result<Value> apply_value(Value fn, std::vector<Value>& args);
+  Result<Value> apply_value(Value fn, Args args);
   // Evaluate all forms; returns the last result.
   Result<Value> eval_string(const std::string& src);
   // Convenience for tests: evaluate and render with display semantics.
@@ -87,8 +88,8 @@ class Engine {
   Result<Value> make_vector(std::size_t n, Value fill);
   Result<Value> make_builtin(std::string name, BuiltinFn fn);
   Result<Cell*> make_env(Cell* parent);
-  // Build a Scheme list from a host vector (reverse-safe, rooted).
-  Result<Value> make_list(const std::vector<Value>& items);
+  // Build a Scheme list from host values (reverse-safe, rooted).
+  Result<Value> make_list(std::span<const Value> items);
 
   // --- environments ---------------------------------------------------------------
   Status env_define(Cell* env, SymId sym, Value v);
@@ -151,11 +152,22 @@ class Engine {
   void count_step();
   void count_vm_step();               // per-instruction accounting (vm.cpp)
 
+  // The bound global `sym`, or null.
+  Value* global_slot(SymId sym) {
+    GlobalSlot& g = globals_[sym];
+    return g.bound ? &g.value : nullptr;
+  }
+  void bind_global(SymId sym, Value v) {
+    globals_[sym] = GlobalSlot{v, true};
+  }
+  [[nodiscard]] Status unbound_error(SymId sym) const;
+  [[nodiscard]] Status unbound_set_error(SymId sym) const;
+
   // Bytecode VM internals (vm.cpp).
   VmContext& current_vm_context();
   Result<Value> vm_run(VmContext& ctx, std::size_t frame_floor);
   Result<Value> run_toplevel_proto(int proto_idx);
-  Result<Value> vm_apply(Value fn, std::vector<Value>& args);
+  Result<Value> vm_apply(Value fn, Args args);
   // Call setup shared by kCall dispatch and vm_apply: the operand stack
   // holds [closure, arg0..argN-1]; replaces them with a new frame record.
   Status vm_push_call(VmContext& ctx, std::size_t nargs);
@@ -163,8 +175,7 @@ class Engine {
   // Evaluator internals (eval.cpp).
   Result<Value> eval_quasiquote(Value tmpl, Cell* env, int depth);
   Result<Value> eval_args(Value list, Cell* env, std::vector<Value>* out);
-  Result<Value> apply_closure_env(Cell* closure, std::vector<Value>& args,
-                                  Cell** env_out);
+  Result<Value> apply_closure_env(Cell* closure, Args args, Cell** env_out);
   Result<Value> eval_body_tail(Value body, Cell* env, Value* tail_expr,
                                Cell** tail_env);
 
@@ -174,7 +185,14 @@ class Engine {
   Reader reader_{*this};
   std::unordered_map<std::string, SymId> sym_ids_;
   std::vector<std::string> sym_names_;
-  std::unordered_map<SymId, Value> globals_;
+  // Global bindings, one slot per interned symbol, indexed by SymId. The
+  // VM's global instructions and the tree-walker's env_lookup/env_set
+  // share them.
+  struct GlobalSlot {
+    Value value;
+    bool bound = false;
+  };
+  std::vector<GlobalSlot> globals_;
   // Per-fiber SysIface bindings for interpreter threads.
   std::vector<std::pair<const Fiber*, ros::SysIface*>> thread_ifaces_;
   // Thunks of live interpreter threads (GC roots until the thread finishes).

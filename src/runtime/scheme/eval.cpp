@@ -79,8 +79,7 @@ Result<Value> Engine::eval_args(Value list, Cell* env,
 }
 
 // Binds a closure's parameters to `args` in a fresh environment.
-Result<Value> Engine::apply_closure_env(Cell* closure,
-                                        std::vector<Value>& args,
+Result<Value> Engine::apply_closure_env(Cell* closure, Args args,
                                         Cell** env_out) {
   RootScope scope(heap_);
   scope.add(Value::from_cell(closure));

@@ -73,7 +73,7 @@ Status Heap::init() {
   unmaps.reserve(trim);
   for (std::size_t i = 0; i < trim; ++i) {
     // Same release order as the sequential pass: newest chunk first.
-    const Chunk& chunk = *chunks_[chunks_.size() - 1 - i];
+    const HeapChunk& chunk = *chunks_[chunks_.size() - 1 - i];
     unmaps.push_back(ros::SysReq{ros::SysNr::kMunmap,
                                  {chunk.guest_base, config_.chunk_bytes}});
   }
@@ -97,27 +97,17 @@ Status Heap::map_chunk() {
 }
 
 void Heap::add_chunk(std::uint64_t guest_base) {
-  auto chunk = std::make_unique<Chunk>();
+  auto chunk = std::make_unique<HeapChunk>();
   chunk->guest_base = guest_base;
   chunk->unbuilt = cells_per_chunk();
   chunks_.push_back(std::move(chunk));
 }
 
 void Heap::unmap_chunk(std::size_t index) {
-  Chunk& chunk = *chunks_[index];
+  HeapChunk& chunk = *chunks_[index];
   (void)sys().munmap(chunk.guest_base, config_.chunk_bytes);
   ++stats_.chunks_unmapped;
   chunks_.erase(chunks_.begin() + static_cast<long>(index));
-}
-
-Heap::Chunk* Heap::chunk_of(const Cell* cell) {
-  for (auto& chunk : chunks_) {
-    if (cell->guest_addr >= chunk->guest_base &&
-        cell->guest_addr < chunk->guest_base + config_.chunk_bytes) {
-      return chunk.get();
-    }
-  }
-  return nullptr;
 }
 
 Result<Cell*> Heap::alloc(Cell::Type type) {
@@ -127,7 +117,7 @@ Result<Cell*> Heap::alloc(Cell::Type type) {
   }
   // Allocate from an unprotected chunk (the nursery): protected chunks hold
   // old-space survivors and are only written through the barrier.
-  Chunk* target = nullptr;
+  HeapChunk* target = nullptr;
   for (auto& chunk : chunks_) {
     if ((!chunk->free_list.empty() || chunk->unbuilt > 0) &&
         !chunk->protected_) {
@@ -151,6 +141,7 @@ Result<Cell*> Heap::alloc(Cell::Type type) {
     cell = target->cells.back().get();
     cell->guest_addr =
         target->guest_base + target->unbuilt * config_.cell_bytes;
+    cell->chunk = target;
   }
   cell->type = type;
   ++target->live;
@@ -210,9 +201,7 @@ void Heap::drain_env_pools() {
   for (auto& pool : env_pools_) pool.clear();
 }
 
-void Heap::write_barrier(Cell* cell) {
-  Chunk* chunk = chunk_of(cell);
-  if (chunk == nullptr || !chunk->protected_) return;
+void Heap::barrier_store(Cell* cell) {
   // The mutation's store hits the read-only page: SIGSEGV -> handler
   // unprotects the chunk -> retry succeeds.
   (void)sys().mem_touch(cell->guest_addr, hw::Access::kWrite);
@@ -309,7 +298,7 @@ void Heap::collect() {
     // The whole mprotect storm goes out as one batch (one channel doorbell
     // in hybrid mode; the identical sequential loop in native mode).
     std::vector<ros::SysReq> protects;
-    std::vector<Chunk*> armed;
+    std::vector<HeapChunk*> armed;
     for (auto& chunk : chunks_) {
       if (chunk->live > 0 && !chunk->protected_) {
         protects.push_back(ros::SysReq{
@@ -320,7 +309,7 @@ void Heap::collect() {
     }
     if (!protects.empty()) {
       (void)sys().syscall_batch(protects);
-      for (Chunk* chunk : armed) chunk->protected_ = true;
+      for (HeapChunk* chunk : armed) chunk->protected_ = true;
     }
   }
   // GC work is guest compute.

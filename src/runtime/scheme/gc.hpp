@@ -43,6 +43,20 @@ struct GcStats {
   std::uint64_t env_recycles = 0;
 };
 
+// One mmap'ed heap chunk. Cells are built on first hand-out. Never-used
+// slots [0, unbuilt) have no Cell yet and lie below every built cell, so
+// building the highest one keeps a prebuilt free list's order (slots
+// 0..n-1, popped from the back). Every built cell points back here.
+struct HeapChunk {
+  std::uint64_t guest_base = 0;
+  std::uint64_t unbuilt = 0;
+  std::vector<std::unique_ptr<Cell>> cells;  // descending guest address
+  std::vector<Cell*> free_list;
+  std::uint64_t live = 0;
+  bool protected_ = false;
+  std::uint64_t touched_pages = 0;  // demand-fault shaping
+};
+
 class Heap {
  public:
   struct Config {
@@ -112,7 +126,9 @@ class Heap {
 
   // Mutation barrier: called by set-car!/set-cdr!/vector-set!/define. Writes
   // to a protected chunk SIGSEGV into the handler, which unprotects it.
-  void write_barrier(Cell* cell);
+  void write_barrier(Cell* cell) {
+    if (cell->chunk != nullptr && cell->chunk->protected_) barrier_store(cell);
+  }
 
   // Force a full collection.
   void collect();
@@ -123,19 +139,6 @@ class Heap {
   }
 
  private:
-  // Cells are built on first hand-out. Never-used slots [0, unbuilt) have no
-  // Cell yet and lie below every built cell, so building the highest one
-  // keeps a prebuilt free list's order (slots 0..n-1, popped from the back).
-  struct Chunk {
-    std::uint64_t guest_base = 0;
-    std::uint64_t unbuilt = 0;
-    std::vector<std::unique_ptr<Cell>> cells;  // descending guest address
-    std::vector<Cell*> free_list;
-    std::uint64_t live = 0;
-    bool protected_ = false;
-    std::uint64_t touched_pages = 0;  // demand-fault shaping
-  };
-
   [[nodiscard]] ros::SysIface& sys() {
     return sys_provider_ ? sys_provider_() : *sys_;
   }
@@ -150,7 +153,8 @@ class Heap {
   [[nodiscard]] std::uint64_t cells_per_chunk() const {
     return config_.chunk_bytes / config_.cell_bytes;
   }
-  Chunk* chunk_of(const Cell* cell);
+  // The barrier's store into a protected chunk (faults into the handler).
+  void barrier_store(Cell* cell);
   // Pool class for a frame of `slots` slots, or -1 if unpooled (too big).
   static int pool_class(std::size_t slots);
   // Return every pooled frame to the allocator ahead of a mark phase (the
@@ -159,7 +163,7 @@ class Heap {
 
   ros::SysIface* sys_;
   Config config_;
-  std::vector<std::unique_ptr<Chunk>> chunks_;
+  std::vector<std::unique_ptr<HeapChunk>> chunks_;
   // Per-fiber shadow stacks (index 0 doubles as the no-fiber fallback).
   std::vector<std::pair<const Fiber*, std::vector<Value>>> root_stacks_;
   std::size_t current_stack_hint_ = 0;

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@ namespace mv::scheme {
 
 class Cell;
 class Engine;
+struct HeapChunk;
 
 using SymId = std::uint32_t;
 
@@ -114,9 +116,29 @@ struct Value {
   }
 };
 
+// A builtin's evaluated arguments. They stay valid for the whole call, even
+// when the builtin re-enters the VM.
+using Args = std::span<const Value>;
+
 // Builtin procedure: receives evaluated arguments; may allocate.
-using BuiltinFn =
-    std::function<Result<Value>(Engine&, std::vector<Value>& args)>;
+using BuiltinFn = std::function<Result<Value>(Engine&, Args args)>;
+
+// Builtins the VM's call instruction runs inline for their common operand
+// types (vm.cpp). The tag sits on the builtin's cell, so the fast path
+// follows the procedure value, whatever name reaches it.
+enum class Prim : std::uint8_t {
+  kNone,
+  kAdd,
+  kSub,
+  kMul,
+  kNumEq,
+  kLt,
+  kGt,
+  kCar,
+  kCdr,
+  kVectorRef,
+  kVectorSet,
+};
 
 class Cell {
  public:
@@ -132,7 +154,12 @@ class Cell {
 
   Type type = Type::kFree;
   bool marked = false;
+  // What a call dispatches on besides `type`, kept in the header's
+  // padding (the chunk pointer below then costs no cell growth).
+  Prim prim = Prim::kNone;      // builtins with a VM fast path
+  std::int32_t proto_idx = -1;  // >= 0: bytecode closure (Engine::protos())
   std::uint64_t guest_addr = 0;  // where this cell "lives" in guest memory
+  HeapChunk* chunk = nullptr;    // the heap chunk holding guest_addr
 
   // --- pair ---
   Value car, cdr;
@@ -147,7 +174,6 @@ class Cell {
   Value body;             // list of body expressions
   Cell* closure_env = nullptr;
   std::string proc_name;  // for error messages
-  std::int32_t proto_idx = -1;  // >= 0: bytecode closure (index into Engine protos)
   // --- builtin ---
   BuiltinFn builtin;
   // --- environment ---
@@ -157,6 +183,7 @@ class Cell {
   void reset() {
     type = Type::kFree;
     marked = false;
+    prim = Prim::kNone;
     car = Value{};
     cdr = Value{};
     str.clear();
@@ -188,6 +215,63 @@ inline bool Value::is_callable() const {
 }
 inline bool Value::is_env() const {
   return is_cell() && cell->type == Cell::Type::kEnv;
+}
+
+// --- numeric helpers ------------------------------------------------------
+// Shared by the builtins and the VM's inline fast path, so both compute
+// every result the same way. Fixnums wrap modulo 2^64 in every operation:
+// no Scheme program reaches signed-overflow UB or a SIGFPE on the host.
+
+inline std::int64_t fix_add(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+inline std::int64_t fix_sub(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
+}
+inline std::int64_t fix_mul(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                   static_cast<std::uint64_t>(b));
+}
+inline std::int64_t fix_neg(std::int64_t a) { return fix_sub(0, a); }
+// Truncating division (b != 0). INT64_MIN / -1 wraps to INT64_MIN with
+// remainder 0.
+inline std::int64_t fix_quotient(std::int64_t a, std::int64_t b) {
+  return b == -1 ? fix_neg(a) : a / b;
+}
+inline std::int64_t fix_remainder(std::int64_t a, std::int64_t b) {
+  return b == -1 ? 0 : a % b;
+}
+
+// Two-operand arithmetic with int/real contagion: two fixnums stay exact,
+// anything else is flonum arithmetic. Operands must be numbers.
+inline Value num_add(const Value& a, const Value& b) {
+  return a.is_int() && b.is_int() ? Value::integer(fix_add(a.i, b.i))
+                                  : Value::real(a.as_real() + b.as_real());
+}
+inline Value num_sub(const Value& a, const Value& b) {
+  return a.is_int() && b.is_int() ? Value::integer(fix_sub(a.i, b.i))
+                                  : Value::real(a.as_real() - b.as_real());
+}
+inline Value num_mul(const Value& a, const Value& b) {
+  return a.is_int() && b.is_int() ? Value::integer(fix_mul(a.i, b.i))
+                                  : Value::real(a.as_real() * b.as_real());
+}
+// Numeric comparisons compare as flonums.
+inline bool num_eq(const Value& a, const Value& b) {
+  return a.as_real() == b.as_real();
+}
+inline bool num_lt(const Value& a, const Value& b) {
+  return a.as_real() < b.as_real();
+}
+inline bool num_gt(const Value& a, const Value& b) {
+  return a.as_real() > b.as_real();
+}
+
+// Whether fixnum `i` indexes a vector of `size` elements.
+inline bool index_ok(std::int64_t i, std::size_t size) {
+  return i >= 0 && static_cast<std::uint64_t>(i) < size;
 }
 
 // Structural equality (equal?); eqv? and eq? are shallower.

@@ -1,5 +1,6 @@
 #include "runtime/scheme/vm.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -14,6 +15,109 @@
 // cell is reachable.
 
 namespace mv::scheme {
+
+namespace {
+
+// Builtin arguments copied to the C++ stack; longer lists spill to the
+// host heap.
+constexpr std::size_t kInlineArgs = 8;
+
+// The inline fast path of a tagged builtin (Prim, value.hpp): its common
+// operand types only, computed with the helpers the builtin itself uses.
+// Returns false for anything else (other types, arity, an index out of
+// range); the caller then calls the builtin, so every error text comes
+// from builtins.cpp. Forced inline: called out of line, the result makes a
+// round trip through memory on every builtin call.
+[[gnu::always_inline]] inline bool prim_fast(Prim prim, Heap& heap,
+                                             const Value* args,
+                                             std::size_t nargs, Value* out) {
+  const bool two_numbers =
+      nargs == 2 && args[0].is_number() && args[1].is_number();
+  switch (prim) {
+    case Prim::kNone:
+      return false;
+    case Prim::kAdd:
+      if (!two_numbers) return false;
+      *out = num_add(args[0], args[1]);
+      return true;
+    case Prim::kSub:
+      if (!two_numbers) return false;
+      *out = num_sub(args[0], args[1]);
+      return true;
+    case Prim::kMul:
+      if (!two_numbers) return false;
+      *out = num_mul(args[0], args[1]);
+      return true;
+    case Prim::kNumEq:
+      if (!two_numbers) return false;
+      *out = Value::boolean(num_eq(args[0], args[1]));
+      return true;
+    case Prim::kLt:
+      if (!two_numbers) return false;
+      *out = Value::boolean(num_lt(args[0], args[1]));
+      return true;
+    case Prim::kGt:
+      if (!two_numbers) return false;
+      *out = Value::boolean(num_gt(args[0], args[1]));
+      return true;
+    case Prim::kCar:
+      if (nargs != 1 || !args[0].is_pair()) return false;
+      *out = args[0].cell->car;
+      return true;
+    case Prim::kCdr:
+      if (nargs != 1 || !args[0].is_pair()) return false;
+      *out = args[0].cell->cdr;
+      return true;
+    case Prim::kVectorRef:
+      if (nargs != 2 || !args[0].is_vector() || !args[1].is_int() ||
+          !index_ok(args[1].i, args[0].cell->vec.size())) {
+        return false;
+      }
+      *out = args[0].cell->vec[static_cast<std::size_t>(args[1].i)];
+      return true;
+    case Prim::kVectorSet: {
+      if (nargs != 3 || !args[0].is_vector() || !args[1].is_int() ||
+          !index_ok(args[1].i, args[0].cell->vec.size())) {
+        return false;
+      }
+      Cell* const v = args[0].cell;
+      const std::size_t i = static_cast<std::size_t>(args[1].i);
+      const Value x = args[2];
+      heap.write_barrier(v);
+      v->vec[i] = x;
+      *out = Value::unspecified();
+      return true;
+    }
+  }
+  return false;
+}
+
+// Calls builtin (or interpreter closure) `fn` on a copy of the nargs
+// operands at `argv`. The copy matters: apply and sort re-enter the VM,
+// which can grow and move the operand stack while the callee still reads
+// its arguments.
+Result<Value> call_native(Engine& engine, Value fn, const Value* argv,
+                          std::size_t nargs) {
+  Value local[kInlineArgs];
+  std::vector<Value> spilled;
+  Args args;
+  if (nargs <= kInlineArgs) {
+    std::copy(argv, argv + nargs, local);
+    args = {local, nargs};
+  } else {
+    spilled.assign(argv, argv + nargs);
+    args = spilled;
+  }
+  return fn.cell->type == Cell::Type::kBuiltin
+             ? fn.cell->builtin(engine, args)
+             : engine.apply_value(fn, args);
+}
+
+}  // namespace
+
+void ValueStack::grow() {
+  slots_.resize(slots_.empty() ? 256 : 2 * slots_.size());
+}
 
 VmContext& Engine::current_vm_context() {
   const Fiber* fiber = Fiber::current();
@@ -87,7 +191,7 @@ Status Engine::vm_push_call(VmContext& ctx, std::size_t nargs) {
     }
     frame->vec[fixed] = rest;
   }
-  ctx.stack.resize(fnpos);
+  ctx.stack.truncate(fnpos);
   VmFrame fr;
   fr.proto = proto;
   fr.env = frame;
@@ -103,43 +207,59 @@ Status Engine::vm_push_call(VmContext& ctx, std::size_t nargs) {
 }
 
 Result<Value> Engine::vm_run(VmContext& ctx, std::size_t frame_floor) {
-  std::vector<Value>& stack = ctx.stack;
+  ValueStack& stack = ctx.stack;
+
+  // The running frame lives in locals: its record, code, constants and
+  // next instruction. The record's ip is stale while the frame runs; it is
+  // stored before a call leaves the frame. Any call, return or builtin call
+  // can move the frame records, so each reloads the locals.
+  VmFrame* fr = nullptr;
+  const Insn* code = nullptr;
+  const Value* consts = nullptr;
+  std::uint32_t ip = 0;
+  const auto load_frame = [&] {
+    fr = &ctx.frames.back();
+    code = fr->proto->code.data();
+    consts = fr->proto->consts.data();
+    ip = fr->ip;
+  };
 
   // Pop the current frame, recycling its env when poolable (a non-escaping
   // frame is unreachable once its VmFrame record is gone). Returns true
   // when the floor frame returned; `out` then carries the final result.
   const auto do_return = [&](Value result, Value* out) -> bool {
-    const VmFrame fr = ctx.frames.back();
+    const VmFrame done = ctx.frames.back();
     ctx.frames.pop_back();
-    if (fr.poolable) heap_.recycle_env_frame(fr.env);
-    stack.resize(fr.stack_base);
+    if (done.poolable) heap_.recycle_env_frame(done.env);
+    stack.truncate(done.stack_base);
     if (ctx.frames.size() == frame_floor) {
       *out = result;
       return true;
     }
     stack.push_back(result);
+    load_frame();
     return false;
   };
 
+  load_frame();
   for (;;) {
-    VmFrame& fr = ctx.frames.back();
-    const Insn insn = fr.proto->code[fr.ip++];
+    const Insn insn = code[ip++];
     count_vm_step();
 
     switch (insn.op) {
       case Op::kConst:
-        stack.push_back(fr.proto->consts[static_cast<std::size_t>(insn.a)]);
+        stack.push_back(consts[insn.a]);
         break;
 
       case Op::kLocal: {
-        Cell* e = fr.env;
+        Cell* e = fr->env;
         for (std::int32_t d = 0; d < insn.a; ++d) e = e->parent_env;
         stack.push_back(e->vec[static_cast<std::size_t>(insn.b)]);
         break;
       }
 
       case Op::kSetLocal: {
-        Cell* e = fr.env;
+        Cell* e = fr->env;
         for (std::int32_t d = 0; d < insn.a; ++d) e = e->parent_env;
         e->vec[static_cast<std::size_t>(insn.b)] = stack.back();
         stack.pop_back();
@@ -148,28 +268,24 @@ Result<Value> Engine::vm_run(VmContext& ctx, std::size_t frame_floor) {
       }
 
       case Op::kGlobal: {
-        const auto it = globals_.find(static_cast<SymId>(insn.a));
-        if (it == globals_.end()) {
-          return err(Err::kNoEnt, "unbound variable: " +
-                                      sym_name(static_cast<SymId>(insn.a)));
-        }
-        stack.push_back(it->second);
+        const SymId sym = static_cast<SymId>(insn.a);
+        const Value* const slot = global_slot(sym);
+        if (slot == nullptr) return unbound_error(sym);
+        stack.push_back(*slot);
         break;
       }
 
       case Op::kSetGlobal: {
-        const auto it = globals_.find(static_cast<SymId>(insn.a));
-        if (it == globals_.end()) {
-          return err(Err::kNoEnt, "set!: unbound variable " +
-                                      sym_name(static_cast<SymId>(insn.a)));
-        }
-        it->second = stack.back();
+        const SymId sym = static_cast<SymId>(insn.a);
+        Value* const slot = global_slot(sym);
+        if (slot == nullptr) return unbound_set_error(sym);
+        *slot = stack.back();
         stack.pop_back();
         break;
       }
 
       case Op::kDefGlobal:
-        globals_[static_cast<SymId>(insn.a)] = stack.back();
+        bind_global(static_cast<SymId>(insn.a), stack.back());
         stack.pop_back();
         break;
 
@@ -182,20 +298,20 @@ Result<Value> Engine::vm_run(VmContext& ctx, std::size_t frame_floor) {
         break;
 
       case Op::kJump:
-        fr.ip = static_cast<std::uint32_t>(insn.a);
+        ip = static_cast<std::uint32_t>(insn.a);
         break;
 
       case Op::kJumpIfFalse: {
         const Value v = stack.back();
         stack.pop_back();
-        if (!v.truthy()) fr.ip = static_cast<std::uint32_t>(insn.a);
+        if (!v.truthy()) ip = static_cast<std::uint32_t>(insn.a);
         break;
       }
 
       case Op::kJumpIfTrue: {
         const Value v = stack.back();
         stack.pop_back();
-        if (v.truthy()) fr.ip = static_cast<std::uint32_t>(insn.a);
+        if (v.truthy()) ip = static_cast<std::uint32_t>(insn.a);
         break;
       }
 
@@ -203,7 +319,7 @@ Result<Value> Engine::vm_run(VmContext& ctx, std::size_t frame_floor) {
         MV_ASSIGN_OR_RETURN(Cell* const cl,
                             heap_.alloc(Cell::Type::kClosure));
         cl->proto_idx = insn.a;
-        cl->closure_env = ctx.frames.back().env;
+        cl->closure_env = fr->env;
         cl->proc_name = protos_[static_cast<std::size_t>(insn.a)]->name;
         stack.push_back(Value::from_cell(cl));
         break;
@@ -218,8 +334,7 @@ Result<Value> Engine::vm_run(VmContext& ctx, std::size_t frame_floor) {
           return err(Err::kInval,
                      "application of non-procedure: " + to_display(fn) +
                          " in " +
-                         to_display(fr.proto->consts[
-                             static_cast<std::size_t>(insn.b)]));
+                         to_display(consts[static_cast<std::size_t>(insn.b)]));
         }
         const bool is_tail = insn.op == Op::kTailCall;
 
@@ -227,31 +342,32 @@ Result<Value> Engine::vm_run(VmContext& ctx, std::size_t frame_floor) {
             fn.cell->proto_idx < 0) {
           // Builtin, or an interpreter closure leaking across engines:
           // evaluate to a value here (args stay rooted on the operand
-          // stack while the host copy is in flight).
-          std::vector<Value> args(stack.begin() +
-                                      static_cast<std::ptrdiff_t>(fnpos + 1),
-                                  stack.end());
-          Result<Value> r = fn.cell->type == Cell::Type::kBuiltin
-                                ? fn.cell->builtin(*this, args)
-                                : apply_value(fn, args);
-          MV_RETURN_IF_ERROR(r.status());
-          stack.resize(fnpos);
+          // stack until the result is in).
+          const Value* const argv = stack.begin() + fnpos + 1;
+          Value result;
+          if (!prim_fast(fn.cell->prim, heap_, argv, nargs, &result)) {
+            MV_ASSIGN_OR_RETURN(result, call_native(*this, fn, argv, nargs));
+            fr = &ctx.frames.back();
+          }
+          stack.truncate(fnpos);
           if (is_tail) {
             Value out;
-            if (do_return(*r, &out)) return out;
+            if (do_return(result, &out)) return out;
           } else {
-            stack.push_back(*r);
+            stack.push_back(result);
           }
           break;
         }
 
         if (!is_tail) {
+          fr->ip = ip;
           MV_RETURN_IF_ERROR(vm_push_call(ctx, nargs));
+          load_frame();
           break;
         }
 
         // Tail call to a bytecode closure: replace the current frame.
-        VmFrame& cur = ctx.frames.back();
+        VmFrame& cur = *fr;
         Cell* const cl = fn.cell;
         const Proto* const proto =
             protos_[static_cast<std::size_t>(cl->proto_idx)].get();
@@ -282,8 +398,8 @@ Result<Value> Engine::vm_run(VmContext& ctx, std::size_t frame_floor) {
             }
             frame->vec[fixed] = rest;
           }
-          stack.resize(cur.stack_base);
-          cur.ip = 0;
+          stack.truncate(cur.stack_base);
+          ip = 0;
           break;
         }
 
@@ -307,13 +423,14 @@ Result<Value> Engine::vm_run(VmContext& ctx, std::size_t frame_floor) {
         }
         Cell* const old_env = cur.env;
         const bool old_poolable = cur.poolable;
-        stack.resize(cur.stack_base);
+        stack.truncate(cur.stack_base);
         cur.proto = proto;
         cur.env = frame;
         cur.closure = cl;
         cur.ip = 0;
         cur.poolable = !proto->frame_escapes;
         if (old_poolable) heap_.recycle_env_frame(old_env);
+        load_frame();
         break;
       }
 
@@ -329,13 +446,13 @@ Result<Value> Engine::vm_run(VmContext& ctx, std::size_t frame_floor) {
         // Operands stay on the (rooted) stack through the allocation.
         MV_ASSIGN_OR_RETURN(const Value pair,
                             cons(stack[n - 2], stack[n - 1]));
-        stack.resize(n - 2);
+        stack.truncate(n - 2);
         stack.push_back(pair);
         break;
       }
 
       case Op::kInitSlots: {
-        Cell* const frame = fr.env;
+        Cell* const frame = fr->env;
         for (std::int32_t i = 0; i < insn.b; ++i) {
           frame->vec[static_cast<std::size_t>(insn.a + i)] =
               Value::unspecified();
@@ -356,7 +473,7 @@ Result<Value> Engine::vm_run(VmContext& ctx, std::size_t frame_floor) {
       case Op::kCaseMatch: {
         const Value key = stack.back();
         bool hit = false;
-        for (Value d = fr.proto->consts[static_cast<std::size_t>(insn.a)];
+        for (Value d = consts[static_cast<std::size_t>(insn.a)];
              !hit && d.is_pair(); d = d.cell->cdr) {
           hit = value_eqv(key, d.cell->car);
         }
@@ -393,12 +510,12 @@ Result<Value> Engine::run_toplevel_proto(int proto_idx) {
   if (!result.is_ok()) {
     // Unwind to the entry state; abandoned envs are ordinary garbage.
     ctx.frames.resize(floor);
-    ctx.stack.resize(entry);
+    ctx.stack.truncate(entry);
   }
   return result;
 }
 
-Result<Value> Engine::vm_apply(Value fn, std::vector<Value>& args) {
+Result<Value> Engine::vm_apply(Value fn, Args args) {
   VmContext& ctx = current_vm_context();
   const std::size_t floor = ctx.frames.size();
   const std::size_t entry = ctx.stack.size();
@@ -406,13 +523,13 @@ Result<Value> Engine::vm_apply(Value fn, std::vector<Value>& args) {
   for (const Value& a : args) ctx.stack.push_back(a);
   const Status st = vm_push_call(ctx, args.size());
   if (!st.is_ok()) {
-    ctx.stack.resize(entry);
+    ctx.stack.truncate(entry);
     return st;
   }
   Result<Value> result = vm_run(ctx, floor);
   if (!result.is_ok()) {
     ctx.frames.resize(floor);
-    ctx.stack.resize(entry);
+    ctx.stack.truncate(entry);
   }
   return result;
 }

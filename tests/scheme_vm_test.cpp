@@ -6,10 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include "multiverse/system.hpp"
 #include "ros/linux.hpp"
 #include "runtime/scheme/engine.hpp"
 #include "runtime/scheme/programs.hpp"
+#include "support/rng.hpp"
 
 namespace mv::scheme {
 namespace {
@@ -38,6 +43,25 @@ class SchemeVmTest : public ::testing::Test {
   }
 
   std::string ev(const std::string& src) { return ev_with(src, vm_config()); }
+
+  // Evaluates each source as its own toplevel evaluation in one engine;
+  // returns each displayed result ("ERROR: ..." on failure).
+  std::vector<std::string> ev_each(const std::vector<std::string>& srcs,
+                                   Engine::Config cfg) {
+    std::vector<std::string> results;
+    run_guest([&results, &srcs, cfg](ros::SysIface& sys) {
+      Engine engine(sys, cfg);
+      const Status up = engine.init();
+      EXPECT_TRUE(up.is_ok()) << up.to_string();
+      for (const std::string& src : srcs) {
+        auto r = engine.eval_to_string(src);
+        results.push_back(r.is_ok() ? *r
+                                    : "ERROR: " + r.status().to_string());
+      }
+      return 0;
+    });
+    return results;
+  }
 
   // The twin-run property: interpreter and VM agree on the displayed
   // result. Returns the VM's answer for further assertions.
@@ -315,6 +339,231 @@ TEST_F(SchemeVmTest, EscapingFramesAreNotRecycled) {
     (void)before;  // closure application still recycles poolable callers
     return 0;
   });
+}
+
+// --- fixnum edge cases -----------------------------------------------------
+
+// Fixnums wrap modulo 2^64 in every operation, in both engines: no host
+// SIGFPE, no signed-overflow UB.
+TEST_F(SchemeVmTest, FixnumEdgeCasesWrapWithoutTrapping) {
+  EXPECT_EQ(twin("(quotient -9223372036854775808 -1)"),
+            "-9223372036854775808");
+  EXPECT_EQ(twin("(remainder -9223372036854775808 -1)"), "0");
+  EXPECT_EQ(twin("(modulo -9223372036854775808 -1)"), "0");
+  EXPECT_EQ(twin("(/ -9223372036854775808 -1)"), "-9223372036854775808");
+  EXPECT_EQ(twin("(+ 9223372036854775807 1)"), "-9223372036854775808");
+  EXPECT_EQ(twin("(+ 1 2 9223372036854775807)"), "-9223372036854775806");
+  EXPECT_EQ(twin("(- -9223372036854775808 1)"), "9223372036854775807");
+  EXPECT_EQ(twin("(- -9223372036854775808)"), "-9223372036854775808");
+  EXPECT_EQ(twin("(* 9223372036854775807 2)"), "-2");
+  EXPECT_EQ(twin("(* -9223372036854775808 -1)"), "-9223372036854775808");
+  EXPECT_EQ(twin("(abs -9223372036854775808)"), "-9223372036854775808");
+  EXPECT_EQ(twin("(expt 3 41)"), "-420491770248316829");
+  EXPECT_EQ(twin("(expt 2 64)"), "0");
+  // Ordinary operands keep their exact answers.
+  EXPECT_EQ(twin("(list (quotient -7 2) (remainder -7 2) (modulo -7 2)"
+                 "      (modulo 7 -2) (abs -5) (expt 2 10))"),
+            "(-3 -1 1 -1 5 1024)");
+  // An out-of-range digit string is not an exact integer (the reader
+  // rejects the same literal); it reads as a flonum.
+  EXPECT_EQ(twin("(string->number \"99999999999999999999\")"), "1e+20");
+  EXPECT_EQ(twin("(string->number \"-9223372036854775808\")"),
+            "-9223372036854775808");
+  EXPECT_EQ(twin("(list (exp 1000) (- (exp 1000)))"), "(inf -inf)");
+}
+
+// --- builtin fast path -----------------------------------------------------
+
+// The VM's inline primitives must agree with the generic builtins on every
+// operand: results and error text, in tail and non-tail position. The
+// tree-walker and `apply` (which never takes the fast path) are the oracles.
+TEST_F(SchemeVmTest, FastPathPrimitivesMatchGenericBuiltins) {
+  struct PrimCase {
+    const char* name;
+    int arity;
+  };
+  static const PrimCase kPrims[] = {
+      {"vector-ref", 2}, {"+", 2}, {"vector-set!", 3}, {"=", 2},
+      {"*", 2},          {"-", 2}, {"<", 2},           {"car", 1},
+      {"cdr", 1},        {">", 2},
+  };
+  static const char* const kNumbers[] = {
+      "0", "1", "-1", "7", "-13", "9223372036854775807",
+      "-9223372036854775808", "2.5", "-0.0", "0.0", "1e300", "-2.0",
+      "(exp 1000)", "(- (exp 1000))", "(- (exp 1000) (exp 1000))",
+  };
+  static const char* const kOthers[] = {
+      "#\\a", "\"str\"", "'sym", "#t", "'()", "'(1 . 2)", "(list 1 2 3)",
+      "(vector 10 20 30)", "(make-vector 0 0)", "car",
+  };
+  static const char* const kIndices[] = {
+      "0", "1", "2", "3", "-1", "9223372036854775807",
+      "-9223372036854775808", "1.0",
+  };
+  Rng rng(20261017);
+  const auto pick = [&rng](const auto& pool) {
+    return std::string(pool[rng.below(std::size(pool))]);
+  };
+  const auto any = [&] {
+    return rng.below(2) == 0 ? pick(kNumbers) : pick(kOthers);
+  };
+  std::vector<std::string> direct, oracle_apply;
+  for (const PrimCase& prim : kPrims) {
+    const std::string name = prim.name;
+    const bool vec_prim = name.rfind("vector", 0) == 0;
+    const bool pair_prim = name == "car" || name == "cdr";
+    for (int c = 0; c < 160; ++c) {
+      const int arity = rng.below(8) == 0
+                            ? static_cast<int>(rng.below(5))
+                            : prim.arity;
+      std::string binds, names;
+      for (int k = 0; k < arity; ++k) {
+        const bool usual = rng.below(4) != 0;
+        std::string operand;
+        if (vec_prim && k == 0) {
+          operand = usual ? "(vector 10 20 30)" : any();
+        } else if (vec_prim && k == 1) {
+          operand = usual ? pick(kIndices) : any();
+        } else if (pair_prim) {
+          operand = usual ? "(list 1 2 3)" : any();
+        } else if (!vec_prim) {
+          operand = usual ? pick(kNumbers) : any();
+        } else {
+          operand = any();
+        }
+        const std::string var = "a" + std::to_string(k);
+        binds += "(" + var + " " + operand + ")";
+        names += " " + var;
+      }
+      const std::string call = "(" + name + names + ")";
+      const std::string applied =
+          "(apply " + name + " (list" + names + "))";
+      // Tail position, then a non-tail call whose operands are displayed
+      // afterwards (vector-set!'s store must land the same way).
+      direct.push_back("(let* (" + binds + ") " + call + ")");
+      direct.push_back("(let* (" + binds + ") (list " + call + names + "))");
+      oracle_apply.push_back("(let* (" + binds + ") " + applied + ")");
+      oracle_apply.push_back("(let* (" + binds + ") (list " + applied +
+                             names + "))");
+    }
+  }
+  const std::vector<std::string> vm = ev_each(direct, vm_config());
+  const std::vector<std::string> walker = ev_each(direct, Engine::Config{});
+  const std::vector<std::string> applied = ev_each(oracle_apply, vm_config());
+  ASSERT_EQ(vm.size(), direct.size());
+  ASSERT_EQ(walker.size(), direct.size());
+  ASSERT_EQ(applied.size(), direct.size());
+  int errors = 0;
+  for (std::size_t i = 0; i < direct.size(); ++i) {
+    EXPECT_EQ(vm[i], walker[i]) << direct[i];
+    EXPECT_EQ(vm[i], applied[i]) << direct[i];
+    errors += vm[i].rfind("ERROR: ", 0) == 0 ? 1 : 0;
+  }
+  // Both outcomes are well represented.
+  EXPECT_GT(errors, 300);
+  EXPECT_LT(errors, static_cast<int>(direct.size()) - 1500);
+}
+
+// The fast path follows the callee, not the name it is called through.
+TEST_F(SchemeVmTest, FastPathFollowsRebinding) {
+  EXPECT_EQ(twin("(define (car x) 'mine) (car '(1 2))"), "mine");
+  EXPECT_EQ(twin("(set! + -) (+ 5 3)"), "2");
+  EXPECT_EQ(twin("(define (f) (+ 5 3)) (f) (set! + *) (f)"), "15");
+  EXPECT_EQ(twin("(let ((vector-ref list)) (vector-ref 1 2))"), "(1 2)");
+  EXPECT_EQ(twin("(define plus +) (plus 40 2)"), "42");
+  EXPECT_EQ(twin("(define (g op) (op 6 3)) (list (g +) (g -) (g <) (g cons))"),
+            "(9 3 #f (6 . 3))");
+}
+
+// --- re-entrancy -----------------------------------------------------------
+
+// Builtins that call back into the VM (sort's comparator, apply) while the
+// callback grows the operand and frame stacks far past their size at the
+// call. The builtin's arguments must not live in storage that moves.
+TEST_F(SchemeVmTest, ReentrantBuiltinsSurviveStackGrowth) {
+  const std::string deep =
+      "(define (deep n) (if (= n 0) 0 (+ 1 (deep (- n 1)))))";
+  EXPECT_EQ(ev(deep +
+               "(sort (list 3 1 2) (lambda (a b) (deep 20000) (< a b)))"),
+            "(1 2 3)");
+  EXPECT_EQ(ev(deep + "(apply (lambda (a b) (+ (deep 20000) a b)) (list 1 2))"),
+            "20003");
+  EXPECT_EQ(ev(deep + "(apply deep (list 20000))"), "20000");
+}
+
+// --- simulated accounting --------------------------------------------------
+
+// One VM program mixing builtin, closure, tail and self-tail calls, global
+// set!/define, GC and unbound globals. Its instruction count, GC statistics
+// and simulated core cycles are pinned: host-side changes to the VM must
+// leave every simulated figure exactly as it is.
+TEST_F(SchemeVmTest, SimulatedAccountingIsPinned) {
+  std::vector<std::string> results;
+  std::uint64_t steps = 0;
+  GcStats gc;
+  run_guest([&](ros::SysIface& sys) -> int {
+    Engine engine(sys, vm_config());
+    EXPECT_TRUE(engine.init().is_ok());
+    const char* const kForms[] = {
+        "(define counter 0)"
+        "(define (bump! k) (set! counter (+ counter k)))"
+        "(define (fact n) (if (= n 0) 1 (* n (fact (- n 1)))))"
+        "(define (count-down n acc)"
+        "  (if (= n 0) acc (count-down (- n 1) (+ acc 1))))"
+        "(define (ping n) (if (= n 0) 'ping (pong (- n 1))))"
+        "(define (pong n) (if (= n 0) 'pong (ping (- n 1))))"
+        "(define (sum-list l) (if (null? l) 0 (+ (car l) (sum-list (cdr l)))))"
+        "(define v (make-vector 64 0))"
+        "(define junk '())"
+        "(do ((i 0 (+ i 1))) ((= i 100))"
+        "  (set! junk (iota 300))"
+        "  (vector-set! v (modulo i 64) (* i i))"
+        "  (bump! (vector-ref v (modulo i 64))))"
+        "(list (fact 20) (count-down 5000 0) (ping 3001)"
+        "      (sum-list (iota 200)) counter"
+        "      (apply + (map (lambda (x) (* 2 x)) (iota 50)))"
+        "      (sort (list 5 3 9 1) <) (vector-ref v 39))",
+        // Old vectors spread over several chunks: after the collection
+        // protects them, each chunk's first store takes a barrier fault.
+        "(define olds (map (lambda (i) (make-vector 2 i)) (iota 1500)))"
+        "(collect-garbage)"
+        "(for-each (lambda (o) (vector-set! o 1 'x)) olds)"
+        "(vector-ref (car olds) 1)",
+        "(define (probe) undefined-inside) (define late-global 1)",
+        "(probe)",
+        "(set! undefined-inside 2)",
+        "(+ late-global never-seen-before)",
+        "(set! also-never-seen 1)",
+    };
+    for (const char* form : kForms) {
+      auto r = engine.eval_to_string(form);
+      results.push_back(r.is_ok() ? *r : "ERROR: " + r.status().to_string());
+    }
+    steps = engine.eval_steps();
+    gc = engine.heap().stats();
+    return 0;
+  });
+  const std::vector<std::string> want = {
+      "(2432902008176640000 5000 pong 19900 328350 2450 (1 3 5 9) 1521)",
+      "x",
+      "",
+      "ERROR: ENOENT: unbound variable: undefined-inside",
+      "ERROR: ENOENT: set!: unbound variable undefined-inside",
+      "ERROR: ENOENT: unbound variable: never-seen-before",
+      "ERROR: ENOENT: set!: unbound variable also-never-seen",
+  };
+  EXPECT_EQ(results, want);
+  EXPECT_EQ(steps, 626249u);
+  EXPECT_EQ(gc.collections, 5u);
+  EXPECT_EQ(gc.cells_allocated, 37906u);
+  EXPECT_EQ(gc.cells_swept, 32172u);
+  EXPECT_EQ(gc.chunks_mapped, 75u);
+  EXPECT_EQ(gc.chunks_unmapped, 63u);
+  EXPECT_EQ(gc.barrier_hits, 25u);
+  EXPECT_EQ(gc.live_cells, 4030u);
+  EXPECT_EQ(gc.env_reuses, 38089u);
+  EXPECT_EQ(gc.env_recycles, 39793u);
+  EXPECT_EQ(machine_->core(0).cycles(), 25871481u);
 }
 
 // --- fig13 suite byte-identity ---------------------------------------------
