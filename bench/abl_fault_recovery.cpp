@@ -106,17 +106,19 @@ int main() {
     const char* key;
     bool sync;        // delay_wakeup only bites on the sync transport
     bool must_match;  // guest results must equal the fault-free baseline
-    // Whether every injection structurally demands a recovery action. Lost
-    // doorbells and armed replays can land benignly (the partner was already
-    // awake; the replayed slot was never reused), so for those classes only
-    // recovered <= injected holds — correctness is carried by must_match.
+    // Whether every injection structurally demands a recovery action. A
+    // lost doorbell swallows its request's wakeup, which is recovered once
+    // (by a re-drive, or by a partner that served it anyway). An armed
+    // replay can land benignly (the replayed slot was never reused), so for
+    // dups only recovered <= injected holds — correctness is carried by
+    // must_match.
     bool recovery_per_injection;
     // Extra config the class needs to bite (override_fail only fires on
     // active overrides, so its cells run with the governor promoting).
     const char* extra;
   };
   const ClassSpec kClasses[] = {
-      {"drop_doorbell", false, true, false, ""},
+      {"drop_doorbell", false, true, true, ""},
       {"dup_doorbell", false, true, false, ""},
       {"corrupt_status", false, true, true, ""},
       {"drop_ipi", false, true, true, ""},

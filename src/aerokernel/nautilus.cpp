@@ -141,10 +141,10 @@ void Nautilus::page_fault_handler(hw::Core& core,
     return;
   }
 
-  // Repeat-fault detection: if the same address faults twice in a row, the
-  // ROS likely installed a *new* top-level (PML4) entry we cannot see;
-  // re-merge and retry.
-  auto& last = last_fault_[{core.id(), thread->cr3}];
+  // Repeat-fault detection: if the same address faults twice in a row on
+  // this thread, the ROS likely installed a *new* top-level (PML4) entry we
+  // cannot see; re-merge and retry.
+  auto& last = last_fault_[{thread->id, thread->cr3}];
   if (last == vaddr) {
     if (thread->cr3 != 0) {
       // Tenant thread: the new PML4 entry lives in the tenant process's

@@ -238,10 +238,11 @@ class Nautilus final : public vmm::HrtKernelIface {
   std::uint64_t remerges_ = 0;
   std::uint64_t forwarded_faults_ = 0;
   std::uint64_t forwarded_syscalls_ = 0;
-  // Repeat-fault detection, per (core, address-space root): last faulting
-  // address seen. Keyed by root too, so tenants interleaving on a core
-  // never read each other's faults as repeats.
-  std::map<std::pair<unsigned, std::uint64_t>, std::uint64_t> last_fault_;
+  // Repeat-fault detection, per (thread id, address-space root): last
+  // faulting address seen. Per thread, so two threads of one root sharing a
+  // core never overwrite each other's history between deliveries; per root,
+  // so drop_tenant_root can erase a root's history.
+  std::map<std::pair<int, std::uint64_t>, std::uint64_t> last_fault_;
 };
 
 }  // namespace mv::naut

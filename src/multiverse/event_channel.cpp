@@ -206,6 +206,7 @@ void EventChannel::submit(std::uint64_t seq, std::uint64_t kind) {
   meta.retries = 0;
   meta.degraded = false;
   meta.stall_flagged = false;
+  meta.swallowed.reset();
   // Non-zero only while a consumer is polling this ring: the watchdog grants
   // the poll window as slack for this occupancy (exitless pickup).
   meta.spin_slack = spin_window_hint_;
@@ -229,7 +230,7 @@ void EventChannel::submit(std::uint64_t seq, std::uint64_t kind) {
   MV_FR_EVENT_T(hrt_core_, FrKind::kSubmit, meta.span, seq, occupancy,
                 kKindNames[meta.kind_idx], tenant_.tenant_id);
 
-  if (fault_mode_ && replay_armed_ && seq % depth_ == replay_slot_) {
+  if (replay_armed_ && seq % depth_ == replay_slot_) {
     // The duplicated completion delivery raced slot reuse: a stale
     // completion clobbers the fresh submission's state words. complete()
     // detects the stale sequence number and re-publishes the request.
@@ -257,85 +258,77 @@ void EventChannel::submit(std::uint64_t seq, std::uint64_t kind) {
     wake_partner();
     return;
   }
-  if (eager_) {
-    // Compatibility mode: the requester observes the full transport latency
-    // per request, exactly as the single-slot protocol charged it; the
-    // partner's actual handler work lands on the ROS core in the service
-    // code. The async doorbell is part of that composite cost, so it only
-    // bumps the counter here.
-    core.charge(transport_cost());
-    if (!sync_mode_) {
-      ++doorbells_;
-      MV_COUNTER_INC(doorbell_metric_, 1);
-      // The doorbell traverses the VMM whether or not delivery succeeds.
-      trace_vmm_hop(meta.span, "doorbell");
-      MV_FR_EVENT_T(hrt_core_, FrKind::kDoorbell, meta.span, seq, 0, "eager",
-                    tenant_.tenant_id);
-      if (fault_mode_ &&
-          plan_->should_inject(FaultClass::kDropDoorbell, core.cycles())) {
-        // The composite doorbell+injection was lost: the submission sits in
-        // the ring with no wakeup. The requester's deadline recovers.
-        plan_->note_injected(FaultClass::kDropDoorbell);
-        MV_TRACE_ANNOTATE(hrt_core_, "span", "fault:drop_doorbell",
-                          strfmt("\"span\":%llu", static_cast<unsigned long long>(
-                                                      meta.span)) +
-                              tenant_args_);
-        MV_FR_EVENT_T(hrt_core_, FrKind::kDoorbellDrop, meta.span, seq, 0, "",
-                      tenant_.tenant_id);
-        return;
-      }
-    } else if (fault_mode_ &&
-               plan_->should_inject(FaultClass::kDelayWakeup, core.cycles())) {
-      plan_->note_injected(FaultClass::kDelayWakeup);
-      pending_delayed_wake_ = true;
-      MV_TRACE_ANNOTATE(hrt_core_, "span", "fault:delay_wakeup",
-                        strfmt("\"span\":%llu", static_cast<unsigned long long>(
-                                                    meta.span)));
-      return;
-    }
-    wake_partner();
-    return;
-  }
-
   if (sync_mode_) {
     // Post-merge memory protocol: per-request cache-line transfers make the
-    // submission visible; the partner polls the ring — no hypercall at all.
+    // submission visible and the partner polls the ring — no hypercall, on
+    // eager and batched rings alike.
     core.charge(transport_cost());
-    if (fault_mode_ &&
-        plan_->should_inject(FaultClass::kDelayWakeup, core.cycles())) {
-      plan_->note_injected(FaultClass::kDelayWakeup);
-      pending_delayed_wake_ = true;
+    if (inject(FaultClass::kDelayWakeup, core.cycles())) {
+      meta.swallowed = FaultClass::kDelayWakeup;
       MV_TRACE_ANNOTATE(hrt_core_, "span", "fault:delay_wakeup",
-                        strfmt("\"span\":%llu", static_cast<unsigned long long>(
-                                                    meta.span)));
+                        span_args(meta.span));
       return;
     }
     wake_partner();
     return;
   }
 
-  // Batched async transport: staging the slot is plain cached stores. Ring
-  // the doorbell only when no flush is pending — the server clears the flag
-  // once it drains the ring empty, so a burst of submissions shares one
-  // kRaiseRos hypercall.
-  core.charge(hw::costs().ring_submit());
-  if (page_read(Ring::kOffDoorbell) == 0) {
+  // Async transport. Eager (compatibility mode): the requester observes the
+  // full transport latency per request, exactly as the single-slot protocol
+  // charged it; the partner's actual handler work lands on the ROS core in
+  // the service code, and the doorbell is part of the composite cost.
+  // Batched: staging the slot is plain cached stores, and the doorbell rings
+  // only when no flush is pending — the server clears the flag once it
+  // drains the ring empty, so a burst of submissions shares one kRaiseRos.
+  core.charge(eager_ ? transport_cost() : hw::costs().ring_submit());
+  if (!eager_) {
+    if (page_read(Ring::kOffDoorbell) != 0) {
+      // Coalesced onto an outstanding doorbell: no VMM traversal to trace.
+      wake_partner();
+      return;
+    }
     page_write(Ring::kOffDoorbell, 1);
-    ++doorbells_;
-    MV_COUNTER_INC(doorbell_metric_, 1);
-    trace_vmm_hop(meta.span, "doorbell");
-    MV_FR_EVENT_T(hrt_core_, FrKind::kDoorbell, meta.span, seq, 0, "batched",
+  }
+  ++doorbells_;
+  MV_COUNTER_INC(doorbell_metric_, 1);
+  // The doorbell traverses the VMM whether or not delivery succeeds.
+  trace_vmm_hop(meta.span, "doorbell");
+  MV_FR_EVENT_T(hrt_core_, FrKind::kDoorbell, meta.span, seq, 0,
+                eager_ ? "eager" : "batched", tenant_.tenant_id);
+  if (!eager_) {
+    raise_ros(meta, seq + 1 - page_read(Ring::kOffSubHead));
+    return;
+  }
+  if (inject(FaultClass::kDropDoorbell, core.cycles())) {
+    // The composite doorbell+injection was lost: the submission sits in the
+    // ring with no wakeup. The requester's deadline recovers.
+    meta.swallowed = FaultClass::kDropDoorbell;
+    MV_TRACE_ANNOTATE(hrt_core_, "span", "fault:drop_doorbell",
+                      span_args(meta.span));
+    MV_FR_EVENT_T(hrt_core_, FrKind::kDoorbellDrop, meta.span, seq, 0, "",
                   tenant_.tenant_id);
-    const std::uint64_t pending = seq + 1 - page_read(Ring::kOffSubHead);
-    auto rung = hvm_->hypercall(hrt_core_, vmm::Hypercall::kRaiseRos,
-                                static_cast<std::uint64_t>(id_), pending);
+    return;
+  }
+  wake_partner();
+}
+
+void EventChannel::raise_ros(SlotMeta& meta, std::uint64_t pending) {
+  // The VMM answers with its delivery count. The guest protocol never acts
+  // on it; the simulator uses it to choose how this request waits.
+  auto delivered = hvm_->hypercall(hrt_core_, vmm::Hypercall::kRaiseRos,
+                                   static_cast<std::uint64_t>(id_), pending);
+  if (!delivered) {
     // No doorbell dispatcher registered (white-box setups): fall back to
     // waking the partner task directly.
-    if (!rung) wake_partner();
-  } else {
-    // Coalesced onto an outstanding doorbell: no VMM traversal to trace.
     wake_partner();
+  } else if (*delivered == 0) {
+    meta.swallowed = FaultClass::kDropDoorbell;
   }
+}
+
+std::string EventChannel::span_args(std::uint64_t span) const {
+  return strfmt("\"span\":%llu", static_cast<unsigned long long>(span)) +
+         tenant_args_;
 }
 
 void EventChannel::trace_vmm_hop(std::uint64_t span, const char* what) {
@@ -346,9 +339,7 @@ void EventChannel::trace_vmm_hop(std::uint64_t span, const char* what) {
   // it: the arrow chain shows the request crossing the VMM boundary.
   const std::uint64_t ts = t.now(hrt_core_);
   t.complete(Tracer::kVmmTrack, "vmm", strfmt("%s chan%d", what, id_), ts,
-             ts + 1,
-             strfmt("\"span\":%llu", static_cast<unsigned long long>(span)) +
-                 tenant_args_);
+             ts + 1, span_args(span));
   t.flow('t', Tracer::kVmmTrack, span, ts);
 #else
   (void)span;
@@ -357,26 +348,73 @@ void EventChannel::trace_vmm_hop(std::uint64_t span, const char* what) {
 }
 
 Result<std::uint64_t> EventChannel::complete(std::uint64_t seq) {
-  if (fault_mode_) return complete_hardened(seq);
   const std::uint64_t slot = slot_base(seq);
-  while (page_read(slot + Ring::kSlotState) !=
-         static_cast<std::uint64_t>(Ring::kCompleted)) {
-    sched_->block();
+  SlotMeta& meta = slots_[seq % depth_];
+  hw::Core& core = hvm_->machine().core(hrt_core_);
+  // A swallowed wakeup waits on the requester's own clock: a generous first
+  // deadline (several uncontended async round trips), doubled on each
+  // expiry. The poll charge keeps that clock moving even when the requester
+  // is the only runnable task, so a swallowed wakeup can never hang the
+  // schedule, and polling still sees a partner that serves it anyway.
+  static constexpr int kMaxAttempts = 8;
+  static constexpr Cycles kPollCycles = 200;
+  Cycles deadline = 4 * hw::costs().async_call_roundtrip();
+  Cycles wait_begin = requester_cycles();
+  int attempts = 0;
+  for (;;) {
+    if (page_read(slot + Ring::kSlotState) ==
+        static_cast<std::uint64_t>(Ring::kCompleted)) {
+      if (page_read(slot + Ring::kSlotRspSeq) == seq) break;
+      if (!partner_died_) {
+        // Stale duplicate completion aimed at an earlier occupant of this
+        // physical slot: the free-running sequence number exposes it. Drop
+        // it and re-publish the clobbered submission.
+        page_write(slot + Ring::kSlotState, Ring::kSubmitted);
+        if (plan_ != nullptr) plan_->note_recovered(FaultClass::kDupDoorbell);
+        wake_partner();
+        continue;
+      }
+    }
+    if (partner_died_) {
+      // No server left to serve it: complete the request as kIo so the reap
+      // path (latency, slot release, claimer wake) stays uniform. A
+      // swallowed wakeup is then lost with the partner, not recovered.
+      fail_slot(seq);
+      meta.swallowed.reset();
+      break;
+    }
+    if (!meta.swallowed) {
+      // The wakeup was delivered; the server's completion unblocks us.
+      sched_->block();
+      check_watchdog(seq);
+      continue;
+    }
+    core.charge(kPollCycles);
+    sched_->yield();
     check_watchdog(seq);
+    if (requester_cycles() - wait_begin < deadline) continue;
+    // Deadline expired: re-drive the transport, with exponential backoff and
+    // a hard retry cap.
+    ++attempts;
+    MV_CHECK(attempts <= kMaxAttempts, "event-channel retry limit exceeded");
+    retry_transport(meta);
+    deadline *= 2;
+    wait_begin = requester_cycles();
+  }
+  if (attempts == 0) consecutive_doorbell_losses_ = 0;
+  // Still swallowed: a partner that was awake anyway served it first.
+  if (meta.swallowed && plan_ != nullptr) {
+    plan_->note_recovered(*meta.swallowed);
   }
   return reap(seq);
 }
 
-// Reap a completed slot: free it, account latency, validate the raw status
-// word, wake the next claim waiter. Shared verbatim by the legacy blocking
-// path and the hardened path; the corrupt-status recovery branch is inert
-// outside fault mode.
 Result<std::uint64_t> EventChannel::reap(std::uint64_t seq) {
   const std::uint64_t slot = slot_base(seq);
   SlotMeta& meta = slots_[seq % depth_];
   std::uint64_t status_code = page_read(slot + Ring::kSlotRspStatus);
   std::uint64_t value = page_read(slot + Ring::kSlotRspValue);
-  if (fault_mode_ && status_code != 0 && !err_code_is_known(status_code)) {
+  if (status_code != 0 && !err_code_is_known(status_code)) {
     // The in-page status word is garbage. The server's host-side completion
     // record is authoritative: re-fetch from it (one coherence transfer)
     // instead of re-executing the request, so recovery stays idempotent.
@@ -440,73 +478,7 @@ Result<std::uint64_t> EventChannel::reap(std::uint64_t seq) {
   return value;
 }
 
-Result<std::uint64_t> EventChannel::complete_hardened(std::uint64_t seq) {
-  const std::uint64_t slot = slot_base(seq);
-  SlotMeta& meta = slots_[seq % depth_];
-  hw::Core& core = hvm_->machine().core(hrt_core_);
-  // A generous first deadline (several uncontended async round trips) so a
-  // healthy channel never times out; each expiry doubles it. The poll charge
-  // keeps the requester's clock moving even when it is the only runnable
-  // task, so a lost wakeup can never hang the schedule.
-  static constexpr int kMaxAttempts = 8;
-  static constexpr Cycles kPollCycles = 200;
-  Cycles deadline = 4 * hw::costs().async_call_roundtrip();
-  Cycles wait_begin = requester_cycles();
-  int attempts = 0;
-  bool doorbell_presumed_lost = false;
-  for (;;) {
-    const std::uint64_t state = page_read(slot + Ring::kSlotState);
-    if (state == static_cast<std::uint64_t>(Ring::kCompleted)) {
-      if (page_read(slot + Ring::kSlotRspSeq) == seq) break;
-      // Stale duplicate completion aimed at an earlier occupant of this
-      // physical slot: the free-running sequence number exposes it. Drop it
-      // and re-publish the clobbered submission.
-      if (partner_died_) {
-        // No server left to re-serve: fail the request in place.
-        page_write(slot + Ring::kSlotRspStatus,
-                   static_cast<std::uint64_t>(Err::kIo));
-        page_write(slot + Ring::kSlotRspValue, 0);
-        page_write(slot + Ring::kSlotRspSeq, seq);
-        break;
-      }
-      page_write(slot + Ring::kSlotState, Ring::kSubmitted);
-      if (plan_ != nullptr) plan_->note_recovered(FaultClass::kDupDoorbell);
-      wake_partner();
-      continue;
-    }
-    if (partner_died_) {
-      // Partner died with this request in flight; complete it as kIo so the
-      // reap path (latency, slot release, claimer wake) stays uniform.
-      page_write(slot + Ring::kSlotRspStatus,
-                 static_cast<std::uint64_t>(Err::kIo));
-      page_write(slot + Ring::kSlotRspValue, 0);
-      page_write(slot + Ring::kSlotRspSeq, seq);
-      page_write(slot + Ring::kSlotState, Ring::kCompleted);
-      break;
-    }
-    core.charge(kPollCycles);
-    sched_->yield();
-    check_watchdog(seq);
-    if (requester_cycles() - wait_begin < deadline) continue;
-    // Deadline expired: presume the wakeup was lost and re-drive the
-    // transport, with exponential backoff and a hard retry cap.
-    ++attempts;
-    MV_CHECK(attempts <= kMaxAttempts, "event-channel retry limit exceeded");
-    doorbell_presumed_lost |= retry_transport(meta);
-    deadline *= 2;
-    wait_begin = requester_cycles();
-  }
-  if (attempts == 0) consecutive_doorbell_losses_ = 0;
-  if (doorbell_presumed_lost && plan_ != nullptr) {
-    plan_->note_recovered(FaultClass::kDropDoorbell);
-  }
-  return reap(seq);
-}
-
-// Re-drive the transport after a deadline expiry. Returns true when the
-// expiry was attributed to a lost async doorbell (the degradation ladder's
-// currency); delayed-wakeup and sync-mode expiries return false.
-bool EventChannel::retry_transport(SlotMeta& meta) {
+void EventChannel::retry_transport(SlotMeta& meta) {
   ++retries_;
   ++meta.retries;
   MV_COUNTER_INC(retry_metric_, 1);
@@ -517,20 +489,19 @@ bool EventChannel::retry_transport(SlotMeta& meta) {
                         tenant_args_);
   MV_FR_EVENT_T(hrt_core_, FrKind::kRetry, meta.span, meta.retries, 0, "",
                 tenant_.tenant_id);
-  if (pending_delayed_wake_) {
-    // The submit-side wakeup was delayed, not lost; deliver it now.
-    pending_delayed_wake_ = false;
-    if (plan_ != nullptr) plan_->note_recovered(FaultClass::kDelayWakeup);
+  // Re-driving recovers the swallowed wakeup, counted against the class that
+  // swallowed it. A re-rung doorbell the VMM drops again is a new injection.
+  const FaultClass cause = *meta.swallowed;
+  meta.swallowed.reset();
+  if (plan_ != nullptr) plan_->note_recovered(cause);
+  if (cause == FaultClass::kDelayWakeup || sync_mode_) {
+    // A delayed sync wakeup is delivered now; a sync-mode partner polls
+    // shared memory, so waking it is the whole transport.
     wake_partner();
-    return false;
+    return;
   }
-  if (sync_mode_) {
-    // Sync transport: the partner polls shared memory; wake it again.
-    wake_partner();
-    return false;
-  }
-  // Async transport: presume the doorbell was lost. After enough consecutive
-  // losses stop trusting it and degrade to the sync transport, which has no
+  // Async transport: the doorbell was lost. After enough consecutive losses
+  // stop trusting it and degrade to the sync transport, which has no
   // VMM-mediated delivery to lose.
   static constexpr unsigned kDegradeThreshold = 3;
   ++consecutive_doorbell_losses_;
@@ -538,7 +509,7 @@ bool EventChannel::retry_transport(SlotMeta& meta) {
     degrade_to_sync(meta.span);
     meta.degraded = true;
     wake_partner();
-    return true;
+    return;
   }
   // Re-ring the doorbell for the whole pending window.
   ++doorbells_;
@@ -546,11 +517,12 @@ bool EventChannel::retry_transport(SlotMeta& meta) {
   trace_vmm_hop(meta.span, "re-doorbell");
   MV_FR_EVENT_T(hrt_core_, FrKind::kDoorbell, meta.span, 0, 0, "retry",
                 tenant_.tenant_id);
-  const std::uint64_t pending =
-      page_read(Ring::kOffSubTail) - page_read(Ring::kOffSubHead);
-  auto rung = hvm_->hypercall(hrt_core_, vmm::Hypercall::kRaiseRos,
-                              static_cast<std::uint64_t>(id_), pending);
-  if (!rung) wake_partner();
+  raise_ros(meta, page_read(Ring::kOffSubTail) - page_read(Ring::kOffSubHead));
+}
+
+bool EventChannel::inject(FaultClass c, Cycles now) {
+  if (plan_ == nullptr || !plan_->should_inject(c, now)) return false;
+  plan_->note_injected(c);
   return true;
 }
 
@@ -558,9 +530,7 @@ void EventChannel::degrade_to_sync(std::uint64_t span) {
   ++degradations_;
   MV_COUNTER_INC(degradation_metric_, 1);
   MV_TRACE_ANNOTATE(hrt_core_, "channel", "degrade_to_sync",
-                    strfmt("\"span\":%llu",
-                           static_cast<unsigned long long>(span)) +
-                        tenant_args_);
+                    span_args(span));
   MV_FR_EVENT_T(hrt_core_, FrKind::kDegrade, span, 0, 0, "",
                 tenant_.tenant_id);
   consecutive_doorbell_losses_ = 0;
@@ -685,6 +655,8 @@ bool EventChannel::serve_pending(ros::Thread& server) {
   const std::uint64_t kind = page_read(slot + Ring::kSlotKind);
   std::uint64_t rsp_status = 0;
   std::uint64_t rsp_value = 0;
+  // Serve in the owner's process, whoever's thread the server is.
+  ros::UseProcess use_owner(server, owner_ != nullptr ? *owner_ : *server.proc);
 
   if (kind == kSyscall) {
     ++requests_served_;
@@ -745,11 +717,9 @@ bool EventChannel::serve_pending(ros::Thread& server) {
       CompletionRecord{head, rsp_status, rsp_value, true};
 
   std::uint64_t published_status = rsp_status;
-  if (fault_mode_ &&
-      plan_->should_inject(FaultClass::kCorruptStatus, ros_core.cycles())) {
+  if (inject(FaultClass::kCorruptStatus, ros_core.cycles())) {
     // Corrupt the published status word with a value outside the known Err
     // range; the requester's validation catches it and consults the record.
-    plan_->note_injected(FaultClass::kCorruptStatus);
     published_status = 0xDEAD0000ull;
   }
   page_write(slot + Ring::kSlotRspStatus, published_status);
@@ -758,12 +728,10 @@ bool EventChannel::serve_pending(ros::Thread& server) {
   page_write(slot + Ring::kSlotState, Ring::kCompleted);
   page_write(Ring::kOffSubHead, head + 1);
 
-  if (fault_mode_ && !replay_armed_ &&
-      plan_->should_inject(FaultClass::kDupDoorbell, ros_core.cycles())) {
+  if (!replay_armed_ && inject(FaultClass::kDupDoorbell, ros_core.cycles())) {
     // Arm a stale replay: this completion will be delivered a second time
     // when the physical slot is next reused (a duplicated doorbell racing
     // slot reuse). The requester must detect and drop it by sequence number.
-    plan_->note_injected(FaultClass::kDupDoorbell);
     replay_armed_ = true;
     replay_slot_ = head % depth_;
     replay_ = CompletionRecord{head, published_status, rsp_value, true};
@@ -807,9 +775,8 @@ void EventChannel::service_loop() {
       sched_->block();
     }
     if (!has_request() && exit_) return;
-    if (fault_mode_ &&
-        plan_->should_inject(FaultClass::kPartnerDeath,
-                             linux_->core_of(*partner_).cycles())) {
+    if (inject(FaultClass::kPartnerDeath,
+               linux_->core_of(*partner_).cycles())) {
       partner_die();
       return;
     }
@@ -818,9 +785,9 @@ void EventChannel::service_loop() {
     bool progress = false;
     while (serve_pending(*partner_)) progress = true;
     if (!progress && has_request() && !exit_) {
-      // The head slot is unserveable — in fault mode a stale replay can
-      // clobber it until the requester re-publishes. Sleep (the repair path
-      // wakes us) instead of spinning in the cooperative schedule.
+      // The head slot is unserveable — a stale replay can clobber it until
+      // the requester re-publishes. Sleep (the repair path wakes us) instead
+      // of spinning in the cooperative schedule.
       sched_->block();
     }
   }
@@ -828,7 +795,6 @@ void EventChannel::service_loop() {
 
 void EventChannel::partner_die() {
   partner_died_ = true;
-  if (plan_ != nullptr) plan_->note_injected(FaultClass::kPartnerDeath);
   MV_TRACE_INSTANT(partner_->core, "channel", "partner_death");
   MV_FR_EVENT_T(partner_->core, FrKind::kPartnerDeath, 0,
                 static_cast<std::uint64_t>(id_), 0, "", tenant_.tenant_id);
@@ -853,21 +819,25 @@ void EventChannel::fail_inflight() {
     if (page_read(slot + Ring::kSlotState) !=
         static_cast<std::uint64_t>(Ring::kSubmitted)) {
       // A stale replay clobbered this submission; its requester fails it
-      // locally via the partner_died_ path in complete_hardened().
+      // locally via the partner_died_ path in complete().
       continue;
     }
-    page_write(slot + Ring::kSlotRspStatus,
-               static_cast<std::uint64_t>(Err::kIo));
-    page_write(slot + Ring::kSlotRspValue, 0);
-    page_write(slot + Ring::kSlotRspSeq, head);
-    page_write(slot + Ring::kSlotState, Ring::kCompleted);
-    completions_[head % depth_] = CompletionRecord{
-        head, static_cast<std::uint64_t>(Err::kIo), 0, true};
+    fail_slot(head);
     const TaskId requester = slots_[head % depth_].requester;
     if (requester != kNoTask) sched_->unblock(requester);
   }
   page_write(Ring::kOffSubHead, tail);
   if (page_read(Ring::kOffDoorbell) != 0) page_write(Ring::kOffDoorbell, 0);
+}
+
+void EventChannel::fail_slot(std::uint64_t seq) {
+  const std::uint64_t slot = slot_base(seq);
+  page_write(slot + Ring::kSlotRspStatus, static_cast<std::uint64_t>(Err::kIo));
+  page_write(slot + Ring::kSlotRspValue, 0);
+  page_write(slot + Ring::kSlotRspSeq, seq);
+  page_write(slot + Ring::kSlotState, Ring::kCompleted);
+  completions_[seq % depth_] =
+      CompletionRecord{seq, static_cast<std::uint64_t>(Err::kIo), 0, true};
 }
 
 void EventChannel::check_watchdog(std::uint64_t seq) {

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -139,6 +140,11 @@ class EventChannel final : public naut::LegacyChannel {
 
   void bind_partner(ros::Thread* partner) { partner_ = partner; }
   [[nodiscard]] ros::Thread* partner() noexcept { return partner_; }
+  // The process the channel's group belongs to. A server from another
+  // process (a shared service worker) adopts it for every request it serves,
+  // so forwarded syscalls, fault replays and their accounting land in the
+  // owner. Unset: requests run in the server's own process.
+  void bind_owner(ros::Process* owner) { owner_ = owner; }
 
   // Post-merge synchronous transport ("a single hypercall to initiate
   // synchronous operation... they can then use a simple memory-based
@@ -146,14 +152,10 @@ class EventChannel final : public naut::LegacyChannel {
   Status enable_sync_mode(std::uint64_t sync_vaddr);
   [[nodiscard]] bool sync_mode() const noexcept { return sync_mode_; }
 
-  // Arm deterministic fault injection and the recovery machinery. With a
-  // null plan (or a plan with no channel-visible class armed) every code
-  // path is bit-identical to the legacy protocol.
-  void set_fault_plan(FaultPlan* plan) noexcept {
-    plan_ = plan;
-    fault_mode_ = plan != nullptr && plan->channel_armed();
-  }
-  [[nodiscard]] bool fault_mode() const noexcept { return fault_mode_; }
+  // Arm deterministic fault injection. A plan costs cycles only when it
+  // injects: a request whose wakeup was delivered blocks exactly as it does
+  // with no plan, so a plan that never fires is bit-identical to none.
+  void set_fault_plan(FaultPlan* plan) noexcept { plan_ = plan; }
 
   // Virtual-time stall watchdog: an in-flight request older than
   // `mult` x transport round trip is flagged once (flight-recorder snapshot
@@ -236,7 +238,7 @@ class EventChannel final : public naut::LegacyChannel {
   [[nodiscard]] std::uint64_t doorbells_suppressed() const noexcept {
     return doorbells_suppressed_;
   }
-  // Deadline expiries that re-drove the transport (fault mode only).
+  // Deadline expiries that re-drove the transport (swallowed wakeups only).
   [[nodiscard]] std::uint64_t retries() const noexcept { return retries_; }
   // Async->sync transport degradations after consecutive doorbell losses.
   [[nodiscard]] std::uint64_t degradations() const noexcept {
@@ -258,6 +260,10 @@ class EventChannel final : public naut::LegacyChannel {
     unsigned retries = 0;         // transport re-drives for this request
     bool degraded = false;        // completed after async->sync degradation
     bool stall_flagged = false;   // watchdog fired for this occupancy
+    // The fault that swallowed this request's wakeup, recorded where it was
+    // injected (a dropped eager doorbell or kRaiseRos, a delayed sync
+    // wakeup). Empty: the wakeup was delivered and the requester blocks.
+    std::optional<FaultClass> swallowed;
     // Extra watchdog slack for this occupancy: the consumer's spin window at
     // submit time when the flush was suppressed (exitless pickup has no
     // doorbell latency bound, only the poll window).
@@ -280,23 +286,31 @@ class EventChannel final : public naut::LegacyChannel {
   // when it stops waiting, so stale TaskIds never linger in the queue.
   std::uint64_t claim_slot();
   [[nodiscard]] bool slot_is_free(std::uint64_t seq) const;
-  // Publish a claimed slot (kind + state + tail) and ring/flush the
-  // doorbell according to the eager/batched mode.
+  // Publish a claimed slot (kind + state + tail) and make it visible to the
+  // partner through the channel's transport: exitless (the consumer polls),
+  // sync (shared memory only), or async (eager or batched doorbell).
   void submit(std::uint64_t seq, std::uint64_t kind);
-  // Block until `seq` completes, reap the completion, free the slot, and
-  // wake the next claim waiter. Validates the raw status word.
+  // Ring the kRaiseRos doorbell for `pending` submissions on behalf of the
+  // request in `meta`; a delivery the VMM dropped swallows its wakeup.
+  void raise_ros(SlotMeta& meta, std::uint64_t pending);
+  // Wait until `seq` completes, then reap it. A request whose wakeup was
+  // delivered blocks; one whose wakeup was swallowed waits on its own clock
+  // and re-drives the transport at each deadline. Also drops stale
+  // duplicate completions and fails the request once the partner is dead.
   Result<std::uint64_t> complete(std::uint64_t seq);
-  // Fault-mode variant: deadline-driven polling with bounded retry and
-  // exponential backoff, duplicate-completion drop, corrupt-status recovery
-  // from the host-side completion record, async->sync degradation, and
-  // partner-death teardown.
-  Result<std::uint64_t> complete_hardened(std::uint64_t seq);
+  // Free a completed slot, account its latency, validate the raw status
+  // word (recovering a corrupted one from the host-side record), and wake
+  // the next claim waiter.
   Result<std::uint64_t> reap(std::uint64_t seq);
-  // Deadline expiry handling: re-drive whatever transport the request used;
-  // may degrade the channel to the sync transport. Returns true when the
-  // expiry was attributed to a lost async doorbell.
-  bool retry_transport(SlotMeta& meta);
+  // Deadline expiry of a swallowed wakeup: count its recovery and re-drive
+  // the request's transport; may degrade the channel to sync.
+  void retry_transport(SlotMeta& meta);
   void degrade_to_sync(std::uint64_t span);
+  // Draw `c` from the plan at `now` and account the injection. Always false
+  // without a plan.
+  bool inject(FaultClass c, Cycles now);
+  // `"span":N` plus the tenant tag: the args of a span's trace events.
+  [[nodiscard]] std::string span_args(std::uint64_t span) const;
   // One-cycle "vmm" slice + flow hop on the synthetic VMM track, tying the
   // doorbell traversal into the request's span chain.
   void trace_vmm_hop(std::uint64_t span, const char* what);
@@ -305,11 +319,13 @@ class EventChannel final : public naut::LegacyChannel {
   void check_watchdog(std::uint64_t seq);
   // Flight-recorder state provider: ring pointers + in-flight slots.
   [[nodiscard]] std::string debug_state() const;
-  // Partner-death paths (fault mode): fail every in-flight submission with
-  // kIo, then linger (serving nothing) until the HRT thread exits so join
-  // semantics survive the death.
+  // Partner-death paths: fail every in-flight submission with kIo, then
+  // linger (serving nothing) until the HRT thread exits so join semantics
+  // survive the death.
   void partner_die();
   void fail_inflight();
+  // Complete `seq` in place with kIo (the partner is gone).
+  void fail_slot(std::uint64_t seq);
   void wake_partner();
   void wake_next_claimer();
 
@@ -326,6 +342,7 @@ class EventChannel final : public naut::LegacyChannel {
   std::string tenant_tag_;
   std::uint64_t page_ = 0;
   ros::Thread* partner_ = nullptr;
+  ros::Process* owner_ = nullptr;
   bool sync_mode_ = false;
   std::uint64_t sync_vaddr_ = 0;
   unsigned depth_ = 1;
@@ -345,7 +362,7 @@ class EventChannel final : public naut::LegacyChannel {
   // (watchdog slack); 0 whenever no consumer is polling.
   Cycles spin_window_hint_ = 0;
 
-  // --- fault-injection & recovery state (inert unless fault_mode_) ---------
+  // --- fault-injection & recovery state (inert unless a fault fires) -------
   // Host-side record of every completion the server produced, keyed by the
   // physical slot. Authoritative when the in-page status word is corrupted:
   // recovery re-fetches from here instead of re-executing the request, so
@@ -357,9 +374,7 @@ class EventChannel final : public naut::LegacyChannel {
     bool valid = false;
   };
   FaultPlan* plan_ = nullptr;
-  bool fault_mode_ = false;
   bool partner_died_ = false;
-  bool pending_delayed_wake_ = false;
   std::array<CompletionRecord, Ring::kMaxDepth> completions_{};
   // Armed stale-completion replay (a duplicated delivery racing slot reuse).
   bool replay_armed_ = false;

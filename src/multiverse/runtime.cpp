@@ -492,6 +492,7 @@ Result<ExecGroup*> MultiverseRuntime::create_group(ros::Thread& caller,
   // Recovery faults come from the owning tenant's plan; a tenant with no
   // plan gets a fault-free channel whatever its neighbours inject.
   group->channel->set_fault_plan(tenant.fault_plan.get());
+  group->channel->bind_owner(caller.proc);
   MV_RETURN_IF_ERROR(group->channel->init());
 
   ExecGroup* raw = group.get();
@@ -732,6 +733,9 @@ void MultiverseRuntime::service_worker_body(std::size_t idx,
       while (channel.serve_pending(*self)) {
       }
       if (channel.exit_requested() && !channel.has_request()) {
+        // The HRT stack lives in the group's owner, not in this worker's
+        // process.
+        ros::UseProcess use_owner(*self, *group->owner_proc);
         (void)dctx.munmap(group->hrt_stack_base, group->hrt_stack_size);
         group->finished = true;
         release_core_load(*group);

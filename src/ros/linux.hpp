@@ -128,6 +128,25 @@ class Process {
   }
 };
 
+// Runs a kernel service thread inside another process for one scope, the
+// way Linux's kthread_use_mm lends a kthread a user address space: while the
+// guard lives, the thread's syscalls, fault replays and their per-process
+// accounting land in `proc`.
+class UseProcess {
+ public:
+  UseProcess(Thread& thread, Process& proc)
+      : thread_(thread), home_(thread.proc) {
+    thread.proc = &proc;
+  }
+  ~UseProcess() { thread_.proc = home_; }
+  UseProcess(const UseProcess&) = delete;
+  UseProcess& operator=(const UseProcess&) = delete;
+
+ private:
+  Thread& thread_;
+  Process* home_;
+};
+
 // SysIface implementation for code running natively in the ROS (used for both
 // the paper's "Native" and "Virtual" rows; the latter adds virtualization
 // costs inside the kernel, not here).

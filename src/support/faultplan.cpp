@@ -106,15 +106,6 @@ bool FaultPlan::enabled() const noexcept {
   return false;
 }
 
-bool FaultPlan::channel_armed() const noexcept {
-  for (std::size_t i = 0; i < kClassCount; ++i) {
-    if (static_cast<FaultClass>(i) == FaultClass::kDropShootdownIpi) continue;
-    if (static_cast<FaultClass>(i) == FaultClass::kOverrideFail) continue;
-    if (spec_.probability[i] > 0.0) return true;
-  }
-  return false;
-}
-
 bool FaultPlan::should_inject(FaultClass c, Cycles now) {
   const auto idx = static_cast<std::size_t>(c);
   const double p = spec_.probability[idx];

@@ -59,10 +59,6 @@ class FaultPlan {
   }
   // Any class armed at all.
   [[nodiscard]] bool enabled() const noexcept;
-  // Any class the event channel must harden against (everything except the
-  // IPI class, which the machine absorbs on its own, and the override class,
-  // which the hybridization governor absorbs by demoting to forwarding).
-  [[nodiscard]] bool channel_armed() const noexcept;
 
   // Decide whether to inject `c` at simulated cycle `now`. Draws from the
   // class's dedicated stream only when the class is armed and `now` falls in

@@ -274,11 +274,15 @@ Result<std::uint64_t> Hvm::hypercall(unsigned vcore, Hypercall nr,
       // schedule never perturbs another tenant's doorbells.
       FaultPlan* plan =
           doorbell_fault_resolver_ ? doorbell_fault_resolver_(a0) : nullptr;
+      // The result is the delivery count: 0 dropped, 1 delivered, 2
+      // duplicated. The guest protocol never acts on it (a real guest
+      // cannot tell a dropped doorbell from a delivered one); the simulated
+      // requester uses it to decide whether anyone will wake it.
       if (plan != nullptr &&
           plan->should_inject(FaultClass::kDropDoorbell, core.cycles())) {
         // The doorbell event vanished inside the VMM: the hypercall itself
-        // succeeded (the guest cannot tell), delivery never happens. The
-        // channel's deadline/retry machinery is what recovers.
+        // succeeded, delivery never happens. The channel's deadline/retry
+        // machinery is what recovers.
         plan->note_injected(FaultClass::kDropDoorbell);
         return std::uint64_t{0};
       }
@@ -290,8 +294,9 @@ Result<std::uint64_t> Hvm::hypercall(unsigned vcore, Hypercall nr,
         plan->note_injected(FaultClass::kDupDoorbell);
         ros_doorbell_(a0, a1);
         plan->note_recovered(FaultClass::kDupDoorbell);
+        return std::uint64_t{2};
       }
-      return std::uint64_t{0};
+      return std::uint64_t{1};
     }
     case Hypercall::kBootTenant: {
       MV_RETURN_IF_ERROR(check_partition_boot_state(vcore));

@@ -36,7 +36,8 @@ enum class Hypercall : std::uint32_t {
   kSignalRos,        // HRT raises an async signal to the ROS application
   kRegisterRosSignal,  // ROS app registers its signal handler + stack
   kRaiseRos,         // channel doorbell: a0 = channel id, a1 = pending
-                     // submissions flushed by this one hypercall
+                     // submissions flushed by this one hypercall; returns
+                     // the delivery count (0 dropped, 2 duplicated)
   kBootTenant,       // cached-image tenant boot: a0 = the tenant process's
                      // CR3; returns the new per-tenant HRT address-space root
   kCount_,

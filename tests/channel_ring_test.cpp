@@ -498,6 +498,101 @@ TEST(ChannelRingTest, PartnerDeathStillFailsRequesterWhileConsumerPolls) {
   EXPECT_EQ(plan.injected(FaultClass::kPartnerDeath), 1u);
 }
 
+// --- fault-free cycle pins, one row per submit transport ---------------------
+//
+// Every submit transport in one table: the exact per-core cycles of a small
+// fault-free run plus its doorbell ledgers. Any change to the protocol's
+// charges, counters or wake order on a fault-free channel moves a number
+// here.
+
+struct TransportPin {
+  const char* name;
+  GroupMode mode;
+  const char* options;
+  std::vector<Cycles> core_cycles;
+  std::uint64_t doorbells;
+  std::uint64_t suppressed;
+  std::uint64_t raise_ros;
+};
+
+TEST(ChannelTransportTest, FaultFreeCyclesAndDoorbellsPinnedPerTransport) {
+  const TransportPin pins[] = {
+      {"eager async", GroupMode::kDedicatedPartner, "",
+       {251156, 5511017, 621281, 0}, 48, 0, 0},
+      {"batched async", GroupMode::kDedicatedPartner, "option ring_depth 4\n",
+       {475156, 5049481, 159745, 0}, 32, 0, 32},
+      {"sync eager", GroupMode::kDedicatedPartner, "option sync_channel on\n",
+       {255956, 4929785, 46529, 0}, 0, 0, 0},
+      {"sync batched", GroupMode::kDedicatedPartner,
+       "option sync_channel on\noption ring_depth 4\n",
+       {255956, 4929785, 46529, 0}, 0, 0, 0},
+      {"exitless", GroupMode::kSharedDaemon,
+       "option ring_depth 4\noption spin_cycles 200000\n",
+       {245836, 4911881, 22145, 0}, 0, 48, 0},
+  };
+  for (const TransportPin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    SystemConfig cfg;
+    cfg.ros_cores = {0};
+    cfg.hrt_cores = {1, 2};
+    cfg.group_mode = pin.mode;
+    cfg.extra_override_config = pin.options;
+    HybridSystem sys(cfg);
+    std::vector<int> groups;
+    auto r = sys.run_accelerator(
+        "transport-pin",
+        [&groups](SysIface&, MultiverseRuntime& rt, ros::Thread& self) {
+          // Two groups, each with a nested thread beside its top-level one,
+          // so batched rings see overlapping submissions. Only the top-level
+          // thread faults: forwarded faults of two threads interleaving on
+          // one core are the repeat-fault test's business, not this one's.
+          for (int g = 0; g < 2; ++g) {
+            auto id = rt.hrt_thread_create(self, [](SysIface& s) {
+              auto nested = s.thread_create([](SysIface& ns) {
+                for (int i = 0; i < 8; ++i) (void)ns.getpid();
+              });
+              for (int i = 0; i < 4; ++i) {
+                (void)s.getpid();
+                auto addr = s.mmap(0, hw::kPageSize,
+                                   ros::kProtRead | ros::kProtWrite,
+                                   ros::kMapPrivate | ros::kMapAnonymous);
+                if (!addr.is_ok()) continue;
+                const std::uint64_t v = 0x77;
+                (void)s.mem_write(*addr, &v, sizeof(v));
+                (void)s.munmap(*addr, hw::kPageSize);
+              }
+              if (nested.is_ok()) (void)s.thread_join(*nested);
+            });
+            if (!id.is_ok()) return 1;
+            groups.push_back(*id);
+          }
+          for (const int id : groups) {
+            if (!rt.hrt_thread_join(self, id).is_ok()) return 2;
+          }
+          return 0;
+        });
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    EXPECT_EQ(r->exit_code, 0);
+    std::vector<Cycles> cycles;
+    for (unsigned c = 0; c < sys.machine().core_count(); ++c) {
+      cycles.push_back(sys.machine().core(c).cycles());
+    }
+    std::uint64_t doorbells = 0;
+    std::uint64_t suppressed = 0;
+    for (const int id : groups) {
+      const ExecGroup* group = sys.runtime().find_group(id);
+      ASSERT_NE(group, nullptr);
+      doorbells += group->channel->doorbells();
+      suppressed += group->channel->doorbells_suppressed();
+    }
+    EXPECT_EQ(cycles, pin.core_cycles);
+    EXPECT_EQ(doorbells, pin.doorbells);
+    EXPECT_EQ(suppressed, pin.suppressed);
+    EXPECT_EQ(sys.hvm().hypercall_count(vmm::Hypercall::kRaiseRos),
+              pin.raise_ros);
+  }
+}
+
 TEST(ChannelRingTest, SpinCyclesOptionParsesAndValidates) {
   auto cfg = parse_override_config("option spin_cycles 20000\n");
   ASSERT_TRUE(cfg.is_ok());

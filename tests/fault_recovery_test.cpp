@@ -32,7 +32,6 @@ TEST(FaultPlanTest, ParseAcceptsFullSpec) {
   EXPECT_DOUBLE_EQ(plan->probability(FaultClass::kDropDoorbell), 0.25);
   EXPECT_DOUBLE_EQ(plan->probability(FaultClass::kPartnerDeath), 1.0);
   EXPECT_TRUE(plan->enabled());
-  EXPECT_TRUE(plan->channel_armed());
 }
 
 TEST(FaultPlanTest, ParseRejectsGarbage) {
@@ -47,7 +46,6 @@ TEST(FaultPlanTest, ZeroProbabilityPlanIsInert) {
   auto plan = FaultPlan::parse("drop_doorbell=0.0,seed=3");
   ASSERT_TRUE(plan.is_ok());
   EXPECT_FALSE(plan->enabled());
-  EXPECT_FALSE(plan->channel_armed());
   for (Cycles now = 0; now < 10000; now += 100) {
     EXPECT_FALSE(plan->should_inject(FaultClass::kDropDoorbell, now));
   }
@@ -513,18 +511,29 @@ TEST(FaultScheduleTest, ZeroProbabilityPlanIsBitwiseInert) {
     }
     return std::make_pair(r.is_ok() ? r->exit_code : -1, cycles);
   };
-  const std::string fault_line =
+  // Two plans that inject nothing: every class at probability zero, and
+  // every channel class at probability one but windowed past the end of the
+  // run. An armed class costs cycles only when it actually injects.
+  const std::string fault_lines[] = {
       "option fault "
       "drop_doorbell=0,dup_doorbell=0,delay_wakeup=0,corrupt_status=0,"
-      "drop_ipi=0,partner_death=0,override_fail=0,seed=1\n";
-  const std::string pad_line =
-      "#" + std::string(fault_line.size() - 2, 'x') + "\n";
-  const auto plain = measure(pad_line);
-  const auto zeroed = measure(fault_line);
-  EXPECT_EQ(plain.first, 0);
-  EXPECT_EQ(zeroed.first, 0);
-  EXPECT_EQ(plain.second, zeroed.second)
-      << "zero-probability fault plan perturbed the cycle-exact schedule";
+      "drop_ipi=0,partner_death=0,override_fail=0,seed=1\n",
+      "option fault "
+      "drop_doorbell=1,dup_doorbell=1,delay_wakeup=1,corrupt_status=1,"
+      "partner_death=1,window=100000000000:200000000000,seed=1\n",
+  };
+  for (const std::string& fault_line : fault_lines) {
+    SCOPED_TRACE(fault_line);
+    const std::string pad_line =
+        "#" + std::string(fault_line.size() - 2, 'x') + "\n";
+    const auto plain = measure(pad_line);
+    const auto inert = measure(fault_line);
+    EXPECT_EQ(plain.first, 0);
+    EXPECT_EQ(inert.first, 0);
+    EXPECT_EQ(plain.second, inert.second)
+        << "fault plan that injects nothing perturbed the cycle-exact "
+           "schedule";
+  }
 }
 
 // --- legacy bugfix regressions ------------------------------------------------

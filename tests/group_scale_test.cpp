@@ -60,6 +60,49 @@ TEST(SchedWakeTokenTest, WakeOnBlockedTaskUnblocksLikeUnblock) {
   EXPECT_TRUE(served);
 }
 
+// --- repeat-fault history: two threads of one root on one core --------------
+
+TEST(RepeatFaultTest, EightGroupsOnFourHrtCoresAllSucceed) {
+  // Regression: repeat-fault history was keyed by (core, root). The HRT
+  // stacks sit under a PML4 slot the HRT root lacks at first touch, and only
+  // a repeat (forward, then re-merge) repairs it. With eight groups on four
+  // cores every core runs two threads of the boot root; each overwrote the
+  // other's slot between deliveries, neither ever saw its repeat, and every
+  // group's stat failed with EFAULT after three forwards.
+  for (const GroupMode mode :
+       {GroupMode::kDedicatedPartner, GroupMode::kSharedDaemon}) {
+    SCOPED_TRACE(mode == GroupMode::kDedicatedPartner ? "dedicated"
+                                                      : "shared daemon");
+    SystemConfig cfg;
+    cfg.sockets = 2;
+    cfg.cores_per_socket = 4;
+    cfg.ros_cores = {0, 1, 2, 3};
+    cfg.hrt_cores = {4, 5, 6, 7};
+    cfg.group_mode = mode;
+    HybridSystem sys(cfg);
+    int stat_ok = 0;
+    auto r = sys.run_accelerator(
+        "eight-groups",
+        [&stat_ok](SysIface&, MultiverseRuntime& rt, ros::Thread& self) {
+          std::vector<int> ids;
+          for (int g = 0; g < 8; ++g) {
+            auto id = rt.hrt_thread_create(self, [&stat_ok](SysIface& s) {
+              if (s.stat("/").is_ok()) ++stat_ok;
+            });
+            if (!id.is_ok()) return 1;
+            ids.push_back(*id);
+          }
+          for (const int id : ids) {
+            if (!rt.hrt_thread_join(self, id).is_ok()) return 2;
+          }
+          return 0;
+        });
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    EXPECT_EQ(r->exit_code, 0);
+    EXPECT_EQ(stat_ok, 8);
+  }
+}
+
 // --- placement: channel core == actual HRT thread core -----------------------
 
 TEST(PlacementRegressionTest, ChannelCoreMatchesHrtThreadCore) {

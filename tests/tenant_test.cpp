@@ -12,6 +12,7 @@
 #include "multiverse/system.hpp"
 #include "support/metrics.hpp"
 #include "support/sched.hpp"
+#include "support/strings.hpp"
 
 namespace mv::multiverse {
 namespace {
@@ -362,7 +363,7 @@ TEST(TenantTest, DestroyThenRecreateLeavesNoResidue) {
 
 TEST(TenantTest, DestroyThenRecreateDropsRepeatFaultHistory) {
   // The kernel's repeat-fault detection remembers the last forwarded fault
-  // per (core, root). Destroying a tenant must drop that history with its
+  // per (thread, root). Destroying a tenant must drop that history with its
   // root: a recreated tenant that gets the root frame back would otherwise
   // read the old tenant's last fault as a repeat, skip the forward and spend
   // an extra fault delivery on a re-merge.
@@ -548,6 +549,97 @@ TEST(TenantTest, DestroyFaultedTenantWhileOtherServes) {
   // Every round of B computes the same checksum, before and after A died.
   for (const int e : b_exits) EXPECT_EQ(e, b_exits.front());
   EXPECT_EQ(rt.tenant_count(), 1u);
+}
+
+// --- shared service workers serve each tenant in its own process ------------
+
+// What one tenant's HRT thread sees of its process through the channel.
+struct HrtView {
+  std::uint64_t pid = 0;      // forwarded getpid
+  bool mapped_write = false;  // forwarded mmap, then a write into the page
+};
+
+HrtView probe_own_process(SysIface& s) {
+  HrtView view;
+  auto pid = s.getpid();
+  if (pid.is_ok()) view.pid = *pid;
+  auto addr = s.mmap(0, hw::kPageSize, ros::kProtRead | ros::kProtWrite,
+                     ros::kMapPrivate | ros::kMapAnonymous);
+  if (addr.is_ok()) {
+    const std::uint64_t v = 0x5eed;
+    std::uint64_t back = 0;
+    view.mapped_write = s.mem_write(*addr, &v, sizeof(v)).is_ok() &&
+                        s.mem_read(*addr, &back, sizeof(back)).is_ok() &&
+                        back == v;
+    (void)s.munmap(*addr, hw::kPageSize);
+  }
+  return view;
+}
+
+TEST(TenantTest, SharedWorkersServeEachTenantInItsOwnProcess) {
+  // Regression: the pool's workers live in whichever process created the
+  // first group, and they used to run every forwarded syscall and fault
+  // replay in that process. Whoever went second got the other's pid, and
+  // its fresh mmap landed in the wrong address space (EFAULT on the write).
+  // Both creation orders, one and two workers.
+  for (const int workers : {1, 2}) {
+    for (const bool tenant_first : {false, true}) {
+      SCOPED_TRACE(strfmt("workers=%d %s first", workers,
+                          tenant_first ? "created tenant" : "tenant 0"));
+      SystemConfig cfg;
+      cfg.ros_cores = {0};
+      cfg.hrt_cores = {1, 2};
+      cfg.group_mode = GroupMode::kSharedDaemon;
+      cfg.extra_override_config =
+          strfmt("option tenants 2\noption service_workers %d\n", workers);
+      HybridSystem sys(cfg);
+      ros::LinuxSim& kernel = sys.linux();
+      MultiverseRuntime& rt = sys.runtime();
+      const std::vector<std::uint8_t>* fat = &sys.fat_binary();
+
+      HrtView views[2];
+      bool probed[2] = {false, false};
+      bool tenant_done = false;
+      const auto probe = [&](ros::Thread& self, int who) {
+        (void)rt.hrt_invoke_func(
+            self, [&views, who](SysIface& s) { views[who] = probe_own_process(s); });
+        probed[who] = true;
+      };
+      auto t0 = kernel.spawn("t0", [&](SysIface&) -> int {
+        ros::Thread* self = kernel.current_thread();
+        if (!rt.startup(*self, *fat).is_ok()) return 127;
+        while (tenant_first && !probed[1]) kernel.sched().yield();
+        probe(*self, 0);
+        while (!tenant_done) kernel.sched().yield();
+        (void)rt.shutdown();
+        return 0;
+      });
+      auto t1 = kernel.spawn("t1", [&](SysIface&) -> int {
+        ros::Thread* self = kernel.current_thread();
+        while (!rt.started()) kernel.sched().yield();
+        auto id = rt.tenant_create(*self);
+        if (!id.is_ok()) return 11;
+        while (!tenant_first && !probed[0]) kernel.sched().yield();
+        probe(*self, 1);
+        // The pool may live in this process: keep it up until tenant 0 is
+        // served too.
+        while (!probed[0]) kernel.sched().yield();
+        if (!rt.tenant_destroy(*id).is_ok()) return 12;
+        tenant_done = true;
+        return 0;
+      });
+      ASSERT_TRUE(t0.is_ok());
+      ASSERT_TRUE(t1.is_ok());
+      ASSERT_TRUE(kernel.run_all().is_ok());
+      EXPECT_EQ((*t0)->exit_code, 0);
+      EXPECT_EQ((*t1)->exit_code, 0);
+      EXPECT_TRUE(probed[0] && probed[1]);
+      EXPECT_EQ(views[0].pid, static_cast<std::uint64_t>((*t0)->pid));
+      EXPECT_EQ(views[1].pid, static_cast<std::uint64_t>((*t1)->pid));
+      EXPECT_TRUE(views[0].mapped_write);
+      EXPECT_TRUE(views[1].mapped_write);
+    }
+  }
 }
 
 // --- per-tenant telemetry: namespaces, exports, destroy snapshots ------------
