@@ -9,12 +9,13 @@
 // Reported: cached-boot p50/p99 against the cold boot (the >=100x claim),
 // marginal HRT footprint per tenant (tenants/GB), and per-tenant request
 // latency percentiles sourced from the per-tenant registry histograms
-// (tenant/<id>/slo/request_latency, snapshotted at tenant_destroy) — the
-// same numbers export_tenant_metrics serves. `--smoke` runs a CI-sized
-// fleet and enforces the boot bound plus the tenants=1 bitwise-identity
-// shape check. A storm leg then pins tenant A under a doorbell fault storm
-// and enforces that the unfaulted tenant B's request p99 stays within a
-// bound of the all-clean baseline (per-tenant SLO isolation).
+// (slo/request_latency in each tenant's own registry, snapshotted at
+// tenant_destroy) — the same numbers export_tenant_metrics serves.
+// `--smoke` runs a CI-sized fleet and enforces the boot bound plus the
+// tenants=1 bitwise-identity shape check. A storm leg then pins tenant A
+// under a doorbell fault storm and enforces that the unfaulted tenant B's
+// request p99 stays within a bound of the all-clean baseline (per-tenant
+// SLO isolation).
 // `--export-metrics <prefix>` writes the fleet's per-tenant metric exports
 // to <prefix>.json and <prefix>.prom.
 
@@ -269,8 +270,8 @@ int run(int tenants_total, bool smoke, const char* export_prefix) {
   }
 
   // --- per-tenant request latency -------------------------------------------
-  // One source of truth: the tenant/<id>/slo/request_latency registry
-  // histograms, as snapshotted at each tenant_destroy (submission-to-reap,
+  // One source of truth: the slo/request_latency histogram in each tenant's
+  // registry, as snapshotted at each tenant_destroy (submission-to-reap,
   // requester cycle domain). Zero across the board when metrics are
   // compiled out.
   std::vector<double> req_p50, req_p99;

@@ -1,7 +1,5 @@
 #include "multiverse/config.hpp"
 
-#include <stdexcept>
-
 #include "support/faultplan.hpp"
 #include "support/strings.hpp"
 
@@ -30,24 +28,28 @@ Result<HybridizeOptions> parse_hybridize_spec(std::string_view text) {
     }
     const std::string& key = parts[0];
     const std::string& value = parts[1];
-    try {
-      if (key == "promote_after") {
-        opts.promote_after = std::stoull(value);
-        if (opts.promote_after == 0) throw std::invalid_argument("zero");
-      } else if (key == "demote_on_fail") {
-        opts.demote_on_fail = std::stoi(value);
-        if (opts.demote_on_fail < 1) throw std::invalid_argument("min 1");
-      } else if (key == "threshold") {
-        opts.threshold_cycles = std::stod(value);
-        if (opts.threshold_cycles < 0.0) throw std::invalid_argument("neg");
-      } else if (key == "window") {
-        opts.window_cycles = std::stoull(value);
-        if (opts.window_cycles == 0) throw std::invalid_argument("zero");
-      } else {
-        return err(Err::kParse,
-                   strfmt("hybridize spec: unknown key '%s'", key.c_str()));
-      }
-    } catch (...) {
+    bool ok = false;
+    if (key == "promote_after") {
+      const auto n = parse_number<std::uint64_t>(value);
+      ok = n.is_ok() && *n > 0;
+      if (ok) opts.promote_after = *n;
+    } else if (key == "demote_on_fail") {
+      const auto n = parse_number<int>(value);
+      ok = n.is_ok() && *n >= 1;
+      if (ok) opts.demote_on_fail = *n;
+    } else if (key == "threshold") {
+      const auto x = parse_number<double>(value);
+      ok = x.is_ok() && *x >= 0.0;
+      if (ok) opts.threshold_cycles = *x;
+    } else if (key == "window") {
+      const auto n = parse_number<std::uint64_t>(value);
+      ok = n.is_ok() && *n > 0;
+      if (ok) opts.window_cycles = *n;
+    } else {
+      return err(Err::kParse,
+                 strfmt("hybridize spec: unknown key '%s'", key.c_str()));
+    }
+    if (!ok) {
       return err(Err::kParse,
                  strfmt("hybridize spec: bad value for '%s'", key.c_str()));
     }
@@ -56,6 +58,28 @@ Result<HybridizeOptions> parse_hybridize_spec(std::string_view text) {
     return err(Err::kParse, "hybridize spec wants leading on or off");
   }
   return opts;
+}
+
+// `option <name> <value>` switches take exactly on/off, true/false or 1/0,
+// so a typo is an error rather than a silent "off".
+Result<bool> switch_option(const std::vector<std::string>& tokens,
+                           int lineno) {
+  const std::string& value = tokens[2];
+  if (value == "on" || value == "true" || value == "1") return true;
+  if (value == "off" || value == "false" || value == "0") return false;
+  return err(Err::kParse, strfmt("line %d: %s wants on or off", lineno,
+                                 tokens[1].c_str()));
+}
+
+// `option <name> <value>` counts, which must be at least one.
+Result<int> positive_option(const std::vector<std::string>& tokens,
+                            int lineno) {
+  const auto n = parse_number<int>(tokens[2]);
+  if (!n.is_ok() || *n < 1) {
+    return err(Err::kParse, strfmt("line %d: %s wants a positive integer",
+                                   lineno, tokens[1].c_str()));
+  }
+  return *n;
 }
 
 }  // namespace
@@ -92,7 +116,12 @@ Result<OverrideConfig> parse_override_config(const std::string& text) {
           if (parts.size() != 2) {
             return err(Err::kParse, strfmt("line %d: bad arg map", lineno));
           }
-          spec.arg_map.emplace_back(std::stoi(parts[0]), std::stoi(parts[1]));
+          const auto from = parse_number<int>(parts[0]);
+          const auto to = parse_number<int>(parts[1]);
+          if (!from.is_ok() || !to.is_ok()) {
+            return err(Err::kParse, strfmt("line %d: bad arg map", lineno));
+          }
+          spec.arg_map.emplace_back(*from, *to);
         }
       }
       config.overrides.push_back(std::move(spec));
@@ -101,53 +130,24 @@ Result<OverrideConfig> parse_override_config(const std::string& text) {
         return err(Err::kParse, strfmt("line %d: option takes 2 operands",
                                        lineno));
       }
-      const bool value = tokens[2] == "on" || tokens[2] == "true" ||
-                         tokens[2] == "1";
       if (tokens[1] == "merge_address_space") {
-        config.options.merge_address_space = value;
+        MV_ASSIGN_OR_RETURN(config.options.merge_address_space,
+                            switch_option(tokens, lineno));
       } else if (tokens[1] == "symbol_cache") {
-        config.options.symbol_cache = value;
+        MV_ASSIGN_OR_RETURN(config.options.symbol_cache,
+                            switch_option(tokens, lineno));
       } else if (tokens[1] == "sync_channel") {
-        config.options.sync_channel = value;
+        MV_ASSIGN_OR_RETURN(config.options.sync_channel,
+                            switch_option(tokens, lineno));
       } else if (tokens[1] == "ring_depth") {
-        int depth = 0;
-        try {
-          depth = std::stoi(tokens[2]);
-        } catch (...) {
-          depth = 0;
-        }
-        if (depth < 1) {
-          return err(Err::kParse,
-                     strfmt("line %d: ring_depth wants a positive integer",
-                            lineno));
-        }
-        config.options.ring_depth = depth;
+        MV_ASSIGN_OR_RETURN(config.options.ring_depth,
+                            positive_option(tokens, lineno));
       } else if (tokens[1] == "service_workers") {
-        int workers = 0;
-        try {
-          workers = std::stoi(tokens[2]);
-        } catch (...) {
-          workers = 0;
-        }
-        if (workers < 1) {
-          return err(Err::kParse,
-                     strfmt("line %d: service_workers wants a positive integer",
-                            lineno));
-        }
-        config.options.service_workers = workers;
+        MV_ASSIGN_OR_RETURN(config.options.service_workers,
+                            positive_option(tokens, lineno));
       } else if (tokens[1] == "tenants") {
-        int tenants = 0;
-        try {
-          tenants = std::stoi(tokens[2]);
-        } catch (...) {
-          tenants = 0;
-        }
-        if (tenants < 1) {
-          return err(Err::kParse,
-                     strfmt("line %d: tenants wants a positive integer",
-                            lineno));
-        }
-        config.options.tenants = tenants;
+        MV_ASSIGN_OR_RETURN(config.options.tenants,
+                            positive_option(tokens, lineno));
       } else if (tokens[1] == "hrt_placement") {
         if (tokens[2] == "round_robin") {
           config.options.hrt_placement = HrtPlacement::kRoundRobin;
@@ -160,35 +160,25 @@ Result<OverrideConfig> parse_override_config(const std::string& text) {
                             lineno));
         }
       } else if (tokens[1] == "watchdog") {
-        int mult = -1;
-        try {
-          mult = std::stoi(tokens[2]);
-        } catch (...) {
-          mult = -1;
-        }
-        if (tokens[2] == "off") mult = 0;
-        if (mult < 0) {
+        const Result<int> mult =
+            tokens[2] == "off" ? 0 : parse_number<int>(tokens[2]);
+        if (!mult.is_ok() || *mult < 0) {
           return err(Err::kParse,
                      strfmt("line %d: watchdog wants a non-negative round-trip "
                             "multiple (0 or 'off' disables)",
                             lineno));
         }
-        config.options.watchdog = mult;
+        config.options.watchdog = *mult;
       } else if (tokens[1] == "spin_cycles") {
-        long long cycles = -1;
-        try {
-          cycles = std::stoll(tokens[2]);
-        } catch (...) {
-          cycles = -1;
-        }
-        if (tokens[2] == "off") cycles = 0;
-        if (cycles < 0) {
+        const Result<long long> cycles =
+            tokens[2] == "off" ? 0 : parse_number<long long>(tokens[2]);
+        if (!cycles.is_ok() || *cycles < 0) {
           return err(Err::kParse,
                      strfmt("line %d: spin_cycles wants a non-negative cycle "
                             "count (0 or 'off' disables)",
                             lineno));
         }
-        config.options.spin_cycles = cycles;
+        config.options.spin_cycles = *cycles;
       } else if (tokens[1] == "fault") {
         // Validate eagerly so a typo'd fault spec fails at parse time, not
         // when the runtime builds the plan.

@@ -19,10 +19,9 @@ EventChannel::EventChannel(vmm::Hvm& hvm, ros::LinuxSim& linux, Sched& sched,
                            unsigned hrt_core, int id, TenantBinding tenant)
     : hvm_(&hvm), linux_(&linux), sched_(&sched), hrt_core_(hrt_core),
       id_(id), tenant_(tenant) {
-  metrics::Registry& reg = metrics::Registry::instance();
-  // Instruments live in the owning tenant's namespace, named by the export
+  // Instruments live in the owning tenant's registry, named by the export
   // naming rule (see TenantBinding).
-  const std::string ns = metrics::Registry::tenant_prefix(tenant_.tenant_id);
+  metrics::Registry& reg = *tenant_.metrics;
   int mid = id_;
   if (tenant_.tenant_id != 0) {
     mid = tenant_.local_ordinal;
@@ -32,29 +31,26 @@ EventChannel::EventChannel(vmm::Hvm& hvm, ros::LinuxSim& linux, Sched& sched,
   for (int kind = 0; kind < 2; ++kind) {
     for (int transport = 0; transport < 2; ++transport) {
       latency_metric_[kind][transport] = &reg.histogram(
-          ns + strfmt("channel/%d/latency/%s/%s", mid, kKindNames[kind],
-                      kTransportNames[transport]));
+          strfmt("channel/%d/latency/%s/%s", mid, kKindNames[kind],
+                 kTransportNames[transport]));
     }
   }
-  queue_wait_metric_ =
-      &reg.histogram(ns + strfmt("channel/%d/queue_wait", mid));
-  occupancy_metric_ =
-      &reg.histogram(ns + strfmt("channel/%d/ring_occupancy", mid));
-  served_metric_ =
-      &reg.counter(ns + strfmt("channel/%d/requests_served", mid));
+  queue_wait_metric_ = &reg.histogram(strfmt("channel/%d/queue_wait", mid));
+  occupancy_metric_ = &reg.histogram(strfmt("channel/%d/ring_occupancy", mid));
+  served_metric_ = &reg.counter(strfmt("channel/%d/requests_served", mid));
   protocol_error_metric_ =
-      &reg.counter(ns + strfmt("channel/%d/protocol_errors", mid));
+      &reg.counter(strfmt("channel/%d/protocol_errors", mid));
   contended_metric_ =
-      &reg.counter(ns + strfmt("channel/%d/contended_acquires", mid));
-  doorbell_metric_ = &reg.counter(ns + strfmt("channel/%d/doorbells", mid));
+      &reg.counter(strfmt("channel/%d/contended_acquires", mid));
+  doorbell_metric_ = &reg.counter(strfmt("channel/%d/doorbells", mid));
   suppressed_metric_ =
-      &reg.counter(ns + strfmt("channel/%d/doorbells_suppressed", mid));
-  retry_metric_ = &reg.counter(ns + strfmt("channel/%d/retries", mid));
-  degradation_metric_ =
-      &reg.counter(ns + strfmt("channel/%d/degradations", mid));
-  // Fleet-wide stall counter stays global on purpose (one pager threshold);
-  // per-tenant attribution rides the SLO hook below.
-  watchdog_stall_metric_ = &reg.counter("mv/watchdog/stalls");
+      &reg.counter(strfmt("channel/%d/doorbells_suppressed", mid));
+  retry_metric_ = &reg.counter(strfmt("channel/%d/retries", mid));
+  degradation_metric_ = &reg.counter(strfmt("channel/%d/degradations", mid));
+  // Fleet-wide stall counter stays in the process registry on purpose (one
+  // pager threshold); per-tenant attribution rides the SLO hook below.
+  watchdog_stall_metric_ =
+      &metrics::Registry::instance().counter("mv/watchdog/stalls");
 }
 
 EventChannel::~EventChannel() {
@@ -69,8 +65,9 @@ Status EventChannel::init() {
   page_write(Ring::kOffDepth, depth_);
   FlightRecorder::instance().register_state_provider(
       this,
-      metrics::Registry::tenant_prefix(tenant_.tenant_id) +
-          strfmt("channel/%d", id_),
+      tenant_.tenant_id == 0
+          ? strfmt("channel/%d", id_)
+          : strfmt("tenant/%d/channel/%d", tenant_.tenant_id, id_),
       [this] { return debug_state(); });
   return Status::ok();
 }

@@ -48,17 +48,20 @@ namespace mv::multiverse {
 // flight-recorder events, traces, and the MV_CHECK context), a tenant-local
 // channel ordinal (ordinals restart at 0 per tenant incarnation, so
 // destroy-then-recreate exports identically even though group ids keep
-// climbing), and the tenant's cached SLO instruments (resolved once at
-// tenant_create; null pointers are skipped on the hot path, never looked up).
+// climbing), the tenant's instrument table, and the tenant's cached SLO
+// instruments (resolved once at tenant_create; null pointers are skipped on
+// the hot path, never looked up).
 //
 // Export naming rule, applied in the EventChannel constructor and nowhere
-// else: tenant 0's channels keep the bare pre-tenant names — instruments
-// named by group id (channel/<id>/...) and no tenant tag in traces or
-// flight-recorder snapshots — so single-tenant output is bitwise unchanged.
-// Every other tenant's instruments are tenant/<tenant>/channel/<ordinal>/...
+// else: instruments are channel/<n>/... in `metrics`. Tenant 0's channels
+// use the process registry and name <n> by group id, with no tenant tag in
+// traces or flight-recorder snapshots, so single-tenant output is bitwise
+// unchanged. Every other tenant's channels use that tenant's own registry
+// and name <n> by the tenant-local ordinal.
 struct TenantBinding {
   int tenant_id = 0;
   int local_ordinal = 0;
+  metrics::Registry* metrics = &metrics::Registry::instance();
   metrics::Histogram* slo_latency = nullptr;
   metrics::Counter* slo_watchdog_stalls = nullptr;
   metrics::Counter* slo_doorbells_suppressed = nullptr;

@@ -462,7 +462,6 @@ Result<ExecGroup*> MultiverseRuntime::create_group(ros::Thread& caller,
   Tenant& tenant = *tit->second;
   auto group = std::make_unique<ExecGroup>();
   group->id = next_group_id_++;
-  group->runtime = this;
   group->body = std::move(fn);
   group->owner_proc = caller.proc;
   group->tenant = &tenant;
@@ -477,12 +476,12 @@ Result<ExecGroup*> MultiverseRuntime::create_group(ros::Thread& caller,
       .counter(strfmt("mv/groups/per_core/%u", hrt_core))
       .inc();
   // Channels carry their owner into the telemetry layer: instruments
-  // resolve in the tenant's namespace (named by a tenant-local ordinal, so
+  // resolve in the tenant's registry (named by a tenant-local ordinal, so
   // recreation exports identically) and the tenant's cached SLO instruments
   // ride the binding — no per-request name lookups anywhere.
   group->channel = std::make_unique<EventChannel>(
       *hvm_, *linux_, *sched_, hrt_core, group->id,
-      TenantBinding{tenant.id, tenant.next_channel_ordinal++,
+      TenantBinding{tenant.id, tenant.next_channel_ordinal++, tenant.metrics,
                     tenant.slo_latency, tenant.slo_watchdog_stalls,
                     tenant.slo_doorbells_suppressed});
   group->channel->set_ring_depth(
@@ -947,10 +946,20 @@ Result<std::unique_ptr<Tenant>> MultiverseRuntime::make_tenant(
   tenant->id = id;
   tenant->proc = &proc;
   tenant->ros_cr3 = proc.as->cr3();
+  // Tenant 0 uses the process registry, where single-tenant benches and
+  // perfbench read its instruments by their bare names; every created
+  // tenant owns its table, so its export and teardown touch no other
+  // tenant's instruments.
+  if (id == 0) {
+    tenant->metrics = &metrics::Registry::instance();
+  } else {
+    tenant->own_metrics = std::make_unique<metrics::Registry>();
+    tenant->metrics = tenant->own_metrics.get();
+  }
   if (!fault_spec.empty()) {
     MV_ASSIGN_OR_RETURN(FaultPlan plan, FaultPlan::parse(fault_spec));
     tenant->fault_plan = std::make_unique<FaultPlan>(std::move(plan));
-    tenant->fault_plan->bind_tenant(id);
+    tenant->fault_plan->bind_tenant(id, *tenant->metrics);
   }
   // Statically-overridden families start active (symbol warmed lazily on
   // first use); the rest start forwarding. With `option hybridize on` the
@@ -995,9 +1004,9 @@ Result<int> MultiverseRuntime::tenant_create(ros::Thread& caller,
     return err(Err::kAgain, "tenant cap reached (option tenants)");
   }
 
-  // Smallest free id, not a monotonic counter: the id names the tenant's
-  // metric namespace (tenant/<id>/...), so destroy-then-recreate must land
-  // on the same namespace to export identically.
+  // Smallest free id, not a monotonic counter: the id labels the tenant's
+  // metric export, so destroy-then-recreate must land on the same id to
+  // export identically.
   int free_id = 0;
   while (tenants_.count(free_id) != 0) ++free_id;
   MV_ASSIGN_OR_RETURN(std::unique_ptr<Tenant> tenant,
@@ -1027,12 +1036,12 @@ Result<int> MultiverseRuntime::tenant_create(ros::Thread& caller,
   // and fault plan only ever touch the cached pointers. The fault counters
   // are created even for fault-free tenants so every tenant's export has
   // the same instrument shape.
-  const std::string ns = metrics::Registry::tenant_prefix(tenant->id);
-  tenant->slo_latency = &reg.histogram(ns + "slo/request_latency");
-  tenant->slo_watchdog_stalls = &reg.counter(ns + "watchdog/stalls");
-  tenant->slo_doorbells_suppressed = &reg.counter(ns + "doorbells_suppressed");
-  reg.counter(ns + "faults/injected");
-  reg.counter(ns + "faults/recovered");
+  metrics::Registry& own = *tenant->metrics;
+  tenant->slo_latency = &own.histogram("slo/request_latency");
+  tenant->slo_watchdog_stalls = &own.counter("watchdog/stalls");
+  tenant->slo_doorbells_suppressed = &own.counter("doorbells_suppressed");
+  own.counter("faults/injected");
+  own.counter("faults/recovered");
 
   // The stamped root merges the tenant's user half, so its shootdowns must
   // reach the HRT cores.
@@ -1053,10 +1062,9 @@ Status MultiverseRuntime::tenant_destroy(int tenant_id) {
     }
   }
   // Final SLO accounting, captured while the tenant's instruments are still
-  // live — the registry namespace is erased below, but billing/export needs
-  // the numbers after the tenant is gone.
-  metrics::Registry& reg = metrics::Registry::instance();
-  const std::string ns = metrics::Registry::tenant_prefix(tenant_id);
+  // live — its registry is freed with it below, but billing/export needs the
+  // numbers after the tenant is gone.
+  metrics::Registry& own = *tenant->metrics;
   TenantSloSnapshot snap;
   snap.tenant_id = tenant_id;
   if (tenant->slo_latency != nullptr) {
@@ -1074,14 +1082,14 @@ Status MultiverseRuntime::tenant_destroy(int tenant_id) {
   if (tenant->slo_doorbells_suppressed != nullptr) {
     snap.doorbells_suppressed = tenant->slo_doorbells_suppressed->value();
   }
-  if (const metrics::Counter* c = reg.find_counter(ns + "faults/injected")) {
+  if (const metrics::Counter* c = own.find_counter("faults/injected")) {
     snap.faults_injected = c->value();
   }
-  if (const metrics::Counter* c = reg.find_counter(ns + "faults/recovered")) {
+  if (const metrics::Counter* c = own.find_counter("faults/recovered")) {
     snap.faults_recovered = c->value();
   }
-  snap.metrics_json = reg.to_json(tenant_id);
-  snap.metrics_text = reg.to_prometheus(tenant_id);
+  snap.metrics_json = own.to_json(tenant_id);
+  snap.metrics_text = own.to_prometheus(tenant_id);
   tenant_slo_history_.push_back(std::move(snap));
 
   for (const int gid : tenant->group_ids) {
@@ -1091,13 +1099,11 @@ Status MultiverseRuntime::tenant_destroy(int tenant_id) {
   naut_->drop_tenant_root(tenant->hrt_root);
   tenants_by_root_.erase(tenant->hrt_root);
   tenants_by_proc_.erase(tenant->proc);
+  // Residue-free teardown extends to telemetry: the tenant's registry goes
+  // with it (the channels — the other holders of cached pointers into it —
+  // are already gone), so a recreated tenant starts from an empty table.
   tenants_.erase(tit);
-  // Residue-free teardown extends to telemetry: every instrument in the
-  // tenant's namespace leaves the registry (the channels and fault plan —
-  // the only holders of cached pointers into it — are already gone), so a
-  // recreated tenant builds its namespace from scratch, deterministically.
-  reg.erase_with_prefix(ns);
-  reg.counter("mv/tenant/destroyed").inc();
+  metrics::Registry::instance().counter("mv/tenant/destroyed").inc();
   return Status::ok();
 }
 

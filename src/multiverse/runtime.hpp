@@ -35,14 +35,19 @@ class MultiverseRuntime;
 // kernel's own root (hrt_root 0), for the whole life of the runtime.
 // tenant_create admits every later tenant on a cached-image root. Both go
 // through the same state builder; beyond the boot, tenant 0 differs only in
-// that it cannot be destroyed and that its telemetry keeps the bare
-// pre-tenant names (see TenantBinding).
+// that it cannot be destroyed and that its telemetry lives in the process
+// registry under the pre-tenant names (see TenantBinding).
 struct Tenant {
   int id = 0;
   ros::Process* proc = nullptr;  // the tenant's ROS process
   std::uint64_t hrt_root = 0;    // HRT address-space root (0 = boot root)
   std::uint64_t ros_cr3 = 0;     // the tenant process's CR3
   Cycles boot_cycles = 0;        // measured cached-image boot cost
+  // The tenant's instrument table: its own registry for a created tenant,
+  // the process registry for tenant 0 (make_tenant decides). Declared before
+  // fault_plan, so the plan and its cached counters are destroyed first.
+  std::unique_ptr<metrics::Registry> own_metrics;
+  metrics::Registry* metrics = nullptr;
   // Per-tenant fault plan (null = no injection for this tenant's channels
   // and shootdowns) and hybridization state, so one tenant's fault schedule
   // or runtime promotions never leak into another's.
@@ -52,9 +57,9 @@ struct Tenant {
   OverrideTable override_table;
   std::unique_ptr<HybridizationGovernor> governor;
   std::vector<int> group_ids;  // groups this tenant created
-  // Cached SLO instruments in the tenant's metric namespace
-  // (tenant/<id>/...), resolved once at tenant_create so the channel hot
-  // path bumps pointers, never resolves names.
+  // Cached SLO instruments in the tenant's registry, resolved once at
+  // tenant_create so the channel hot path bumps pointers, never resolves
+  // names.
   metrics::Histogram* slo_latency = nullptr;          // slo/request_latency
   metrics::Counter* slo_watchdog_stalls = nullptr;    // watchdog/stalls
   metrics::Counter* slo_doorbells_suppressed = nullptr;  // doorbells_suppressed
@@ -65,9 +70,8 @@ struct Tenant {
 };
 
 // Final per-tenant SLO accounting, captured by tenant_destroy in the instant
-// before the tenant's instruments are erased from the registry. Survives the
-// tenant (and the registry rollback ordering within a run), so the density
-// bench and export paths can report on tenants that already left.
+// before the tenant's registry is freed with it. Survives the tenant, so the
+// density bench and export paths can report on tenants that already left.
 struct TenantSloSnapshot {
   int tenant_id = 0;
   std::uint64_t requests = 0;           // slo/request_latency count
@@ -80,14 +84,13 @@ struct TenantSloSnapshot {
   std::uint64_t faults_recovered = 0;
   std::uint64_t watchdog_stalls = 0;
   std::uint64_t doorbells_suppressed = 0;
-  std::string metrics_json;  // Registry::to_json(tenant_id) at destroy
-  std::string metrics_text;  // Registry::to_prometheus(tenant_id) at destroy
+  std::string metrics_json;  // the tenant registry's to_json at destroy
+  std::string metrics_text;  // the tenant registry's to_prometheus at destroy
 };
 
 // One execution group: a top-level HRT thread paired with its ROS partner.
 struct ExecGroup {
   int id = 0;
-  MultiverseRuntime* runtime = nullptr;
   // Owning tenant (never null) and the process that created the group. In
   // dedicated-partner mode owner_proc equals the partner's process; in
   // shared-daemon mode the partner is a pool worker whose process may belong
@@ -374,8 +377,6 @@ class MultiverseRuntime {
   std::vector<std::unique_ptr<ExecGroup>> groups_;
   std::map<int, ExecGroup*> groups_by_hrt_tid_;
   std::map<int, ExecGroup*> groups_by_id_;
-  // Trampoline registry for HVM async function-call requests.
-  std::map<std::uint64_t, ExecGroup*> pending_invocations_;
   std::uint64_t next_invocation_id_ = 0x100000;
   // Shared-daemon service-pool state.
   GroupMode group_mode_ = GroupMode::kDedicatedPartner;

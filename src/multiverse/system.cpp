@@ -242,12 +242,11 @@ Result<HybridSystem::TenantRunResult> HybridSystem::run_tenants(
 HybridSystem::TenantMetricsExport HybridSystem::export_tenant_metrics(
     int tenant_id) {
   TenantMetricsExport out;
-  // Live tenants (tenant 0 from startup on) export from the registry.
-  if (runtime_.find_tenant(tenant_id) != nullptr) {
-    auto& reg = metrics::Registry::instance();
+  // Live tenants (tenant 0 from startup on) export from their own registry.
+  if (const Tenant* tenant = runtime_.find_tenant(tenant_id)) {
     out.found = true;
-    out.json = reg.to_json(tenant_id);
-    out.text = reg.to_prometheus(tenant_id);
+    out.json = tenant->metrics->to_json(tenant_id);
+    out.text = tenant->metrics->to_prometheus(tenant_id);
     return out;
   }
   // Destroyed tenant: replay the snapshot captured at tenant_destroy (last

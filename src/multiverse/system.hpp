@@ -119,8 +119,8 @@ class HybridSystem {
 
   // Machine-readable per-tenant metric export: JSON and Prometheus-style
   // text, every instrument labeled with its owning tenant. For a live
-  // tenant (tenant 0 from startup on) the export reads the registry
-  // directly; for an already-destroyed tenant it replays the
+  // tenant (tenant 0 from startup on) the export reads the tenant's
+  // registry directly; for an already-destroyed tenant it replays the
   // snapshot tenant_destroy captured. `found` is false when the id was
   // never a tenant this run.
   struct TenantMetricsExport {

@@ -50,11 +50,9 @@ Result<FaultPlan> FaultPlan::parse(std::string_view text) {
     const std::string& key = parts[0];
     const std::string& value = parts[1];
     if (key == "seed") {
-      try {
-        spec.seed = std::stoull(value);
-      } catch (...) {
-        return err(Err::kParse, "fault spec: bad seed");
-      }
+      const auto seed = parse_number<std::uint64_t>(value);
+      if (!seed.is_ok()) return err(Err::kParse, "fault spec: bad seed");
+      spec.seed = *seed;
       continue;
     }
     if (key == "window") {
@@ -62,15 +60,14 @@ Result<FaultPlan> FaultPlan::parse(std::string_view text) {
       if (range.size() != 2) {
         return err(Err::kParse, "fault spec: window wants lo:hi");
       }
-      try {
-        spec.window_lo = std::stoull(range[0]);
-        spec.window_hi = std::stoull(range[1]);
-      } catch (...) {
+      const auto lo = parse_number<Cycles>(range[0]);
+      const auto hi = parse_number<Cycles>(range[1]);
+      if (!lo.is_ok() || !hi.is_ok()) {
         return err(Err::kParse, "fault spec: bad window bound");
       }
-      if (spec.window_hi <= spec.window_lo) {
-        return err(Err::kParse, "fault spec: empty window");
-      }
+      if (*hi <= *lo) return err(Err::kParse, "fault spec: empty window");
+      spec.window_lo = *lo;
+      spec.window_hi = *hi;
       continue;
     }
     FaultClass cls = FaultClass::kCount_;
@@ -84,17 +81,13 @@ Result<FaultPlan> FaultPlan::parse(std::string_view text) {
       return err(Err::kParse,
                  strfmt("fault spec: unknown key '%s'", key.c_str()));
     }
-    double p = -1.0;
-    try {
-      p = std::stod(value);
-    } catch (...) {
-    }
-    if (p < 0.0 || p > 1.0) {
+    const auto p = parse_number<double>(value);
+    if (!p.is_ok() || *p < 0.0 || *p > 1.0) {
       return err(Err::kParse,
                  strfmt("fault spec: %s wants a probability in [0,1]",
                         key.c_str()));
     }
-    spec.probability[static_cast<std::size_t>(cls)] = p;
+    spec.probability[static_cast<std::size_t>(cls)] = *p;
   }
   return FaultPlan(spec);
 }
@@ -116,17 +109,14 @@ bool FaultPlan::should_inject(FaultClass c, Cycles now) {
   return rng_[idx].uniform() < p;
 }
 
-void FaultPlan::bind_tenant(int tenant_id) {
+void FaultPlan::bind_tenant(int tenant_id, metrics::Registry& registry) {
   tenant_id_ = tenant_id;
-  if (tenant_id_ == 0) {
-    tenant_injected_metric_ = nullptr;
-    tenant_recovered_metric_ = nullptr;
-    return;
-  }
-  metrics::Registry& reg = metrics::Registry::instance();
-  const std::string prefix = metrics::Registry::tenant_prefix(tenant_id_);
-  tenant_injected_metric_ = &reg.counter(prefix + "faults/injected");
-  tenant_recovered_metric_ = &reg.counter(prefix + "faults/recovered");
+  // Tenant 0's registry is the process registry, where faults/injected and
+  // faults/recovered are the fleet roll-ups this plan already bumps:
+  // resolving them again would count every fault twice.
+  if (&registry == &metrics::Registry::instance()) return;
+  tenant_injected_metric_ = &registry.counter("faults/injected");
+  tenant_recovered_metric_ = &registry.counter("faults/recovered");
 }
 
 void FaultPlan::note_injected(FaultClass c) {

@@ -70,11 +70,12 @@ class FaultPlan {
   void note_injected(FaultClass c);
   void note_recovered(FaultClass c);
 
-  // Attribute this plan's faults to a created tenant: every note_* also bumps
-  // tenant/<id>/faults/injected|recovered and tags the flight-recorder event
-  // with the owner. The process-wide faults/* counters keep counting — fleet
-  // totals stay one query — so binding adds attribution, never moves it.
-  void bind_tenant(int tenant_id);
+  // Attribute this plan's faults to its tenant: every note_* tags the
+  // flight-recorder event with the owner and, for a tenant that owns its
+  // registry, also bumps faults/injected|recovered there. The process-wide
+  // faults/* counters keep counting — fleet totals stay one query — so
+  // binding adds attribution, never moves it.
+  void bind_tenant(int tenant_id, metrics::Registry& registry);
   [[nodiscard]] int tenant_id() const noexcept { return tenant_id_; }
 
   [[nodiscard]] std::uint64_t injected(FaultClass c) const noexcept {

@@ -64,30 +64,6 @@ Registry& Registry::instance() noexcept {
   return registry;
 }
 
-std::string Registry::tenant_prefix(int tenant) {
-  if (tenant <= 0) return {};
-  return strfmt("tenant/%d/", tenant);
-}
-
-std::pair<int, std::string> Registry::split_tenant(const std::string& name) {
-  constexpr const char kTag[] = "tenant/";
-  constexpr std::size_t kTagLen = sizeof(kTag) - 1;
-  if (name.rfind(kTag, 0) == 0) {
-    std::size_t i = kTagLen;
-    int id = 0;
-    bool any = false;
-    while (i < name.size() && name[i] >= '0' && name[i] <= '9') {
-      id = id * 10 + (name[i] - '0');
-      any = true;
-      ++i;
-    }
-    if (any && i < name.size() && name[i] == '/' && id > 0) {
-      return {id, name.substr(i + 1)};
-    }
-  }
-  return {0, name};
-}
-
 Counter& Registry::counter(const std::string& name) {
   auto it = counter_index_.find(name);
   if (it != counter_index_.end()) return *counters_[it->second].second;
@@ -150,39 +126,6 @@ Registry::histograms_with_prefix(const std::string& prefix) const {
   return out;
 }
 
-std::vector<std::pair<std::string, const Counter*>>
-Registry::counters_for_tenant(int tenant) const {
-  std::vector<std::pair<std::string, const Counter*>> out;
-  if (tenant > 0) {
-    for (auto& [n, c] : counters_with_prefix(tenant_prefix(tenant))) {
-      out.emplace_back(split_tenant(n).second, c);
-    }
-    return out;
-  }
-  // Tenant 0 owns every bare-named instrument — skip the tenant/ subtree.
-  for (const auto& [n, i] : counter_index_) {
-    if (split_tenant(n).first != 0) continue;
-    out.emplace_back(n, counters_[i].second.get());
-  }
-  return out;
-}
-
-std::vector<std::pair<std::string, const Histogram*>>
-Registry::histograms_for_tenant(int tenant) const {
-  std::vector<std::pair<std::string, const Histogram*>> out;
-  if (tenant > 0) {
-    for (auto& [n, h] : histograms_with_prefix(tenant_prefix(tenant))) {
-      out.emplace_back(split_tenant(n).second, h);
-    }
-    return out;
-  }
-  for (const auto& [n, i] : histogram_index_) {
-    if (split_tenant(n).first != 0) continue;
-    out.emplace_back(n, histograms_[i].second.get());
-  }
-  return out;
-}
-
 std::string Registry::to_text() const {
   std::string out;
   for (const auto& [name, i] : counter_index_) {
@@ -210,22 +153,18 @@ std::string Registry::to_json(int tenant) const {
     out += body;
   };
   for (const auto& [name, i] : counter_index_) {
-    const auto [owner, base] = split_tenant(name);
-    if (tenant >= 0 && owner != tenant) continue;
     emit(strfmt("{\"kind\":\"counter\",\"tenant\":%d,\"name\":\"%s\","
                 "\"value\":%llu}",
-                owner, base.c_str(),
+                tenant, name.c_str(),
                 static_cast<unsigned long long>(
                     counters_[i].second->value())));
   }
   for (const auto& [name, i] : histogram_index_) {
-    const auto [owner, base] = split_tenant(name);
-    if (tenant >= 0 && owner != tenant) continue;
     const Histogram* h = histograms_[i].second.get();
     emit(strfmt("{\"kind\":\"histogram\",\"tenant\":%d,\"name\":\"%s\","
                 "\"count\":%llu,\"mean\":%.1f,\"p50\":%.1f,\"p90\":%.1f,"
                 "\"p99\":%.1f,\"max\":%.1f}",
-                owner, base.c_str(),
+                tenant, name.c_str(),
                 static_cast<unsigned long long>(h->count()), h->mean(),
                 h->percentile(50), h->percentile(90), h->percentile(99),
                 h->max()));
@@ -237,30 +176,26 @@ std::string Registry::to_json(int tenant) const {
 std::string Registry::to_prometheus(int tenant) const {
   std::string out;
   for (const auto& [name, i] : counter_index_) {
-    const auto [owner, base] = split_tenant(name);
-    if (tenant >= 0 && owner != tenant) continue;
-    out += strfmt("mv_counter{name=\"%s\",tenant=\"%d\"} %llu\n", base.c_str(),
-                  owner,
+    out += strfmt("mv_counter{name=\"%s\",tenant=\"%d\"} %llu\n",
+                  name.c_str(), tenant,
                   static_cast<unsigned long long>(
                       counters_[i].second->value()));
   }
   for (const auto& [name, i] : histogram_index_) {
-    const auto [owner, base] = split_tenant(name);
-    if (tenant >= 0 && owner != tenant) continue;
     const Histogram* h = histograms_[i].second.get();
     const auto count = static_cast<unsigned long long>(h->count());
     out += strfmt("mv_histogram_count{name=\"%s\",tenant=\"%d\"} %llu\n",
-                  base.c_str(), owner, count);
+                  name.c_str(), tenant, count);
     out += strfmt("mv_histogram_mean{name=\"%s\",tenant=\"%d\"} %.1f\n",
-                  base.c_str(), owner, h->mean());
+                  name.c_str(), tenant, h->mean());
     out += strfmt("mv_histogram_p50{name=\"%s\",tenant=\"%d\"} %.1f\n",
-                  base.c_str(), owner, h->percentile(50));
+                  name.c_str(), tenant, h->percentile(50));
     out += strfmt("mv_histogram_p90{name=\"%s\",tenant=\"%d\"} %.1f\n",
-                  base.c_str(), owner, h->percentile(90));
+                  name.c_str(), tenant, h->percentile(90));
     out += strfmt("mv_histogram_p99{name=\"%s\",tenant=\"%d\"} %.1f\n",
-                  base.c_str(), owner, h->percentile(99));
+                  name.c_str(), tenant, h->percentile(99));
     out += strfmt("mv_histogram_max{name=\"%s\",tenant=\"%d\"} %.1f\n",
-                  base.c_str(), owner, h->max());
+                  name.c_str(), tenant, h->max());
   }
   return out;
 }
@@ -279,15 +214,6 @@ void Registry::reindex() {
   for (std::size_t i = 0; i < histograms_.size(); ++i) {
     histogram_index_.emplace(histograms_[i].first, i);
   }
-}
-
-void Registry::erase_with_prefix(const std::string& prefix) {
-  const auto matches = [&](const auto& entry) {
-    return entry.first.compare(0, prefix.size(), prefix) == 0;
-  };
-  const auto nc = std::erase_if(counters_, matches);
-  const auto nh = std::erase_if(histograms_, matches);
-  if (nc != 0 || nh != 0) reindex();
 }
 
 void Registry::truncate_instruments(std::size_t counters,

@@ -7,18 +7,18 @@
 //
 // Everything here operates on *simulated* quantities (cycles, request
 // counts); recording never charges simulated cycles, so instrumentation is
-// invisible to every measured number. Like the tracer, the registry is a
-// process-global singleton: instrumented objects resolve their instruments
-// by name once (constructor / first use) and then touch only a cached
-// pointer on the hot path — an increment or a bounded histogram insert.
+// invisible to every measured number. Instrumented objects resolve their
+// instruments by name once (constructor / first use) and then touch only a
+// cached pointer on the hot path — an increment or a bounded histogram
+// insert.
 //
-// Tenant dimension: instruments are namespaced by owner. The host tenant
-// 0 uses bare names ("channel/1/queue_wait"), so single-tenant runs
-// are bitwise identical to the pre-tenant registry; created tenants prefix
-// theirs with "tenant/<id>/" (tenant_prefix()). Handles are resolved once at
-// tenant_create and cached, so the per-increment hot path never sees the
-// namespace. to_json()/to_prometheus() parse the prefix back out so every
-// exported instrument carries a tenant label.
+// Tenant dimension: a registry is one tenant's instrument table, and the
+// owner of an instrument is the registry that holds it, not its name. The
+// host tenant 0 uses the process registry (instance()), so single-tenant
+// runs keep the pre-tenant names and dumps; every created tenant owns a
+// Registry of its own with the same bare names ("channel/0/queue_wait"),
+// created and freed with the tenant (multiverse::Tenant). Exports take the
+// owner's id and label every instrument with it.
 //
 // Histograms keep a bounded, deterministic sample reservoir: once the cap is
 // reached the stored samples are decimated 2:1 and the acceptance stride
@@ -90,22 +90,20 @@ class Histogram {
 
 class Registry {
  public:
+  // The process registry: tenant 0's table and the home of fleet-wide
+  // roll-ups (mv/*, faults/*, service/*).
   static Registry& instance() noexcept;
 
-  // Instrument-name prefix for a tenant's namespace: "" for the host
-  // tenant 0 (bare names keep single-tenant runs bitwise identical),
-  // "tenant/<id>/" otherwise.
-  [[nodiscard]] static std::string tenant_prefix(int tenant);
-  // Inverse: split a full instrument name into (owning tenant, base name).
-  // Names not under a "tenant/<id>/" prefix belong to tenant 0.
-  [[nodiscard]] static std::pair<int, std::string> split_tenant(
-      const std::string& name);
+  Registry() = default;
+  // Callers cache pointers into the registry, so it never moves.
+  Registry(const Registry&) = delete;
+  Registry& operator=(const Registry&) = delete;
 
   // Resolve-by-name; creates on first use. Returned references stay valid
-  // for the lifetime of the TelemetryScope (if any) that was active when the
-  // instrument was created — for the whole process when none was (reset()
-  // zeroes values, it does not erase instruments). Names use '/'-separated
-  // paths, e.g. "channel/1/latency/syscall/async".
+  // as long as the registry does; in the process registry, for the lifetime
+  // of the TelemetryScope (if any) that was active when the instrument was
+  // created (reset() zeroes values, it does not erase instruments). Names
+  // use '/'-separated paths, e.g. "channel/1/latency/syscall/async".
   Counter& counter(const std::string& name);
   Histogram& histogram(const std::string& name);
 
@@ -120,37 +118,20 @@ class Registry {
   [[nodiscard]] std::vector<std::pair<std::string, const Histogram*>>
   histograms_with_prefix(const std::string& prefix) const;
 
-  // Per-tenant rollup: every instrument owned by `tenant`, keyed by its base
-  // name (namespace prefix stripped), in name order. Tenant 0 owns every
-  // instrument not under a "tenant/<id>/" prefix.
-  [[nodiscard]] std::vector<std::pair<std::string, const Counter*>>
-  counters_for_tenant(int tenant) const;
-  [[nodiscard]] std::vector<std::pair<std::string, const Histogram*>>
-  histograms_for_tenant(int tenant) const;
-
   // Plain-text dump consumed by the bench harness: one line per counter,
   // one line per histogram with count/mean/p50/p90/p99/max. Name-ordered, so
   // two runs that create the same instruments in different orders diff clean.
   [[nodiscard]] std::string to_text() const;
 
-  // Machine-readable exports. Every instrument carries a "tenant" label
-  // (parsed from its namespace prefix) and its base name; `tenant` < 0
-  // exports all tenants, otherwise only that tenant's instruments. Both are
-  // deterministic: name-ordered, fixed float formatting.
-  [[nodiscard]] std::string to_json(int tenant = -1) const;
+  // Machine-readable exports of this registry, every instrument labeled
+  // with the owning `tenant` and carrying its name. Both are deterministic:
+  // name-ordered, fixed float formatting.
+  [[nodiscard]] std::string to_json(int tenant = 0) const;
   // Prometheus-style text exposition: mv_counter{...} / mv_histogram_*{...}.
-  [[nodiscard]] std::string to_prometheus(int tenant = -1) const;
+  [[nodiscard]] std::string to_prometheus(int tenant = 0) const;
 
   // Zero every instrument (pointers cached by instrumented code stay valid).
   void reset();
-
-  // Erase every instrument whose name starts with `prefix` — the
-  // tenant_destroy path ("tenant/<id>/"). Count-based truncation cannot do
-  // this: tenants interleave creation, so a departing tenant's instruments
-  // are not a suffix of the vectors. Cached pointers into the erased set
-  // dangle; the owner must drop them first (channel/plan teardown precedes
-  // this in tenant_destroy).
-  void erase_with_prefix(const std::string& prefix);
 
   // --- scoped rollback (support/telemetry.hpp) ------------------------------
   // A TelemetryScope snapshots the instrument counts when a system comes up
@@ -167,8 +148,6 @@ class Registry {
   void truncate_instruments(std::size_t counters, std::size_t histograms);
 
  private:
-  Registry() = default;
-
   void reindex();
 
   // Creation-order storage (what TelemetryScope's count snapshot truncates)

@@ -26,7 +26,8 @@
 //
 // HybridSystem declares a TelemetryScope as its first member: constructed
 // before the machine binds its trace clock, destroyed after every component
-// holding cached instrument pointers is gone.
+// holding cached instrument pointers is gone. A created tenant's own
+// registry needs no rollback: it is freed with the tenant.
 
 #include <cstddef>
 

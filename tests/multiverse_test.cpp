@@ -43,6 +43,54 @@ TEST(OverrideConfigTest, RejectsBadDirectives) {
   EXPECT_EQ(parse_override_config("option nonsense on\n").code(), Err::kParse);
 }
 
+TEST(OverrideConfigTest, RejectsMalformedValues) {
+  // Every value is one whole token of its kind: a numeric prefix, a
+  // negative for an unsigned knob, nan/inf or a near-miss switch word is a
+  // parse error, never a silently different setting.
+  const char* const kMalformed[] = {
+      "option spin_cycles 150k\n",
+      "option watchdog 8x\n",
+      "option ring_depth 4.5\n",
+      "option service_workers 2k\n",
+      "option tenants 1e3\n",
+      "option hybridize on,window=2e8\n",
+      "option hybridize on,promote_after=-3\n",
+      "option hybridize on,demote_on_fail=2.5\n",
+      "option hybridize on,threshold=nan\n",
+      "option hybridize on,threshold=inf\n",
+      "option hybridize on,threshold=4000cycles\n",
+      "option fault window=1e11:2e11\n",
+      "option fault seed=-1\n",
+      "option fault drop_doorbell=nan\n",
+      "option fault drop_doorbell=0.5x\n",
+      "option merge_address_space of\n",
+      "option symbol_cache yes\n",
+      "option sync_channel 2\n",
+      "override mmap nk_mmap args=0:1x\n",
+      "override mmap nk_mmap args=x:1\n",
+  };
+  for (const char* text : kMalformed) {
+    EXPECT_EQ(parse_override_config(text).code(), Err::kParse) << text;
+  }
+  // The strict forms of the same knobs still parse.
+  auto ok = parse_override_config(
+      "option spin_cycles 150000\n"
+      "option hybridize on,window=200000000,threshold=4000.5\n"
+      "option fault window=100000000000:200000000000,seed=18446744073709551615,"
+      "drop_doorbell=0.5\n"
+      "option merge_address_space false\n"
+      "option symbol_cache 1\n"
+      "override mmap nk_mmap args=0:1\n");
+  ASSERT_TRUE(ok.is_ok()) << ok.status().to_string();
+  EXPECT_EQ(ok->options.spin_cycles, 150000);
+  EXPECT_EQ(ok->options.hybridize.window_cycles, 200000000u);
+  EXPECT_EQ(ok->options.hybridize.threshold_cycles, 4000.5);
+  EXPECT_FALSE(ok->options.merge_address_space);
+  EXPECT_TRUE(ok->options.symbol_cache);
+  ASSERT_EQ(ok->overrides.size(), 1u);
+  EXPECT_EQ(ok->overrides[0].arg_map.size(), 1u);
+}
+
 TEST(OverrideConfigTest, DefaultsIncludePthreadInterposition) {
   auto cfg = parse_override_config(default_override_config());
   ASSERT_TRUE(cfg.is_ok());

@@ -246,17 +246,20 @@ TEST(WatchdogTest, StallSnapshotCarriesTenantTag) {
   FlightRecorder& recorder = FlightRecorder::instance();
   recorder.reset();
 
-  // Scope the tenant instruments so they do not leak into later tests.
+  // Scope the process-registry instruments so they do not leak into later
+  // tests; the tenant's own instruments live in its registry.
   TelemetryScope scope;
   hw::Machine machine;
   Sched sched;
   vmm::Hvm hvm{machine, {}};
   ros::LinuxSim kernel{machine, sched, {}};
   metrics::Registry& reg = metrics::Registry::instance();
+  metrics::Registry tenant_reg;
   TenantBinding binding;
   binding.tenant_id = 7;
   binding.local_ordinal = 0;
-  binding.slo_watchdog_stalls = &reg.counter("tenant/7/watchdog/stalls");
+  binding.metrics = &tenant_reg;
+  binding.slo_watchdog_stalls = &tenant_reg.counter("watchdog/stalls");
   EventChannel chan{hvm, kernel, sched, /*hrt_core=*/1, /*id=*/91, binding};
 
   FaultPlan::Spec spec;
@@ -287,11 +290,12 @@ TEST(WatchdogTest, StallSnapshotCarriesTenantTag) {
   // The stall ticks both the global roll-up and the owning tenant's SLO
   // counter.
   EXPECT_EQ(reg.counter("mv/watchdog/stalls").value(), 1u);
-  EXPECT_EQ(reg.counter("tenant/7/watchdog/stalls").value(), 1u);
-  // Channel instruments live in the tenant namespace under the tenant-local
-  // ordinal, not the global channel id.
-  EXPECT_NE(reg.find_counter("tenant/7/channel/0/doorbells"), nullptr);
-  EXPECT_EQ(reg.find_counter("channel/91/doorbells"), nullptr);
+  EXPECT_EQ(tenant_reg.counter("watchdog/stalls").value(), 1u);
+  // Channel instruments live in the tenant's registry under the tenant-local
+  // ordinal, not the global channel id, and not in the process registry.
+  EXPECT_NE(tenant_reg.find_counter("channel/0/doorbells"), nullptr);
+  EXPECT_EQ(tenant_reg.find_counter("channel/91/doorbells"), nullptr);
+  EXPECT_EQ(reg.find_counter("channel/0/doorbells"), nullptr);
   // The snapshot reason and the flight-recorder events carry the tenant id.
   ASSERT_EQ(recorder.snapshot_count(), 1u);
   const std::string& snap = recorder.snapshots().back();

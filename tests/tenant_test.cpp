@@ -132,6 +132,9 @@ TEST(TenantZeroTest, StartupBuildsTenantZeroWithPlanTableAndGovernor) {
   ASSERT_NE(seen->fault_plan, nullptr);
   EXPECT_EQ(seen->fault_plan->spec().seed, 3u);
   ASSERT_NE(seen->governor, nullptr);
+  // Tenant 0's instrument table is the process registry.
+  EXPECT_EQ(seen->metrics, &metrics::Registry::instance());
+  EXPECT_EQ(seen->own_metrics, nullptr);
   EXPECT_TRUE(seen->override_table.at(SysFamily::kMmap).active);
   EXPECT_FALSE(seen->override_table.at(SysFamily::kMprotect).active);
   // Tenant 0 is never cached-image booted, so it never counts as created.
@@ -642,14 +645,15 @@ TEST(TenantTest, SharedWorkersServeEachTenantInItsOwnProcess) {
   }
 }
 
-// --- per-tenant telemetry: namespaces, exports, destroy snapshots ------------
+// --- per-tenant telemetry: registries, exports, destroy snapshots ------------
 
 TEST(TenantTelemetryTest, DestroyThenRecreateExportsIdentically) {
   // Two full create/serve/destroy cycles from the same process. The second
   // incarnation must reuse the smallest free tenant id and its tenant-local
   // channel ordinals, so its metric export — names and values — is byte-
-  // identical to the first one's, and no "tenant/" instrument survives
-  // either destroy.
+  // identical to the first one's. While each incarnation is live, its
+  // instruments sit in its own registry and none in the process registry,
+  // and its live export equals the snapshot tenant_destroy then captures.
   SystemConfig cfg;
   cfg.ros_cores = {0};
   cfg.hrt_cores = {1, 2};
@@ -662,7 +666,13 @@ TEST(TenantTelemetryTest, DestroyThenRecreateExportsIdentically) {
 
   bool done = false;
   std::vector<int> tenant_ids;
-  std::vector<std::size_t> tenant_instruments_after_destroy;
+  struct LiveView {
+    std::size_t process_tenant_instruments = 0;  // names under "tenant/"
+    bool own_registry = false;  // not the process registry
+    std::uint64_t own_requests_served = 0;
+    HybridSystem::TenantMetricsExport exported;
+  };
+  std::vector<LiveView> live;
 
   ASSERT_TRUE(kernel
                   .spawn("t0",
@@ -692,14 +702,23 @@ TEST(TenantTelemetryTest, DestroyThenRecreateExportsIdentically) {
                               .is_ok()) {
                        return 20 + cycle;
                      }
+                     Tenant* tenant = rt.find_tenant(*id);
+                     if (tenant == nullptr) return 40 + cycle;
+                     const metrics::Registry& process =
+                         metrics::Registry::instance();
+                     LiveView view;
+                     view.process_tenant_instruments =
+                         process.counters_with_prefix("tenant/").size() +
+                         process.histograms_with_prefix("tenant/").size();
+                     view.own_registry = tenant->metrics != &process;
+                     if (const metrics::Counter* c =
+                             tenant->metrics->find_counter(
+                                 "channel/0/requests_served")) {
+                       view.own_requests_served = c->value();
+                     }
+                     view.exported = sys.export_tenant_metrics(*id);
+                     live.push_back(std::move(view));
                      if (!rt.tenant_destroy(*id).is_ok()) return 30 + cycle;
-                     tenant_instruments_after_destroy.push_back(
-                         metrics::Registry::instance()
-                             .counters_with_prefix("tenant/")
-                             .size() +
-                         metrics::Registry::instance()
-                             .histograms_with_prefix("tenant/")
-                             .size());
                    }
                    done = true;
                    return 0;
@@ -710,15 +729,20 @@ TEST(TenantTelemetryTest, DestroyThenRecreateExportsIdentically) {
   // Smallest-free-id allocation: the second incarnation reuses the id.
   ASSERT_EQ(tenant_ids.size(), 2u);
   EXPECT_EQ(tenant_ids[0], tenant_ids[1]);
-  // Destroy truncates the tenant's namespace completely, both times.
-  ASSERT_EQ(tenant_instruments_after_destroy.size(), 2u);
-  EXPECT_EQ(tenant_instruments_after_destroy[0], 0u);
-  EXPECT_EQ(tenant_instruments_after_destroy[1], 0u);
   // The snapshots captured at destroy are byte-identical across
   // incarnations: same instrument names (tenant-local ordinals, not global
   // group ids) and same values (same deterministic workload).
   const auto& history = rt.tenant_slo_history();
   ASSERT_EQ(history.size(), 2u);
+  ASSERT_EQ(live.size(), 2u);
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    EXPECT_EQ(live[i].process_tenant_instruments, 0u) << i;
+    EXPECT_TRUE(live[i].own_registry) << i;
+    EXPECT_GT(live[i].own_requests_served, 0u) << i;
+    EXPECT_TRUE(live[i].exported.found) << i;
+    EXPECT_EQ(live[i].exported.json, history[i].metrics_json) << i;
+    EXPECT_EQ(live[i].exported.text, history[i].metrics_text) << i;
+  }
   EXPECT_EQ(history[0].tenant_id, history[1].tenant_id);
   EXPECT_EQ(history[0].metrics_json, history[1].metrics_json);
   EXPECT_EQ(history[0].metrics_text, history[1].metrics_text);
@@ -791,7 +815,7 @@ TEST(TenantMixedCriticalityTest, FaultsScopedToFaultedTenantOnly) {
 
 TEST(TenantMixedCriticalityTest, FaultCountersPartitionedByTenant) {
   // The same two-tenant schedule, read through the per-tenant SLO snapshots:
-  // every injected fault lands in tenant A's namespace, tenant B's stays
+  // every injected fault lands in tenant A's registry, tenant B's stays
   // clean, and B's registry-sourced latency distribution is identical with
   // and without A's storm.
   const MixedRun clean = run_mixed(/*a_faulted=*/false);

@@ -107,22 +107,7 @@ TEST(MetricsTest, RegistryResolvesAndResets) {
   EXPECT_EQ(reg.histogram("test/registry/lat").count(), 0u);
 }
 
-// --- metrics: tenant namespaces and exports ---------------------------------
-
-TEST(MetricsTest, TenantPrefixRoundTrips) {
-  EXPECT_EQ(metrics::Registry::tenant_prefix(0), "");
-  EXPECT_EQ(metrics::Registry::tenant_prefix(-3), "");
-  EXPECT_EQ(metrics::Registry::tenant_prefix(7), "tenant/7/");
-  const auto [tenant, base] =
-      metrics::Registry::split_tenant("tenant/7/channel/0/doorbells");
-  EXPECT_EQ(tenant, 7);
-  EXPECT_EQ(base, "channel/0/doorbells");
-  // Bare names belong to tenant 0 — malformed prefixes stay whole.
-  EXPECT_EQ(metrics::Registry::split_tenant("channel/1/doorbells").first, 0);
-  EXPECT_EQ(metrics::Registry::split_tenant("tenant/x/doorbells").first, 0);
-  EXPECT_EQ(metrics::Registry::split_tenant("tenant/0/doorbells").first, 0);
-  EXPECT_EQ(metrics::Registry::split_tenant("tenant/7").first, 0);
-}
+// --- metrics: exports and tenant labels --------------------------------------
 
 TEST(MetricsTest, TextDumpIndependentOfCreationOrder) {
   // Two scopes create the same instruments in opposite orders; every export
@@ -150,40 +135,26 @@ TEST(MetricsTest, TextDumpIndependentOfCreationOrder) {
 }
 
 TEST(MetricsTest, ExportsCarryTenantLabels) {
-  TelemetryScope scope;
-  metrics::Registry& reg = metrics::Registry::instance();
-  reg.counter("mv/globals").inc(1);
-  reg.counter("tenant/3/slo/faults").inc(2);
-  reg.histogram("tenant/3/slo/request_latency").record(10.0);
-  // Single-tenant export filters to that namespace and strips the prefix
-  // back into a label.
+  // A created tenant's registry holds bare names; its export labels every
+  // instrument with the tenant it is rendered for.
+  metrics::Registry reg;
+  reg.counter("slo/faults").inc(2);
+  reg.histogram("slo/request_latency").record(10.0);
   const std::string json = reg.to_json(3);
-  EXPECT_NE(json.find("\"tenant\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"slo/faults\""), std::string::npos);
-  EXPECT_EQ(json.find("mv/globals"), std::string::npos);
+  EXPECT_NE(json.find("\"tenant\":3,\"name\":\"slo/faults\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"tenant\":3,\"name\":\"slo/request_latency\""),
+            std::string::npos);
+  EXPECT_EQ(json.find("\"tenant\":0"), std::string::npos);
   const std::string prom = reg.to_prometheus(3);
-  EXPECT_NE(prom.find("tenant=\"3\""), std::string::npos);
+  EXPECT_NE(prom.find("mv_counter{name=\"slo/faults\",tenant=\"3\"} 2"),
+            std::string::npos);
   EXPECT_EQ(prom.find("tenant=\"0\""), std::string::npos);
-  // The all-tenants export labels tenant 0's instruments too.
-  const std::string all = reg.to_json();
-  EXPECT_NE(all.find("\"tenant\":0"), std::string::npos);
-  EXPECT_NE(all.find("\"tenant\":3"), std::string::npos);
-}
-
-TEST(MetricsTest, EraseWithPrefixRemovesOnlyThatNamespace) {
-  TelemetryScope scope;
-  metrics::Registry& reg = metrics::Registry::instance();
-  reg.counter("tenant/5/hits").inc(1);
-  reg.histogram("tenant/5/lat").record(1.0);
-  reg.counter("tenant/51/hits").inc(1);  // shares a string prefix, not a path
-  reg.counter("kept/hits").inc(1);
-  reg.erase_with_prefix("tenant/5/");
-  EXPECT_EQ(reg.find_counter("tenant/5/hits"), nullptr);
-  EXPECT_EQ(reg.find_histogram("tenant/5/lat"), nullptr);
-  EXPECT_NE(reg.find_counter("tenant/51/hits"), nullptr);
-  EXPECT_NE(reg.find_counter("kept/hits"), nullptr);
-  // The survivors are still resolvable by index after the reindex.
-  EXPECT_EQ(reg.find_counter("kept/hits"), &reg.counter("kept/hits"));
+  // The default label is tenant 0, the process registry's owner.
+  EXPECT_NE(reg.to_json().find("\"tenant\":0"), std::string::npos);
+  EXPECT_NE(reg.to_prometheus().find("tenant=\"0\""), std::string::npos);
+  // The table is the tenant's alone: the process registry never sees it.
+  EXPECT_EQ(metrics::Registry::instance().find_counter("slo/faults"), nullptr);
 }
 
 TEST(TelemetryScopeTest, NestedScopesRollBackLifo) {
