@@ -69,8 +69,9 @@ Result<HybridRun> run_bt(const std::string& overrides, int n) {
 
 int main(int argc, char** argv) {
   using namespace mvbench;
-  banner("Adaptive hybridization",
-         "runtime promotion of hot syscall families to AeroKernel overrides");
+  Report report(
+      "Adaptive hybridization",
+      "runtime promotion of hot syscall families to AeroKernel overrides");
 
   const int n = argc > 1
                     ? std::atoi(argv[1])
@@ -153,47 +154,37 @@ int main(int argc, char** argv) {
   table.print();
 
   // --- crossover checks ------------------------------------------------------
-  // 1. The adaptive run really started forwarded and crossed over mid-run.
-  const bool crossed = adaptive->promotions > 0 &&
-                       adaptive->mmap_override_calls > 0 &&
-                       adaptive->mmap_overridden_at_exit &&
-                       adaptive->program.forwarded_syscalls >
-                           ported->program.forwarded_syscalls;
-  // 2. Steady-state override cost converges to within 10% of the static port.
   const double ratio =
       ported->mmap_override_ewma > 0.0
           ? adaptive->mmap_override_ewma / ported->mmap_override_ewma
           : 0.0;
-  const bool converged = ratio > 0.90 && ratio < 1.10;
-  // 3. Program output is the invariant, in every configuration.
-  const bool identical =
-      forwarded->program.stdout_text == ported->program.stdout_text &&
-      forwarded->program.stdout_text == adaptive->program.stdout_text &&
-      forwarded->program.stdout_text == faulted->program.stdout_text &&
-      forwarded->program.exit_code == 0 && adaptive->program.exit_code == 0 &&
-      faulted->program.exit_code == 0;
-  // 4. Injected override failures demoted (and were all recovered by the
-  //    forwarded retry), and the run completed.
-  const bool fault_recovered =
-      faulted->faults_injected > 0 && faulted->demotions > 0 &&
-      faulted->faults_recovered == faulted->faults_injected;
-  // 5. Adaptive beats fully forwarded (it spent most of the run overridden).
-  const bool faster = adaptive->program.elapsed_s < forwarded->program.elapsed_s;
-
   std::printf("\nadaptive/static steady-state mmap cycles ratio: %.3f "
               "(want within [0.90, 1.10])\n", ratio);
-  std::printf("crossover (started forwarded, promoted mid-run):   %s\n",
-              crossed ? "PASS" : "FAIL");
-  std::printf("converged to static-port steady state (within 10%%): %s\n",
-              converged ? "PASS" : "FAIL");
-  std::printf("byte-identical program output in all modes:        %s\n",
-              identical ? "PASS" : "FAIL");
-  std::printf("injected override failures demoted + recovered:    %s\n",
-              fault_recovered ? "PASS" : "FAIL");
-  std::printf("adaptive faster than fully forwarded:              %s\n",
-              faster ? "PASS" : "FAIL");
-
-  const bool ok =
-      crossed && converged && identical && fault_recovered && faster;
-  return ok ? 0 : 1;
+  // 1. The adaptive run really started forwarded and crossed over mid-run.
+  report.check(adaptive->promotions > 0 &&
+                   adaptive->mmap_override_calls > 0 &&
+                   adaptive->mmap_overridden_at_exit &&
+                   adaptive->program.forwarded_syscalls >
+                       ported->program.forwarded_syscalls,
+               "crossover (started forwarded, promoted mid-run)");
+  // 2. Steady-state override cost converges to within 10% of the static port.
+  report.check(ratio > 0.90 && ratio < 1.10,
+               "converged to static-port steady state (within 10%)");
+  // 3. Program output is the invariant, in every configuration.
+  report.check(
+      forwarded->program.stdout_text == ported->program.stdout_text &&
+          forwarded->program.stdout_text == adaptive->program.stdout_text &&
+          forwarded->program.stdout_text == faulted->program.stdout_text &&
+          forwarded->program.exit_code == 0 &&
+          adaptive->program.exit_code == 0 && faulted->program.exit_code == 0,
+      "byte-identical program output in all modes");
+  // 4. Injected override failures demoted (and were all recovered by the
+  //    forwarded retry), and the run completed.
+  report.check(faulted->faults_injected > 0 && faulted->demotions > 0 &&
+                   faulted->faults_recovered == faulted->faults_injected,
+               "injected override failures demoted + recovered");
+  // 5. Adaptive beats fully forwarded (it spent most of the run overridden).
+  report.check(adaptive->program.elapsed_s < forwarded->program.elapsed_s,
+               "adaptive faster than fully forwarded");
+  return report.exit_code();
 }

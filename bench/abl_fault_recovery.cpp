@@ -98,8 +98,9 @@ CellResult run_cell(const std::string& fault_spec, bool sync_channel,
 
 int main() {
   using namespace mvbench;
-  banner("Fault recovery",
-         "seed-driven fault injection: recover or surface cleanly, never hang");
+  Report report(
+      "Fault recovery",
+      "seed-driven fault injection: recover or surface cleanly, never hang");
 
   const std::uint64_t kSeeds[] = {11, 22, 33};
   struct ClassSpec {
@@ -202,15 +203,14 @@ int main() {
     inert_ok = plain.machine().core(c).cycles() ==
                zeroed.machine().core(c).cycles();
   }
-  std::printf("\nzero-probability plan bitwise-inert (per-core cycles): %s\n",
-              inert_ok ? "PASS" : "FAIL");
-
-  const bool injected_something = total_injected > 0;
-  std::printf("fault matrix (%d classes x %d seeds, %llu faults injected): "
-              "%s\n",
-              static_cast<int>(sizeof(kClasses) / sizeof(kClasses[0])),
-              static_cast<int>(sizeof(kSeeds) / sizeof(kSeeds[0])),
-              static_cast<unsigned long long>(total_injected),
-              all_ok && injected_something ? "PASS" : "FAIL");
-  return all_ok && injected_something && inert_ok ? 0 : 1;
+  std::printf("\n");
+  report.check(inert_ok,
+               "zero-probability plan bitwise-inert (per-core cycles)");
+  report.check(all_ok && total_injected > 0,
+               strfmt("fault matrix (%d classes x %d seeds, %llu faults "
+                      "injected)",
+                      static_cast<int>(std::size(kClasses)),
+                      static_cast<int>(std::size(kSeeds)),
+                      static_cast<unsigned long long>(total_injected)));
+  return report.exit_code();
 }

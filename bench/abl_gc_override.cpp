@@ -36,8 +36,9 @@ Result<ProgramResult> run_bt(const std::string& overrides) {
 
 int main() {
   using namespace mvbench;
-  banner("Ablation 3",
-         "incremental -> accelerator: AeroKernel override of the GC hot path");
+  Report report(
+      "Ablation 3",
+      "incremental -> accelerator: AeroKernel override of the GC hot path");
 
   auto base = run_bt("");
   auto ported = run_bt(
@@ -77,11 +78,10 @@ int main() {
   std::printf("\nspeedup from porting the GC's memory management into the "
               "kernel: %.2fx\n",
               base->elapsed_s / ported->elapsed_s);
-  const bool ok = ported->elapsed_s < base->elapsed_s &&
-                  count_of(*ported, "mmap") < count_of(*base, "mmap") / 4 &&
-                  base->stdout_text == ported->stdout_text;
-  std::printf("shape check (faster, mmap traffic moved out of the ROS, "
-              "behaviour unchanged): %s\n",
-              ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
+  report.check(ported->elapsed_s < base->elapsed_s &&
+                   count_of(*ported, "mmap") < count_of(*base, "mmap") / 4 &&
+                   base->stdout_text == ported->stdout_text,
+               "shape check (faster, mmap traffic moved out of the ROS, "
+               "behaviour unchanged)");
+  return report.exit_code();
 }

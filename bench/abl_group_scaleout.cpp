@@ -134,8 +134,9 @@ int main(int argc, char** argv) {
   int max_groups = 64;
   if (argc > 1) max_groups = std::atoi(argv[1]);
 
-  banner("Group scale-out",
-         "execution groups across the partition: placement + service pool");
+  Report report(
+      "Group scale-out",
+      "execution groups across the partition: placement + service pool");
   std::printf("machine: 8 cores, ROS partition {0-3}, HRT partition {4-7}; "
               "%d forwarded nanosleep(%lluus) calls per group\n\n",
               kCallsPerGroup,
@@ -174,24 +175,23 @@ int main(int argc, char** argv) {
   }
   table.print();
 
-  std::printf("\nall configurations behaved correctly: %s\n",
-              all_correct ? "yes" : "NO");
-  std::printf("round-robin placement never leaves >50%% of groups on one "
-              "HRT core: %s\n",
-              spread_ok ? "PASS" : "FAIL");
-  std::printf("ROS-side footprint: daemon holds 1 service thread, pool "
-              "holds exactly K=4: %s\n",
-              clones_ok ? "PASS" : "FAIL");
-  bool scaling_ok = true;
+  std::printf("\n");
+  report.check(all_correct, "all configurations behaved correctly");
+  report.check(spread_ok,
+               "round-robin placement never leaves >50% of groups on one "
+               "HRT core");
+  report.check(clones_ok,
+               "ROS-side footprint: daemon holds 1 service thread, pool "
+               "holds exactly K=4");
   if (max_groups >= 32) {
-    scaling_ok = pool32 >= 2.0 * daemon32;
-    std::printf("pool K=4 throughput at 32 groups is >=2x the single daemon "
-                "(%.1f vs %.1f req/ms, %.2fx): %s\n",
-                pool32, daemon32, daemon32 > 0 ? pool32 / daemon32 : 0.0,
-                scaling_ok ? "PASS" : "FAIL");
+    report.check(pool32 >= 2.0 * daemon32,
+                 strfmt("pool K=4 throughput at 32 groups is >=2x the single "
+                        "daemon (%.1f vs %.1f req/ms, %.2fx)",
+                        pool32, daemon32,
+                        daemon32 > 0 ? pool32 / daemon32 : 0.0));
   } else {
     std::printf("(smoke run: sweep capped at %d groups, throughput-scaling "
                 "check skipped)\n", max_groups);
   }
-  return all_correct && spread_ok && clones_ok && scaling_ok ? 0 : 1;
+  return report.exit_code();
 }

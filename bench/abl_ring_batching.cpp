@@ -234,8 +234,8 @@ FaultRun measure_fault_leg(std::uint64_t seed, bool spin) {
 
 int main() {
   using namespace mvbench;
-  banner("Ablation: ring batching",
-         "batched submission ring vs the single-slot channel protocol");
+  Report report("Ablation: ring batching",
+                "batched submission ring vs the single-slot channel protocol");
 
   const BatchStats eager = measure_batch_flush(1);
   const BatchStats batched = measure_batch_flush(8);
@@ -311,30 +311,28 @@ int main() {
   }
   faults.print();
 
-  const bool ok = eager.requests > 0 &&
-                  eager.ratio() > 0.999 &&       // one doorbell per request
-                  batched.ratio() < 0.5 &&       // coalesced flushes
-                  wait_eager > 0 &&
-                  wait_batched < wait_eager;     // deeper ring, shorter queue
+  std::printf("\n");
+  report.check(eager.requests > 0 &&
+                   eager.ratio() > 0.999 &&    // one doorbell per request
+                   batched.ratio() < 0.5 &&    // coalesced flushes
+                   wait_eager > 0 &&
+                   wait_batched < wait_eager,  // deeper ring, shorter queue
+               "shape check (eager rings one doorbell per request; the "
+               "batched ring flushes <1 per request and cuts the contended "
+               "p99 queue wait)");
   // Exitless shape: at saturation the spin window absorbs (nearly) every
   // flush; idle traffic stays interrupt-driven (no cheaper than the
   // interrupt baseline, and nothing suppressed into a stall).
-  const bool exitless_ok =
-      spin_sat.requests > 0 &&
-      spin_sat.ratio() < 0.01 &&                  // exitless at saturation
-      spin_sat.ratio() < irq_sat.ratio() &&
-      spin_idle.requests > 0 &&
-      spin_idle.ratio() >= 0.5 * irq_idle.ratio();  // idle stays doorbell-fed
-  const bool fault_ok = faults_recovered && faults_identical;
-  std::printf("\nshape check (eager rings one doorbell per request; the "
-              "batched ring flushes <1 per request and cuts the contended "
-              "p99 queue wait): %s\n",
-              ok ? "PASS" : "FAIL");
-  std::printf("exitless check (spin saturation < 0.01 exits/request, idle "
-              "stays interrupt-driven): %s\n",
-              exitless_ok ? "PASS" : "FAIL");
-  std::printf("fault check (doorbell-drop schedules recover 6/6 with "
-              "identical guest output spin on/off): %s\n",
-              fault_ok ? "PASS" : "FAIL");
-  return ok && exitless_ok && fault_ok ? 0 : 1;
+  report.check(spin_sat.requests > 0 &&
+                   spin_sat.ratio() < 0.01 &&  // exitless at saturation
+                   spin_sat.ratio() < irq_sat.ratio() &&
+                   spin_idle.requests > 0 &&
+                   spin_idle.ratio() >=
+                       0.5 * irq_idle.ratio(),  // idle stays doorbell-fed
+               "exitless check (spin saturation < 0.01 exits/request, idle "
+               "stays interrupt-driven)");
+  report.check(faults_recovered && faults_identical,
+               "fault check (doorbell-drop schedules recover 6/6 with "
+               "identical guest output spin on/off)");
+  return report.exit_code();
 }

@@ -6,8 +6,8 @@
 // unconditionally, and the watchdog only reads clocks. Host-side wall time
 // is reported separately; that is the only thing instrumentation may cost.
 //
-// Exits non-zero on any virtual-time mismatch, so CI can enforce the
-// zero-perturbation contract.
+// Exits non-zero on any virtual-time mismatch, so its ctest test enforces
+// the zero-perturbation contract.
 
 #include <chrono>
 
@@ -92,8 +92,8 @@ Leg run_leg(bool instrumented) {
 
 int main() {
   using namespace mvbench;
-  banner("Ablation: span/flight-recorder overhead",
-         "instrumentation must not move a single virtual-time number");
+  Report report("Ablation: span/flight-recorder overhead",
+                "instrumentation must not move a single virtual-time number");
 
   const Leg off = run_leg(false);
   const Leg on = run_leg(true);
@@ -124,12 +124,10 @@ int main() {
   for (std::size_t c = 0; c < off.core_cycles.size(); ++c) {
     identical &= off.core_cycles[c] == on.core_cycles[c];
   }
-  if (!identical) {
-    std::printf("\nFAIL: instrumentation perturbed virtual-time results\n");
-    return 1;
-  }
-  std::printf("\nOK: %zu trace events recorded, zero virtual-time "
-              "perturbation (host overhead %.2f ms -> %.2f ms)\n",
-              on.trace_events, off.host_ms, on.host_ms);
-  return 0;
+  std::printf("\n");
+  report.check(identical,
+               strfmt("zero virtual-time perturbation, %zu trace events "
+                      "recorded (host overhead %.2f ms -> %.2f ms)",
+                      on.trace_events, off.host_ms, on.host_ms));
+  return report.exit_code();
 }

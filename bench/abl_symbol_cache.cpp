@@ -20,7 +20,7 @@ double measure_override_call_cycles(bool cache) {
         const Status st = rt.hrt_invoke_func(self, [&](ros::SysIface& s) {
           auto& hrt = static_cast<HrtCtx&>(s);
           hw::Core& core =
-              system.machine().core(system.config().hrt_core);
+              system.machine().core(system.config().hrt_cores.front());
           (void)hrt.aerokernel_call("nk_rand", 0);  // warm-up / cache fill
           const int reps = 64;
           const Cycles before = core.cycles();
@@ -46,7 +46,8 @@ std::pair<double, double> measure_override_syscall_cycles() {
   double first = -1;
   double steady = -1;
   auto r = system.run_hybrid("abl1-override", [&](ros::SysIface& s) {
-    hw::Core& core = system.machine().core(system.config().hrt_core);
+    hw::Core& core =
+        system.machine().core(system.config().hrt_cores.front());
     const auto overridden_mmap = [&] {
       return s.mmap(0, hw::kPageSize, ros::kProtRead | ros::kProtWrite,
                     ros::kMapPrivate | ros::kMapAnonymous)
@@ -71,7 +72,8 @@ std::pair<double, double> measure_override_syscall_cycles() {
 
 int main() {
   using namespace mvbench;
-  banner("Ablation 1", "per-invocation symbol lookup vs ELF-style cache");
+  Report report("Ablation 1",
+                "per-invocation symbol lookup vs ELF-style cache");
 
   const double uncached = measure_override_call_cycles(false);
   const double cached = measure_override_call_cycles(true);
@@ -92,10 +94,9 @@ int main() {
   std::printf("override-path warm saving: %.0f cycles after the first call\n",
               override_first - override_steady);
 
-  const bool ok = uncached > cached * 2 && override_steady > 0 &&
-                  override_steady < override_first;
-  std::printf("shape check (cache removes the \"non-trivial overhead\", "
-              "override path warms after one call): %s\n",
-              ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
+  report.check(uncached > cached * 2 && override_steady > 0 &&
+                   override_steady < override_first,
+               "shape check (cache removes the \"non-trivial overhead\", "
+               "override path warms after one call)");
+  return report.exit_code();
 }

@@ -15,13 +15,13 @@ double measure_forward_cycles(bool sync_channel, bool same_socket) {
   // below describes exactly one transport/placement combination.
   begin_measurement();
   SystemConfig cfg;
-  cfg.ros_core = 0;
-  cfg.hrt_core = same_socket ? 1 : 2;
+  cfg.hrt_cores = {same_socket ? 1u : 2u};
   if (sync_channel) cfg.extra_override_config = "option sync_channel on\n";
   HybridSystem system(cfg);
   double cycles = 0;
   auto r = system.run_hybrid("abl2", [&](ros::SysIface& sys) {
-    hw::Core& core = system.machine().core(system.config().hrt_core);
+    hw::Core& core =
+        system.machine().core(system.config().hrt_cores.front());
     (void)sys.getpid();
     const int reps = 64;
     const Cycles before = core.cycles();
@@ -42,8 +42,9 @@ double measure_forward_cycles(bool sync_channel, bool same_socket) {
 
 int main() {
   using namespace mvbench;
-  banner("Ablation 2",
-         "event-channel transport: async (VMM) vs sync (post-merge memory)");
+  Report report(
+      "Ablation 2",
+      "event-channel transport: async (VMM) vs sync (post-merge memory)");
 
   Table table({"Transport", "placement", "cycles per forwarded syscall"});
   const double async_same = measure_forward_cycles(false, true);
@@ -63,9 +64,8 @@ int main() {
   std::printf("\nspeedup from the merged-address-space protocol: %.0fx (same "
               "socket), %.0fx (cross socket)\n",
               async_same / sync_same, async_cross / sync_cross);
-  const bool ok = async_same > 8 * sync_same && sync_cross > sync_same;
-  std::printf("shape check (sync ~an order of magnitude+ cheaper; socket "
-              "distance visible only on the memory protocol): %s\n",
-              ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
+  report.check(async_same > 8 * sync_same && sync_cross > sync_same,
+               "shape check (sync ~an order of magnitude+ cheaper; socket "
+               "distance visible only on the memory protocol)");
+  return report.exit_code();
 }

@@ -168,12 +168,7 @@ StormSig storm_run(bool storm) {
   return sig;
 }
 
-int run(int tenants_total, bool smoke, const char* export_prefix) {
-  banner("abl_tenant_density",
-         smoke ? "multi-tenant density (CI smoke fleet)"
-               : "multi-tenant density (open-loop fleet)");
-  int failures = 0;
-
+int run(Report& report, int tenants_total, const char* export_prefix) {
   // --- tenants=1 bitwise identity (shape check) -----------------------------
   std::uint64_t baseline_bytes = 0;
   begin_measurement();
@@ -192,7 +187,7 @@ int run(int tenants_total, bool smoke, const char* export_prefix) {
               static_cast<unsigned long long>(delegated.final_cycles),
               classic.metrics_text == delegated.metrics_text ? "equal"
                                                              : "DIFFER");
-  if (!identity_ok) ++failures;
+  report.check(identity_ok, "tenants=1 run_tenants matches run_hybrid");
 
   // --- the fleet ------------------------------------------------------------
   begin_measurement();
@@ -216,18 +211,14 @@ int run(int tenants_total, bool smoke, const char* export_prefix) {
   for (std::size_t i = 1; i < fleet->programs.size(); ++i) {
     if (fleet->programs[i].exit_code != 0) ++bad_exits;
   }
-  if (bad_exits > 0) {
-    std::printf("WORKLOAD FAILURES: %d tenants exited nonzero\n", bad_exits);
-    ++failures;
-  }
+  report.check(bad_exits == 0,
+               strfmt("every tenant workload exits 0 (%d nonzero)", bad_exits));
   // Every created tenant destroys exactly once, and each destroy captures
   // one SLO snapshot.
-  if (fleet->slo.size() != static_cast<std::size_t>(tenants_total - 1)) {
-    std::printf("SLO SNAPSHOT COUNT WRONG: %zu snapshots for %d created "
-                "tenants\n",
-                fleet->slo.size(), tenants_total - 1);
-    ++failures;
-  }
+  report.check(
+      fleet->slo.size() == static_cast<std::size_t>(tenants_total - 1),
+      strfmt("one SLO snapshot per created tenant (%zu for %d)",
+             fleet->slo.size(), tenants_total - 1));
 
   // --- cached boot vs cold boot ---------------------------------------------
   const auto cold = static_cast<double>(sys.hvm().last_boot_cycles());
@@ -248,10 +239,8 @@ int run(int tenants_total, bool smoke, const char* export_prefix) {
               cycles_to_seconds(static_cast<Cycles>(boot_p99)) * 1e6);
   const double speedup = boot_p99 > 0 ? cold / boot_p99 : 0;
   std::printf("cold/cached p99 speedup:   %.0fx (bound: >=100x)\n", speedup);
-  if (speedup < 100.0) {
-    std::printf("BOOT BOUND VIOLATED\n");
-    ++failures;
-  }
+  report.check(speedup >= 100.0,
+               "cached boot p99 at least 100x below the cold boot");
 
   // --- density (marginal HRT footprint) -------------------------------------
   const std::uint64_t fleet_bytes = sys.hvm().hrt_bytes_used();
@@ -320,19 +309,20 @@ int run(int tenants_total, bool smoke, const char* export_prefix) {
     json += "]}\n";
     const std::string json_path = std::string(export_prefix) + ".json";
     const std::string prom_path = std::string(export_prefix) + ".prom";
+    bool written = true;
     for (const auto& [path, body] :
          {std::pair{json_path, json}, std::pair{prom_path, text}}) {
       std::FILE* f = std::fopen(path.c_str(), "w");
       if (f == nullptr) {
-        std::printf("EXPORT FAILED: cannot open %s\n", path.c_str());
-        ++failures;
+        written = false;
         continue;
       }
       std::fwrite(body.data(), 1, body.size(), f);
       std::fclose(f);
     }
-    std::printf("exported %zu tenant metric sets to %s / %s\n", ids.size(),
-                json_path.c_str(), prom_path.c_str());
+    report.check(written, strfmt("exported %zu tenant metric sets to %s / %s",
+                                 ids.size(), json_path.c_str(),
+                                 prom_path.c_str()));
   }
 
   // --- SLO isolation under a doorbell storm ---------------------------------
@@ -346,33 +336,26 @@ int run(int tenants_total, bool smoke, const char* export_prefix) {
   begin_measurement();
   const StormSig stormy = storm_run(/*storm=*/true);
   end_measurement("storm_faulted");
-  if (!clean.ok || !stormy.ok) {
-    std::printf("STORM LEG FAILED TO PRODUCE SNAPSHOTS\n");
-    ++failures;
-  } else if (clean.b_p99 <= 0.0) {
+  const bool storm_ran = clean.ok && stormy.ok;
+  report.check(storm_ran, "storm leg: both fleets produce SLO snapshots");
+  if (storm_ran && clean.b_p99 <= 0.0) {
     // Metrics compiled out: the histograms never record, so there is no
     // latency signal to bound. The leg still proves both fleets complete.
     std::printf("storm leg: no latency signal (metrics disabled), bound "
                 "skipped\n");
-  } else {
+  } else if (storm_ran) {
     const double bound = 1.10 * clean.b_p99 + 1000.0;
     std::printf("storm leg: A injected %llu faults; B p99 %.0f cycles clean "
                 "vs %.0f under storm (bound %.0f)\n",
                 static_cast<unsigned long long>(stormy.a_faults_injected),
                 clean.b_p99, stormy.b_p99, bound);
-    if (stormy.a_faults_injected == 0) {
-      std::printf("STORM LEG INERT: tenant A recorded no injected faults\n");
-      ++failures;
-    }
-    if (stormy.b_p99 > bound) {
-      std::printf("SLO ISOLATION VIOLATED: clean tenant's p99 degraded "
-                  "under a neighbor's storm\n");
-      ++failures;
-    }
+    report.check(stormy.a_faults_injected > 0,
+                 "storm leg: tenant A recorded injected faults");
+    report.check(stormy.b_p99 <= bound,
+                 "SLO isolation: clean tenant's p99 within bound under a "
+                 "neighbor's storm");
   }
-
-  std::printf("%s\n", failures == 0 ? "OK" : "FAILED");
-  return failures == 0 ? 0 : 1;
+  return report.exit_code();
 }
 
 }  // namespace
@@ -392,5 +375,8 @@ int main(int argc, char** argv) {
       export_prefix = argv[++i];
     }
   }
-  return mvbench::run(tenants, smoke, export_prefix);
+  mvbench::Report report("abl_tenant_density",
+                         smoke ? "multi-tenant density (CI smoke fleet)"
+                               : "multi-tenant density (open-loop fleet)");
+  return mvbench::run(report, tenants, export_prefix);
 }

@@ -32,14 +32,31 @@ inline double stub_overhead_cycles() {
                              hw::costs().sysret_emulated);
 }
 
-inline void banner(const char* artifact, const char* description) {
-  Logger::instance().set_level(LogLevel::kError);
-  std::printf("==============================================================\n");
-  std::printf("%s — %s\n", artifact, description);
-  std::printf("Reproduction of: Hale, Hetland, Dinda, \"Automatic "
-              "Hybridization of Runtime Systems\" (HPDC'16)\n");
-  std::printf("==============================================================\n");
-}
+// One bench's verdict. The constructor prints the banner; every shape check
+// goes through check(), which prints `<text>: PASS|FAIL` and records the
+// verdict; main returns exit_code(). A printed FAIL therefore always fails
+// the process, and with it the bench's ctest test.
+class Report {
+ public:
+  Report(const char* artifact, const char* description) {
+    Logger::instance().set_level(LogLevel::kError);
+    std::printf("==============================================================\n");
+    std::printf("%s — %s\n", artifact, description);
+    std::printf("Reproduction of: Hale, Hetland, Dinda, \"Automatic "
+                "Hybridization of Runtime Systems\" (HPDC'16)\n");
+    std::printf("==============================================================\n");
+  }
+
+  void check(bool ok, const std::string& text) {
+    std::printf("%s: %s\n", text.c_str(), ok ? "PASS" : "FAIL");
+    failed_ = failed_ || !ok;
+  }
+
+  [[nodiscard]] int exit_code() const noexcept { return failed_ ? 1 : 0; }
+
+ private:
+  bool failed_ = false;
+};
 
 // Scheme engine configuration used by the Racket-benchmark harnesses: GC
 // pressure tuned so the legacy-interaction rate is paper-like. The bytecode

@@ -54,8 +54,8 @@ RunOutcome run_cg(Mode mode, const taskpar::CgConfig& cfg) {
 
 int main() {
   using namespace mvbench;
-  banner("Extension (Sec 2 / Sec 7)",
-         "HPCG-like CG on a task-parallel runtime: Linux vs HRT");
+  Report report("Extension (Sec 2 / Sec 7)",
+                "HPCG-like CG on a task-parallel runtime: Linux vs HRT");
 
   Table table({"granularity", "tasks/wave", "Native (ms)", "Multiverse (ms)",
                "HRT speedup", "ROS clones (nat/mv)"});
@@ -97,15 +97,14 @@ int main() {
   }
   table.print();
 
-  std::printf("\nnumerics converged in every configuration: %s\n",
-              all_converged ? "yes" : "NO");
+  std::printf("\n");
+  report.check(all_converged, "numerics converged in every configuration");
   std::printf("best HRT speedup: %.0f%% (paper's hand-ported HPCG: 20-40%%)\n",
               (best_speedup - 1.0) * 100.0);
-  std::printf("speedup grows with task granularity (cheaper AeroKernel "
-              "thread primitives amortize less): %s\n",
-              monotone ? "PASS" : "FAIL");
-  const bool ok = all_converged && best_speedup > 1.1;
-  std::printf("shape check (HRT wins on the thread-heavy runtime): %s\n",
-              ok ? "PASS" : "FAIL");
-  return ok && monotone ? 0 : 1;
+  report.check(monotone,
+               "speedup grows with task granularity (cheaper AeroKernel "
+               "thread primitives amortize less)");
+  report.check(best_speedup > 1.1,
+               "shape check (HRT wins on the thread-heavy runtime)");
+  return report.exit_code();
 }

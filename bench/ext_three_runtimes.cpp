@@ -71,8 +71,8 @@ std::vector<RuntimeCase> runtime_cases() {
 
 int main() {
   using namespace mvbench;
-  banner("Extension (Sec 1/2)",
-         "automatic hybridization of four runtime systems");
+  Report report("Extension (Sec 1/2)",
+                "automatic hybridization of four runtime systems");
 
   // Timing comparisons live in fig13 and ext_hpcg (which exclude the
   // one-time HRT boot); this table is about behaviour preservation.
@@ -106,8 +106,8 @@ int main() {
   std::printf("\n\"Multiverse allows existing, unmodified applications and "
               "runtimes to be brought into the HRT model without any porting "
               "effort whatsoever.\"\n");
-  std::printf("shape check (every runtime hybridizes with identical "
-              "behaviour): %s\n",
-              all_ok ? "PASS" : "FAIL");
-  return all_ok ? 0 : 1;
+  report.check(all_ok,
+               "shape check (every runtime hybridizes with identical "
+               "behaviour)");
+  return report.exit_code();
 }

@@ -31,7 +31,8 @@ double measure_merge() {
       [&cycles, &system](ros::SysIface&, MultiverseRuntime&, ros::Thread& t) {
         // startup() already merged once; measure a fresh merger request.
         hw::Core& ros_core = system.machine().core(t.core);
-        hw::Core& hrt_core = system.machine().core(system.config().hrt_core);
+        hw::Core& hrt_core =
+            system.machine().core(system.config().hrt_cores.front());
         const Cycles before = ros_core.cycles() + hrt_core.cycles();
         (void)system.hvm().hypercall(t.core,
                                      vmm::Hypercall::kMergeAddressSpaces,
@@ -49,7 +50,8 @@ double measure_async_call() {
   HybridSystem system;
   double cycles = 0;
   auto r = system.run_hybrid("fig2-async", [&](ros::SysIface& sys) {
-    hw::Core& hrt_core = system.machine().core(system.config().hrt_core);
+    hw::Core& hrt_core =
+        system.machine().core(system.config().hrt_cores.front());
     // Warm up, then measure the channel round trip of getpid (the ROS-side
     // handler is a ~250-cycle table lookup, negligible at this scale).
     (void)sys.getpid();
@@ -67,13 +69,13 @@ double measure_sync_call(bool same_socket) {
   SystemConfig cfg;
   cfg.sockets = 2;
   cfg.cores_per_socket = 2;
-  cfg.ros_core = 0;
-  cfg.hrt_core = same_socket ? 1 : 2;  // core 2 is on socket 1
+  cfg.hrt_cores = {same_socket ? 1u : 2u};  // core 2 is on socket 1
   cfg.extra_override_config = "option sync_channel on\n";
   HybridSystem system(cfg);
   double cycles = 0;
   auto r = system.run_hybrid("fig2-sync", [&](ros::SysIface& sys) {
-    hw::Core& hrt_core = system.machine().core(system.config().hrt_core);
+    hw::Core& hrt_core =
+        system.machine().core(system.config().hrt_cores.front());
     (void)sys.getpid();
     const int reps = 32;
     const Cycles before = hrt_core.cycles();
@@ -89,7 +91,7 @@ double measure_sync_call(bool same_socket) {
 
 int main() {
   using namespace mvbench;
-  banner("Figure 2", "round-trip latencies of ROS<->HRT interactions");
+  Report report("Figure 2", "round-trip latencies of ROS<->HRT interactions");
 
   // The measured forwarded-getpid latency includes the Nautilus stub; the
   // paper's rows are raw channel round trips, so subtract the stub cost (the
@@ -108,7 +110,7 @@ int main() {
   Table table({"Item", "Paper (cycles)", "Paper (time)", "Measured (cycles)",
                "Measured (time)", "ratio"});
   const char* paper_times[] = {"1.5 us", "1.1 us", "48 ns", "36 ns"};
-  bool ok = true;
+  bool within_2x = true;
   for (int i = 0; i < 4; ++i) {
     const Row& row = rows[i];
     const double ns = cycles_to_ns(static_cast<Cycles>(row.measured_cycles));
@@ -119,17 +121,15 @@ int main() {
                    strfmt("%.2fx", row.measured_cycles / row.paper_cycles)});
     if (row.measured_cycles < row.paper_cycles * 0.5 ||
         row.measured_cycles > row.paper_cycles * 2.0) {
-      ok = false;
+      within_2x = false;
     }
   }
   table.print();
-  std::printf("\nshape check (each row within 2x of the paper): %s\n",
-              ok ? "PASS" : "FAIL");
-  std::printf("ordering check (merge > async >> sync-cross > sync-same): %s\n",
-              (rows[0].measured_cycles > rows[1].measured_cycles &&
-               rows[1].measured_cycles > 5 * rows[2].measured_cycles &&
-               rows[2].measured_cycles > rows[3].measured_cycles)
-                  ? "PASS"
-                  : "FAIL");
-  return ok ? 0 : 1;
+  std::printf("\n");
+  report.check(within_2x, "shape check (each row within 2x of the paper)");
+  report.check(rows[0].measured_cycles > rows[1].measured_cycles &&
+                   rows[1].measured_cycles > 5 * rows[2].measured_cycles &&
+                   rows[2].measured_cycles > rows[3].measured_cycles,
+               "ordering check (merge > async >> sync-cross > sync-same)");
+  return report.exit_code();
 }

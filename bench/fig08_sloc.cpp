@@ -60,7 +60,7 @@ fs::path find_src_root() {
 
 int main() {
   using namespace mvbench;
-  banner("Figure 8", "source lines of code for Multiverse");
+  Report report("Figure 8", "source lines of code for Multiverse");
 
   const auto src = find_src_root();
   if (src.empty()) {
@@ -112,9 +112,9 @@ int main() {
   }
   sub.print();
 
-  const bool compact = total_here > 1500 && total_here < 15000;
-  std::printf("\nshape check (the Multiverse-proper components are compact, "
-              "same order of magnitude as the paper's 4735 SLOC): %s\n",
-              compact ? "PASS" : "FAIL");
-  return compact ? 0 : 1;
+  std::printf("\n");
+  report.check(total_here > 1500 && total_here < 15000,
+               "shape check (the Multiverse-proper components are compact, "
+               "same order of magnitude as the paper's 4735 SLOC)");
+  return report.exit_code();
 }

@@ -81,8 +81,9 @@ std::vector<double> measure(Mode mode) {
   (void)system.linux().fs().write_file("/fig9.in", std::string(kMega, 'y'));
 
   std::vector<double> out;
-  const unsigned core_id = mode == Mode::kMultiverse ? system.config().hrt_core
-                                                     : system.config().ros_core;
+  const unsigned core_id = mode == Mode::kMultiverse
+                              ? system.config().hrt_cores.front()
+                              : system.config().ros_cores.front();
   auto guest = [&](ros::SysIface& s) {
     for (Case& c : make_cases()) {
       c.op(s);  // warm-up (page in buffers, fd churn)
@@ -115,7 +116,7 @@ std::vector<double> measure(Mode mode) {
 
 int main() {
   using namespace mvbench;
-  banner("Figure 9", "system call latency: Virtual vs Multiverse");
+  Report report("Figure 9", "system call latency: Virtual vs Multiverse");
 
   const auto cases = make_cases();
   const auto virt = measure(Mode::kVirtual);
@@ -145,10 +146,9 @@ int main() {
   table.print();
 
   std::printf("\nshape checks:\n");
-  std::printf("  vdso calls slightly faster under Multiverse: %s\n",
-              vdso_ok ? "PASS" : "FAIL");
-  std::printf("  forwarded calls pay ~one event-channel round trip (~25K "
-              "cycles, amortized for 1MB ops): %s\n",
-              forwarded_ok ? "PASS" : "FAIL");
-  return vdso_ok && forwarded_ok ? 0 : 1;
+  report.check(vdso_ok, "  vdso calls slightly faster under Multiverse");
+  report.check(forwarded_ok,
+               "  forwarded calls pay ~one event-channel round trip (~25K "
+               "cycles, amortized for 1MB ops)");
+  return report.exit_code();
 }

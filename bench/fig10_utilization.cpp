@@ -14,13 +14,14 @@
 
 int main() {
   using namespace mvbench;
-  banner("Figure 10", "system utilization for Racket benchmarks (Native)");
+  Report report("Figure 10",
+                "system utilization for Racket benchmarks (Native)");
 
   Table table({"Benchmark", "System Calls", "Time (User/Sys) (s)",
                "Max Resident Set (Kb)", "Page Faults", "Context Switches",
                "GC Collects", "mmap/mprot/munmap"});
 
-  bool all_ok = true;
+  bool all_interact = true;
   double fannkuch_rate = 0;
   double min_other_rate = 1e18;
   std::uint64_t bintree_faults = 0;
@@ -39,7 +40,7 @@ int main() {
     if (!r) {
       std::printf("%s failed: %s\n", scheme::benchmark_name(b),
                   r.status().to_string().c_str());
-      all_ok = false;
+      all_interact = false;
       continue;
     }
     const auto count_of = [&r](const char* name) {
@@ -61,7 +62,7 @@ int main() {
                               count_of("munmap")))});
     // Every benchmark interacts with the OS (the figure's thesis); the
     // relative shape claims are checked after the loop.
-    if (r->total_syscalls < 90 || r->page_faults < 15) all_ok = false;
+    if (r->total_syscalls < 90 || r->page_faults < 15) all_interact = false;
     const double rate =
         static_cast<double>(r->total_syscalls) / r->elapsed_s;
     if (b == scheme::Bench::kFannkuch) {
@@ -76,13 +77,6 @@ int main() {
     }
   }
   table.print();
-  // The paper's relative shape: fannkuch-redux is the *least*
-  // syscall-intensive benchmark (its permutation kernel barely allocates
-  // once call frames are pooled), and binary-tree-2 — pure allocation — is
-  // by far the most fault-heavy.
-  const bool fannkuch_least = fannkuch_rate < min_other_rate;
-  const bool bintree_heaviest = bintree_faults > max_other_faults;
-  if (!fannkuch_least || !bintree_heaviest) all_ok = false;
 
   std::printf("\npaper's values for reference (full-size inputs on real "
               "hardware):\n");
@@ -101,16 +95,19 @@ int main() {
   paper.print();
 
   std::printf("\nshape checks:\n");
-  std::printf("  every benchmark interacts with the OS: %s\n",
-              all_ok ? "PASS" : "FAIL");
-  std::printf("  fannkuch-redux is the least syscall-intensive benchmark "
-              "(%.0f vs next %.0f calls/s): %s\n",
-              fannkuch_rate, min_other_rate,
-              fannkuch_least ? "PASS" : "FAIL");
-  std::printf("  binary-tree-2 is the most fault-heavy benchmark "
-              "(%llu vs next %llu faults): %s\n",
-              static_cast<unsigned long long>(bintree_faults),
-              static_cast<unsigned long long>(max_other_faults),
-              bintree_heaviest ? "PASS" : "FAIL");
-  return all_ok ? 0 : 1;
+  report.check(all_interact, "  every benchmark interacts with the OS");
+  // The paper's relative shape: fannkuch-redux is the *least*
+  // syscall-intensive benchmark (its permutation kernel barely allocates
+  // once call frames are pooled), and binary-tree-2 — pure allocation — is
+  // by far the most fault-heavy.
+  report.check(fannkuch_rate < min_other_rate,
+               strfmt("  fannkuch-redux is the least syscall-intensive "
+                      "benchmark (%.0f vs next %.0f calls/s)",
+                      fannkuch_rate, min_other_rate));
+  report.check(bintree_faults > max_other_faults,
+               strfmt("  binary-tree-2 is the most fault-heavy benchmark "
+                      "(%llu vs next %llu faults)",
+                      static_cast<unsigned long long>(bintree_faults),
+                      static_cast<unsigned long long>(max_other_faults)));
+  return report.exit_code();
 }

@@ -9,7 +9,8 @@
 
 int main() {
   using namespace mvbench;
-  banner("Figure 11", "syscall histogram: runtime startup, no benchmark");
+  Report report("Figure 11",
+                "syscall histogram: runtime startup, no benchmark");
 
   SystemConfig cfg;
   cfg.virtualized = false;
@@ -44,16 +45,15 @@ int main() {
     const auto it = r->syscall_histogram.find(name);
     return it == r->syscall_histogram.end() ? std::uint64_t{0} : it->second;
   };
-  const bool mmap_dominates =
-      count_of("mmap") >= count_of("stat") &&
-      count_of("mmap") >= count_of("open") && count_of("mmap") > 10 &&
-      count_of("munmap") > 0;
-  std::printf("\nshape check (mmap/munmap dominate heap creation; "
-              "stat/open/read/close from collection loading; rt_sigaction + "
-              "setitimer from runtime setup): %s\n",
-              mmap_dominates && count_of("rt_sigaction") >= 1 &&
-                      count_of("setitimer") >= 1 && count_of("open") >= 3
-                  ? "PASS"
-                  : "FAIL");
-  return mmap_dominates ? 0 : 1;
+  std::printf("\nshape checks:\n");
+  report.check(count_of("mmap") >= count_of("stat") &&
+                   count_of("mmap") >= count_of("open") &&
+                   count_of("mmap") > 10 && count_of("munmap") > 0,
+               "  mmap/munmap dominate heap creation");
+  report.check(count_of("open") >= 3,
+               "  stat/open/read/close from collection loading (>= 3 opens)");
+  report.check(count_of("rt_sigaction") >= 1,
+               "  rt_sigaction from runtime setup");
+  report.check(count_of("setitimer") >= 1, "  setitimer from runtime setup");
+  return report.exit_code();
 }

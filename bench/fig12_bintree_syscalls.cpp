@@ -12,7 +12,7 @@
 
 int main() {
   using namespace mvbench;
-  banner("Figure 12", "syscall histogram: binary-tree-2 run");
+  Report report("Figure 12", "syscall histogram: binary-tree-2 run");
 
   scheme::GcStats gc;
   auto r = run_scheme_benchmark(
@@ -61,17 +61,17 @@ int main() {
                                   count_of("rt_sigreturn");
   const std::uint64_t sched_family =
       count_of("poll") + count_of("getrusage") + count_of("setitimer");
-  const bool ok = gc_family > r->total_syscalls / 2 && sched_family > 10 &&
-                  count_of("munmap") > 20 && count_of("mprotect") > 5 &&
-                  count_of("rt_sigreturn") >= 1;
   std::printf("\nGC-service calls (mmap/munmap/mprotect/rt_sig*): %llu of "
               "%llu total\n",
               static_cast<unsigned long long>(gc_family),
               static_cast<unsigned long long>(r->total_syscalls));
   std::printf("scheduler-support calls (poll/getrusage/timers): %llu\n",
               static_cast<unsigned long long>(sched_family));
-  std::printf("\nshape check (GC service dominates; cooperative-thread "
-              "support present; heap sections freed with munmap): %s\n",
-              ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
+  std::printf("\n");
+  report.check(gc_family > r->total_syscalls / 2 && sched_family > 10 &&
+                   count_of("munmap") > 20 && count_of("mprotect") > 5 &&
+                   count_of("rt_sigreturn") >= 1,
+               "shape check (GC service dominates; cooperative-thread "
+               "support present; heap sections freed with munmap)");
+  return report.exit_code();
 }

@@ -19,10 +19,9 @@ int main(int argc, char** argv) {
   // collections — at a fraction of the runtime.
   const bool smoke =
       argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  banner("Figure 13", smoke
-                          ? "Racket benchmarks (smoke sizes): modes + engines"
-                          : "Racket benchmarks: Native vs Virtual vs "
-                            "Multiverse");
+  Report report("Figure 13",
+                smoke ? "Racket benchmarks (smoke sizes): modes + engines"
+                      : "Racket benchmarks: Native vs Virtual vs Multiverse");
 
   const scheme::Bench order[] = {
       scheme::Bench::kFannkuch,     scheme::Bench::kBinaryTrees,
@@ -100,33 +99,28 @@ int main(int argc, char** argv) {
   std::printf("\nBytecode VM vs tree-walking interpreter (Native mode):\n");
   engines.print();
 
-  const bool mv_pays = worst_mv_ratio > 1.05;
-  const bool vm_faster = worst_vm_speedup >= 3.0;
   std::printf("\nshape checks:\n");
-  std::printf("  Native <= Virtual <= Multiverse for every benchmark: %s\n",
-              ordering_ok ? "PASS" : "FAIL");
-  std::printf("  Virtual within ~10%% of Native: %s\n",
-              virtual_close ? "PASS" : "FAIL");
-  std::printf("  Multiverse pays a real forwarding cost (worst ratio "
-              "%.2fx): %s\n",
-              worst_mv_ratio, mv_pays ? "PASS" : "FAIL");
-  std::printf("  benchmark output identical across all three modes: %s\n",
-              identical_output ? "PASS" : "FAIL");
-  std::printf("  VM output byte-identical to the interpreter oracle: %s\n",
-              engines_identical ? "PASS" : "FAIL");
-  std::printf("  VM at least 3x faster than the interpreter (worst "
-              "%.2fx): %s\n",
-              worst_vm_speedup, vm_faster ? "PASS" : "FAIL");
-  std::printf("  pooled call frames cut GC collections on every benchmark: "
-              "%s\n",
-              vm_fewer_collections ? "PASS" : "FAIL");
+  report.check(ordering_ok,
+               "  Native <= Virtual <= Multiverse for every benchmark");
+  report.check(virtual_close, "  Virtual within ~10% of Native");
+  report.check(worst_mv_ratio > 1.05,
+               strfmt("  Multiverse pays a real forwarding cost (worst ratio "
+                      "%.2fx)",
+                      worst_mv_ratio));
+  report.check(identical_output,
+               "  benchmark output identical across all three modes");
+  report.check(engines_identical,
+               "  VM output byte-identical to the interpreter oracle");
+  report.check(worst_vm_speedup >= 3.0,
+               strfmt("  VM at least 3x faster than the interpreter (worst "
+                      "%.2fx)",
+                      worst_vm_speedup));
+  report.check(vm_fewer_collections,
+               "  pooled call frames cut GC collections on every benchmark");
   std::printf("\n(The paper's absolute times are for full-size Benchmarks "
               "Game inputs on an 8-core Opteron; these are scaled inputs on "
               "the simulated testbed. The ordering, the near-zero "
               "virtualization cost, and the interaction-rate-proportional "
               "Multiverse overhead are the reproduced results.)\n");
-  return ordering_ok && virtual_close && mv_pays && identical_output &&
-                 engines_identical && vm_faster && vm_fewer_collections
-             ? 0
-             : 1;
+  return report.exit_code();
 }

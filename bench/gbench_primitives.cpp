@@ -90,7 +90,7 @@ void BM_ForwardedSyscall(benchmark::State& state) {
   multiverse::HybridSystem system;
   Cycles sim = 0;
   auto r = system.run_hybrid("bm", [&](ros::SysIface& sys) {
-    hw::Core& core = system.machine().core(system.config().hrt_core);
+    hw::Core& core = system.machine().core(system.config().hrt_cores.front());
     (void)sys.getpid();  // warm up
     const Cycles before = core.cycles();
     std::int64_t iters = 0;

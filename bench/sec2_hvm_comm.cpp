@@ -20,13 +20,13 @@ double measure_signaling_us() {
   HybridSystem system;
   double cycles = 0;
   auto r = system.run_hybrid("sec2-signal", [&](ros::SysIface&) {
-    hw::Core& hrt_core = system.machine().core(system.config().hrt_core);
+    const unsigned hrt = system.config().hrt_cores.front();
+    hw::Core& hrt_core = system.machine().core(hrt);
     // Register a no-op user interrupt sink alongside the runtime's own.
     const int reps = 16;
     const Cycles before = hrt_core.cycles();
     for (int i = 0; i < reps; ++i) {
-      (void)system.hvm().hypercall(system.config().hrt_core,
-                                   vmm::Hypercall::kSignalRos, 0xdead);
+      (void)system.hvm().hypercall(hrt, vmm::Hypercall::kSignalRos, 0xdead);
       // The guest-kernel half of delivering a signal to a user handler.
       hrt_core.charge(hw::costs().guest_signal_dispatch);
     }
@@ -40,13 +40,13 @@ double measure_signaling_us() {
 
 double measure_sync_ns(bool same_socket) {
   SystemConfig cfg;
-  cfg.ros_core = 0;
-  cfg.hrt_core = same_socket ? 1 : 2;
+  cfg.hrt_cores = {same_socket ? 1u : 2u};
   cfg.extra_override_config = "option sync_channel on\n";
   HybridSystem system(cfg);
   double cycles = 0;
   auto r = system.run_hybrid("sec2-sync", [&](ros::SysIface& sys) {
-    hw::Core& hrt_core = system.machine().core(system.config().hrt_core);
+    hw::Core& hrt_core =
+        system.machine().core(system.config().hrt_cores.front());
     (void)sys.getpid();
     const int reps = 32;
     const Cycles before = hrt_core.cycles();
@@ -63,7 +63,7 @@ double measure_sync_ns(bool same_socket) {
 
 int main() {
   using namespace mvbench;
-  banner("Section 2", "HVM communication and signaling latencies");
+  Report report("Section 2", "HVM communication and signaling latencies");
 
   const double signaling_us = measure_signaling_us();
   const double sync_same_ns = measure_sync_ns(true);
@@ -78,11 +78,11 @@ int main() {
                  strfmt("%.0f ns", sync_cross_ns)});
   table.print();
 
-  const bool ok = signaling_us > 5 && signaling_us < 22 &&
-                  sync_same_ns > 180 && sync_same_ns < 720 &&
-                  sync_cross_ns > sync_same_ns && sync_cross_ns < 960;
-  std::printf("\nshape check (async in the ~11 us regime, sync in the "
-              "sub-500 ns regime, cross > same): %s\n",
-              ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
+  std::printf("\n");
+  report.check(signaling_us > 5 && signaling_us < 22 && sync_same_ns > 180 &&
+                   sync_same_ns < 720 && sync_cross_ns > sync_same_ns &&
+                   sync_cross_ns < 960,
+               "shape check (async in the ~11 us regime, sync in the "
+               "sub-500 ns regime, cross > same)");
+  return report.exit_code();
 }

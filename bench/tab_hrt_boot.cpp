@@ -7,7 +7,8 @@
 
 int main() {
   using namespace mvbench;
-  banner("Section 2 (boot)", "HRT boot/reboot latency vs fork+exec scale");
+  Report report("Section 2 (boot)",
+                "HRT boot/reboot latency vs fork+exec scale");
 
   SystemConfig cfg;
   HybridSystem system(cfg);
@@ -41,7 +42,6 @@ int main() {
   std::printf("\nmean reboot latency: %.2f ms (paper: \"just "
               "milliseconds\", on par with fork()+exec())\n",
               mean);
-  const bool ok = mean > 0.2 && mean < 20.0;
-  std::printf("shape check: %s\n", ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
+  report.check(mean > 0.2 && mean < 20.0, "shape check");
+  return report.exit_code();
 }

@@ -20,9 +20,10 @@ PrimCosts measure_naut(HybridSystem& system) {
   PrimCosts out;
   naut::Nautilus& naut = system.naut();
   Sched& sched = system.sched();
-  hw::Core& core = system.machine().core(system.config().hrt_core);
+  const unsigned hrt = system.config().hrt_cores.front();
+  hw::Core& core = system.machine().core(hrt);
 
-  sched.spawn(system.config().hrt_core, [&] {
+  sched.spawn(hrt, [&] {
     const int reps = 64;
     {
       const Cycles before = core.cycles();
@@ -45,7 +46,7 @@ PrimCosts measure_naut(HybridSystem& system) {
 
 PrimCosts measure_linux(HybridSystem& system) {
   PrimCosts out;
-  hw::Core& core = system.machine().core(system.config().ros_core);
+  hw::Core& core = system.machine().core(system.config().ros_cores.front());
   auto r = system.run("linux-prims", [&](ros::SysIface& sys) {
     const int reps = 32;
     {
@@ -77,8 +78,8 @@ PrimCosts measure_linux(HybridSystem& system) {
 
 int main() {
   using namespace mvbench;
-  banner("Section 2 (primitives)",
-         "AeroKernel vs Linux thread/event primitives");
+  Report report("Section 2 (primitives)",
+                "AeroKernel vs Linux thread/event primitives");
 
   // Boot the HRT first (the accelerator path does install+boot+merge).
   HybridSystem system;
@@ -105,10 +106,10 @@ int main() {
                         linux_costs.signal_cycles / naut.signal_cycles)});
   table.print();
 
-  const bool ok = linux_costs.thread_cycles > 10 * naut.thread_cycles &&
-                  linux_costs.signal_cycles > 2 * naut.signal_cycles;
-  std::printf("\nshape check (Nautilus primitives 1-2 orders of magnitude "
-              "cheaper, no ring crossings): %s\n",
-              ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
+  std::printf("\n");
+  report.check(linux_costs.thread_cycles > 10 * naut.thread_cycles &&
+                   linux_costs.signal_cycles > 2 * naut.signal_cycles,
+               "shape check (Nautilus primitives 1-2 orders of magnitude "
+               "cheaper, no ring crossings)");
+  return report.exit_code();
 }

@@ -329,7 +329,7 @@ std::string EventChannel::span_args(std::uint64_t span) const {
 }
 
 void EventChannel::trace_vmm_hop(std::uint64_t span, const char* what) {
-#if MV_TRACE_ENABLED
+#if MV_TELEMETRY_ENABLED
   Tracer& t = Tracer::instance();
   if (!t.enabled()) return;
   // A one-cycle slice on the synthetic VMM track plus a flow step through

@@ -19,21 +19,15 @@ hw::MachineConfig machine_config(const SystemConfig& cfg) {
 
 vmm::HvmConfig hvm_config(const SystemConfig& cfg) {
   vmm::HvmConfig hc;
-  hc.ros_cores =
-      cfg.ros_cores.empty() ? std::vector<unsigned>{cfg.ros_core}
-                            : cfg.ros_cores;
-  hc.hrt_cores =
-      cfg.hrt_cores.empty() ? std::vector<unsigned>{cfg.hrt_core}
-                            : cfg.hrt_cores;
+  hc.ros_cores = cfg.ros_cores;
+  hc.hrt_cores = cfg.hrt_cores;
   hc.ros_mem_bytes = cfg.ros_mem_bytes;
   return hc;
 }
 
 ros::LinuxSim::Config linux_config(const SystemConfig& cfg) {
   ros::LinuxSim::Config lc;
-  lc.cores =
-      cfg.ros_cores.empty() ? std::vector<unsigned>{cfg.ros_core}
-                            : cfg.ros_cores;
+  lc.cores = cfg.ros_cores;
   lc.virtualized = cfg.virtualized;
   lc.numa_zone = 0;
   return lc;

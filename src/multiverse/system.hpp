@@ -34,14 +34,12 @@ struct SystemConfig {
   unsigned cores_per_socket = 2;
   std::uint64_t dram_bytes = 1ull << 30;      // 1 GiB guest, as the paper
   std::uint64_t ros_mem_bytes = 1ull << 29;   // ROS partition
-  unsigned ros_core = 0;
-  unsigned hrt_core = 1;  // same socket by default; cross-socket for Fig 2
-  // Multi-core partitions (group scale-out): when non-empty these override
-  // the singular ros_core/hrt_core above. The placement policies spread
-  // top-level HRT threads over hrt_cores; the ROS schedules its threads
-  // (service workers included) round-robin over ros_cores.
-  std::vector<unsigned> ros_cores;
-  std::vector<unsigned> hrt_cores;
+  // The two partitions. Both default to one core on socket 0 (Fig 2 moves
+  // the HRT to core 2 for the cross-socket rows). The placement policies
+  // spread top-level HRT threads over hrt_cores; the ROS schedules its
+  // threads (service workers included) round-robin over ros_cores.
+  std::vector<unsigned> ros_cores{0};
+  std::vector<unsigned> hrt_cores{1};
   bool virtualized = true;
   std::string extra_override_config;  // appended to the defaults at build
   naut::Nautilus::Config naut_config;

@@ -26,11 +26,11 @@
 #include <string>
 #include <vector>
 
-// Compile-time kill switch: -DMV_FLIGHTREC_ENABLED=0 turns the recording
-// macro into a no-op with zero residual code (the class itself stays, so
-// snapshot plumbing still links).
-#ifndef MV_FLIGHTREC_ENABLED
-#define MV_FLIGHTREC_ENABLED 1
+// Compile-time kill switch, shared with trace.hpp and metrics.hpp:
+// -DMV_TELEMETRY_ENABLED=0 turns the recording macro into a no-op with zero
+// residual code (the class itself stays, so snapshot plumbing still links).
+#ifndef MV_TELEMETRY_ENABLED
+#define MV_TELEMETRY_ENABLED 1
 #endif
 
 namespace mv {
@@ -171,7 +171,7 @@ class FlightRecorder {
 
 }  // namespace mv
 
-#if MV_FLIGHTREC_ENABLED
+#if MV_TELEMETRY_ENABLED
 #define MV_FR_EVENT(core, kind, span, a, b, tag)                        \
   do {                                                                  \
     ::mv::FlightRecorder& mv_fr__ = ::mv::FlightRecorder::instance();   \

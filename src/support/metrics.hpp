@@ -33,10 +33,10 @@
 #include <utility>
 #include <vector>
 
-// Compile-time kill switch mirroring MV_TRACE_ENABLED: with
-// -DMV_METRICS_ENABLED=0 the MV_COUNTER / MV_HISTOGRAM macros vanish.
-#ifndef MV_METRICS_ENABLED
-#define MV_METRICS_ENABLED 1
+// Compile-time kill switch, shared with trace.hpp and flightrec.hpp: with
+// -DMV_TELEMETRY_ENABLED=0 the MV_COUNTER / MV_HISTOGRAM macros vanish.
+#ifndef MV_TELEMETRY_ENABLED
+#define MV_TELEMETRY_ENABLED 1
 #endif
 
 namespace mv::metrics {
@@ -160,7 +160,7 @@ class Registry {
 
 }  // namespace mv::metrics
 
-#if MV_METRICS_ENABLED
+#if MV_TELEMETRY_ENABLED
 // `instrument` is a Counter* / Histogram* cached by the call site; a null
 // pointer means "not wired" and is skipped.
 #define MV_COUNTER_INC(instrument, delta)              \

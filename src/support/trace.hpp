@@ -26,10 +26,11 @@
 
 #include "support/result.hpp"
 
-// Compile-time kill switch: -DMV_TRACE_ENABLED=0 turns every macro below
-// into a no-op with zero residual code.
-#ifndef MV_TRACE_ENABLED
-#define MV_TRACE_ENABLED 1
+// Compile-time kill switch, shared with metrics.hpp and flightrec.hpp:
+// -DMV_TELEMETRY_ENABLED=0 turns every macro below into a no-op with zero
+// residual code.
+#ifndef MV_TELEMETRY_ENABLED
+#define MV_TELEMETRY_ENABLED 1
 #endif
 
 namespace mv {
@@ -178,7 +179,7 @@ class TraceScope {
 
 }  // namespace mv
 
-#if MV_TRACE_ENABLED
+#if MV_TELEMETRY_ENABLED
 #define MV_TRACE_SCOPE(core, category, name) \
   ::mv::TraceScope MV_CONCAT(mv_trace_scope__, __LINE__)(core, category, name)
 #define MV_TRACE_INSTANT(core, category, name)                    \

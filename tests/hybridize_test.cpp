@@ -176,7 +176,7 @@ TEST(HybridizeDispatchTest, SecondOverrideCallChargesNoLookup) {
   SystemConfig cfg;
   cfg.extra_override_config = "override mmap nk_mmap\n";
   HybridSystem sys(cfg);
-  const unsigned hrt_core = cfg.hrt_core;
+  const unsigned hrt_core = cfg.hrt_cores.front();
   auto r = sys.run_hybrid("warm-once", [&sys, hrt_core](SysIface& s) {
     naut::SymbolTable& symbols = sys.naut().symbols();
     hw::Core& core = sys.machine().core(hrt_core);

@@ -427,7 +427,7 @@ TEST(HybridTest, StateSuperpositionMirrorsGdtAndTls) {
             sys.machine().core(self.core).gdt();
         bool checked = false;
         const Status st = rt.hrt_invoke_func(self, [&](SysIface&) {
-          const unsigned hrt_core = sys.config().hrt_core;
+          const unsigned hrt_core = sys.config().hrt_cores.front();
           EXPECT_EQ(sys.machine().core(hrt_core).gdt(), ros_gdt);
           EXPECT_NE(sys.machine().core(hrt_core).fs_base(), 0u);
           checked = true;
@@ -573,7 +573,7 @@ TEST(HybridTest, ChannelProtocolViolationRejected) {
   ASSERT_TRUE(r.is_ok());
   // Drive serve_pending directly with a bogus kind via a scratch channel.
   multiverse::EventChannel channel(sys.hvm(), sys.linux(), sys.sched(),
-                                   sys.config().hrt_core);
+                                   sys.config().hrt_cores.front());
   ASSERT_TRUE(channel.init().is_ok());
   // No partner bound: forwarding must fail cleanly, not crash.
   EXPECT_EQ(channel.forward_syscall(ros::SysNr::kGetpid, {}).code(),

@@ -1,5 +1,5 @@
-// Unit tests for the support library: Result/Status, strings, rings, stats,
-// RNG determinism, fibers, and the cooperative scheduler.
+// Unit tests for the support library: Result/Status, strings, RNG
+// determinism, fibers, and the cooperative scheduler.
 
 #include <gtest/gtest.h>
 #include <sys/mman.h>
@@ -14,10 +14,8 @@
 
 #include "support/fiber.hpp"
 #include "support/result.hpp"
-#include "support/ring.hpp"
 #include "support/rng.hpp"
 #include "support/sched.hpp"
-#include "support/stats.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
 #include "support/units.hpp"
@@ -101,46 +99,6 @@ TEST(StringsTest, PrefixSuffix) {
 TEST(StringsTest, Strfmt) {
   EXPECT_EQ(strfmt("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(strfmt("%s", std::string(500, 'a').c_str()).size(), 500u);
-}
-
-// --- ring ------------------------------------------------------------------------
-
-TEST(RingTest, FifoOrder) {
-  Ring<int, 4> ring;
-  EXPECT_TRUE(ring.empty());
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.push(i));
-  EXPECT_TRUE(ring.full());
-  EXPECT_FALSE(ring.push(99));
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(ring.pop().value(), i);
-  EXPECT_FALSE(ring.pop().has_value());
-}
-
-TEST(RingTest, WrapAround) {
-  Ring<int, 3> ring;
-  for (int round = 0; round < 10; ++round) {
-    EXPECT_TRUE(ring.push(round));
-    EXPECT_EQ(ring.pop().value(), round);
-  }
-}
-
-// --- stats ----------------------------------------------------------------------
-
-TEST(StatsTest, MeanAndStddev) {
-  StatAcc acc;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) acc.add(x);
-  EXPECT_DOUBLE_EQ(acc.mean(), 5.0);
-  EXPECT_NEAR(acc.stddev(), 2.138, 1e-3);
-  EXPECT_EQ(acc.min(), 2.0);
-  EXPECT_EQ(acc.max(), 9.0);
-}
-
-TEST(StatsTest, Percentiles) {
-  SampleSet set;
-  for (int i = 1; i <= 100; ++i) set.add(i);
-  EXPECT_NEAR(set.percentile(50), 50.5, 1e-9);
-  EXPECT_NEAR(set.percentile(99), 99.01, 1e-9);
-  EXPECT_EQ(set.percentile(0), 1.0);
-  EXPECT_EQ(set.percentile(100), 100.0);
 }
 
 // --- rng -------------------------------------------------------------------------

@@ -365,7 +365,7 @@ TEST(TraceIntegrationTest, TracingDoesNotPerturbSimulatedResults) {
     std::uint64_t cycles = 0;
     auto r = sys.run_hybrid("perturb", [&](ros::SysIface& s) {
       for (int i = 0; i < 10; ++i) (void)s.getpid();
-      cycles = sys.machine().core(sys.config().hrt_core).cycles();
+      cycles = sys.machine().core(sys.config().hrt_cores.front()).cycles();
       return 0;
     });
     EXPECT_TRUE(r.is_ok());
@@ -388,9 +388,11 @@ TEST(TraceIntegrationTest, SchedAccountsBusyCyclesPerCore) {
   ASSERT_TRUE(r.is_ok());
   const Sched& sched = sys.sched();
   // Both sides of the hybrid pair did real work in simulated time.
-  EXPECT_GT(sched.busy_cycles(sys.config().ros_core), 0u);
-  EXPECT_GT(sched.busy_cycles(sys.config().hrt_core), 0u);
-  EXPECT_GT(sched.slices(sys.config().hrt_core), 0u);
+  const unsigned ros_core = sys.config().ros_cores.front();
+  const unsigned hrt_core = sys.config().hrt_cores.front();
+  EXPECT_GT(sched.busy_cycles(ros_core), 0u);
+  EXPECT_GT(sched.busy_cycles(hrt_core), 0u);
+  EXPECT_GT(sched.slices(hrt_core), 0u);
   EXPECT_GT(sched.timeline_cycles(), 0u);
   // Idle + busy never exceeds the global timeline.
   for (unsigned c = 0; c < sched.tracked_cores(); ++c) {
