@@ -126,7 +126,7 @@ class Nautilus final : public vmm::HrtKernelIface {
   // --- threads (the paper: primitives that "outperform Linux by orders of
   // --- magnitude") -----------------------------------------------------------
   // `pinned_core` >= 0 requests placement on that HRT core (used by the
-  // Multiverse runtime's execution-group placement policies); -1 keeps the
+  // Multiverse runtime's execution-group placement); -1 keeps the
   // kernel's round-robin. A pin outside the HRT partition falls back to
   // round-robin rather than placing a kernel thread on a ROS core.
   Result<NautThread*> thread_create(std::function<void()> body, bool nested,

@@ -2,8 +2,8 @@
 
 namespace mv::hw {
 
-CostModel& costs() noexcept {
-  static CostModel model;
+const CostModel& costs() noexcept {
+  static const CostModel model;
   return model;
 }
 

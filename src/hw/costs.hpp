@@ -85,7 +85,8 @@ struct CostModel {
   }
 };
 
-// Process-global cost model (mutable so ablation benches can perturb it).
-CostModel& costs() noexcept;
+// Process-global cost model. Read-only: every simulated cycle is priced from
+// these constants.
+const CostModel& costs() noexcept;
 
 }  // namespace mv::hw

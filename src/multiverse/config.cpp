@@ -148,17 +148,6 @@ Result<OverrideConfig> parse_override_config(const std::string& text) {
       } else if (tokens[1] == "tenants") {
         MV_ASSIGN_OR_RETURN(config.options.tenants,
                             positive_option(tokens, lineno));
-      } else if (tokens[1] == "hrt_placement") {
-        if (tokens[2] == "round_robin") {
-          config.options.hrt_placement = HrtPlacement::kRoundRobin;
-        } else if (tokens[2] == "least_loaded") {
-          config.options.hrt_placement = HrtPlacement::kLeastLoaded;
-        } else {
-          return err(Err::kParse,
-                     strfmt("line %d: hrt_placement wants round_robin or "
-                            "least_loaded",
-                            lineno));
-        }
       } else if (tokens[1] == "watchdog") {
         const Result<int> mult =
             tokens[2] == "off" ? 0 : parse_number<int>(tokens[2]);

@@ -25,13 +25,6 @@ struct OverrideSpec {
   std::vector<std::pair<int, int>> arg_map;
 };
 
-// How the runtime places top-level HRT threads (and their channels) across
-// the HRT core partition.
-enum class HrtPlacement {
-  kRoundRobin,   // next core in partition order per group (default)
-  kLeastLoaded,  // core with the fewest live top-level HRT threads
-};
-
 // Adaptive hybridization: the governor watches per-family forwarded-syscall
 // cost online and promotes hot families to kernel-mode overrides at runtime
 // (`option hybridize on,promote_after=N,demote_on_fail=M,...`). Spec is a
@@ -69,8 +62,6 @@ struct ToolchainOptions {
   // keeps the single-guest model: tenant_create beyond the implicit tenant 0
   // fails, and nothing multi-tenant is ever allocated.
   int tenants = 1;
-  // Placement policy for top-level HRT threads.
-  HrtPlacement hrt_placement = HrtPlacement::kRoundRobin;
   // Stall watchdog: flag an in-flight request once its age exceeds this
   // multiple of the channel's modeled transport round trip (0 = off). Purely
   // observational — flagging charges no simulated cycles.

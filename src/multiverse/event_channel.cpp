@@ -224,8 +224,9 @@ void EventChannel::submit(std::uint64_t seq, std::uint64_t kind) {
              static_cast<unsigned long long>(seq), kKindNames[meta.kind_idx],
              static_cast<unsigned long long>(occupancy)) +
           tenant_args_);
-  MV_FR_EVENT_T(hrt_core_, FrKind::kSubmit, meta.span, seq, occupancy,
-                kKindNames[meta.kind_idx], tenant_.tenant_id);
+  FlightRecorder::instance().record(hrt_core_, FrKind::kSubmit, meta.span, seq,
+                                    occupancy, kKindNames[meta.kind_idx],
+                                    tenant_.tenant_id);
 
   if (replay_armed_ && seq % depth_ == replay_slot_) {
     // The duplicated completion delivery raced slot reuse: a stale
@@ -250,8 +251,10 @@ void EventChannel::submit(std::uint64_t seq, std::uint64_t kind) {
     ++doorbells_suppressed_;
     MV_COUNTER_INC(suppressed_metric_, 1);
     MV_COUNTER_INC(tenant_.slo_doorbells_suppressed, 1);
-    MV_FR_EVENT_T(hrt_core_, FrKind::kDoorbellSuppress, meta.span, seq, 0,
-                  eager_ ? "eager" : "batched", tenant_.tenant_id);
+    FlightRecorder::instance().record(hrt_core_, FrKind::kDoorbellSuppress,
+                                      meta.span, seq, 0,
+                                      eager_ ? "eager" : "batched",
+                                      tenant_.tenant_id);
     wake_partner();
     return;
   }
@@ -290,8 +293,9 @@ void EventChannel::submit(std::uint64_t seq, std::uint64_t kind) {
   MV_COUNTER_INC(doorbell_metric_, 1);
   // The doorbell traverses the VMM whether or not delivery succeeds.
   trace_vmm_hop(meta.span, "doorbell");
-  MV_FR_EVENT_T(hrt_core_, FrKind::kDoorbell, meta.span, seq, 0,
-                eager_ ? "eager" : "batched", tenant_.tenant_id);
+  FlightRecorder::instance().record(hrt_core_, FrKind::kDoorbell, meta.span,
+                                    seq, 0, eager_ ? "eager" : "batched",
+                                    tenant_.tenant_id);
   if (!eager_) {
     raise_ros(meta, seq + 1 - page_read(Ring::kOffSubHead));
     return;
@@ -302,8 +306,8 @@ void EventChannel::submit(std::uint64_t seq, std::uint64_t kind) {
     meta.swallowed = FaultClass::kDropDoorbell;
     MV_TRACE_ANNOTATE(hrt_core_, "span", "fault:drop_doorbell",
                       span_args(meta.span));
-    MV_FR_EVENT_T(hrt_core_, FrKind::kDoorbellDrop, meta.span, seq, 0, "",
-                  tenant_.tenant_id);
+    FlightRecorder::instance().record(hrt_core_, FrKind::kDoorbellDrop,
+                                      meta.span, seq, 0, "", tenant_.tenant_id);
     return;
   }
   wake_partner();
@@ -329,7 +333,6 @@ std::string EventChannel::span_args(std::uint64_t span) const {
 }
 
 void EventChannel::trace_vmm_hop(std::uint64_t span, const char* what) {
-#if MV_TELEMETRY_ENABLED
   Tracer& t = Tracer::instance();
   if (!t.enabled()) return;
   // A one-cycle slice on the synthetic VMM track plus a flow step through
@@ -338,10 +341,6 @@ void EventChannel::trace_vmm_hop(std::uint64_t span, const char* what) {
   t.complete(Tracer::kVmmTrack, "vmm", strfmt("%s chan%d", what, id_), ts,
              ts + 1, span_args(span));
   t.flow('t', Tracer::kVmmTrack, span, ts);
-#else
-  (void)span;
-  (void)what;
-#endif
 }
 
 Result<std::uint64_t> EventChannel::complete(std::uint64_t seq) {
@@ -455,8 +454,8 @@ Result<std::uint64_t> EventChannel::reap(std::uint64_t seq) {
                    tenant_args_);
     t.flow('f', hrt_core_, meta.span, request_end);
   }
-  MV_FR_EVENT_T(hrt_core_, FrKind::kComplete, meta.span, seq, status_code, "",
-                tenant_.tenant_id);
+  FlightRecorder::instance().record(hrt_core_, FrKind::kComplete, meta.span,
+                                    seq, status_code, "", tenant_.tenant_id);
   // The freed slot is claimable: hand it to the oldest queued claimer.
   wake_next_claimer();
 
@@ -484,8 +483,8 @@ void EventChannel::retry_transport(SlotMeta& meta) {
                            static_cast<unsigned long long>(meta.span),
                            meta.retries) +
                         tenant_args_);
-  MV_FR_EVENT_T(hrt_core_, FrKind::kRetry, meta.span, meta.retries, 0, "",
-                tenant_.tenant_id);
+  FlightRecorder::instance().record(hrt_core_, FrKind::kRetry, meta.span,
+                                    meta.retries, 0, "", tenant_.tenant_id);
   // Re-driving recovers the swallowed wakeup, counted against the class that
   // swallowed it. A re-rung doorbell the VMM drops again is a new injection.
   const FaultClass cause = *meta.swallowed;
@@ -512,8 +511,8 @@ void EventChannel::retry_transport(SlotMeta& meta) {
   ++doorbells_;
   MV_COUNTER_INC(doorbell_metric_, 1);
   trace_vmm_hop(meta.span, "re-doorbell");
-  MV_FR_EVENT_T(hrt_core_, FrKind::kDoorbell, meta.span, 0, 0, "retry",
-                tenant_.tenant_id);
+  FlightRecorder::instance().record(hrt_core_, FrKind::kDoorbell, meta.span, 0,
+                                    0, "retry", tenant_.tenant_id);
   raise_ros(meta, page_read(Ring::kOffSubTail) - page_read(Ring::kOffSubHead));
 }
 
@@ -528,8 +527,8 @@ void EventChannel::degrade_to_sync(std::uint64_t span) {
   MV_COUNTER_INC(degradation_metric_, 1);
   MV_TRACE_ANNOTATE(hrt_core_, "channel", "degrade_to_sync",
                     span_args(span));
-  MV_FR_EVENT_T(hrt_core_, FrKind::kDegrade, span, 0, 0, "",
-                tenant_.tenant_id);
+  FlightRecorder::instance().record(hrt_core_, FrKind::kDegrade, span, 0, 0, "",
+                                    tenant_.tenant_id);
   consecutive_doorbell_losses_ = 0;
   // One kSetupSyncCall hands the ROS side the polling address; every later
   // round trip is the pure memory protocol.
@@ -754,8 +753,8 @@ bool EventChannel::serve_pending(ros::Thread& server) {
                       static_cast<unsigned long long>(head)) +
                    tenant_args_);
   }
-  MV_FR_EVENT_T(server.core, FrKind::kServe, span, head, rsp_status, "",
-                tenant_.tenant_id);
+  FlightRecorder::instance().record(server.core, FrKind::kServe, span, head,
+                                    rsp_status, "", tenant_.tenant_id);
 
   const TaskId requester = slots_[head % depth_].requester;
   if (requester != kNoTask) sched_->unblock(requester);
@@ -793,8 +792,9 @@ void EventChannel::service_loop() {
 void EventChannel::partner_die() {
   partner_died_ = true;
   MV_TRACE_INSTANT(partner_->core, "channel", "partner_death");
-  MV_FR_EVENT_T(partner_->core, FrKind::kPartnerDeath, 0,
-                static_cast<std::uint64_t>(id_), 0, "", tenant_.tenant_id);
+  FlightRecorder::instance().record(partner_->core, FrKind::kPartnerDeath, 0,
+                                    static_cast<std::uint64_t>(id_), 0, "",
+                                    tenant_.tenant_id);
   // Snapshot before fail_inflight() so the stuck slots are still visible.
   FlightRecorder::instance().take_snapshot(
       strfmt("partner-death: chan%d", id_) + tenant_tag_);
@@ -858,8 +858,8 @@ void EventChannel::check_watchdog(std::uint64_t seq) {
   MV_COUNTER_INC(tenant_.slo_watchdog_stalls, 1);
   // The stall is attributed to the stalled slot's owner: a storm on tenant A
   // can never be misread as a stall on tenant B.
-  MV_FR_EVENT_T(hrt_core_, FrKind::kWatchdogStall, meta.span, seq, age, "",
-                tenant_.tenant_id);
+  FlightRecorder::instance().record(hrt_core_, FrKind::kWatchdogStall,
+                                    meta.span, seq, age, "", tenant_.tenant_id);
   MV_TRACE_ANNOTATE(hrt_core_, "channel", "watchdog_stall",
                     strfmt("\"span\":%llu,\"age\":%llu",
                            static_cast<unsigned long long>(meta.span),

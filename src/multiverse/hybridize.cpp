@@ -138,9 +138,9 @@ void HybridizationGovernor::promote(SysFamily family, hw::Core& core) {
   f.state = State::kOverridden;
   ++promotions_;
   MV_COUNTER_INC(promotions_metric_, 1);
-  MV_FR_EVENT(core.id(), FrKind::kHybridPromote, 0,
-              static_cast<std::uint64_t>(family), f.window_calls,
-              family_name(family));
+  FlightRecorder::instance().record(core.id(), FrKind::kHybridPromote, 0,
+                                    static_cast<std::uint64_t>(family),
+                                    f.window_calls, family_name(family));
   MV_TRACE_ANNOTATE(core.id(), "hybridize", "promote",
                     strfmt("\"family\":\"%s\",\"ewma\":%.0f",
                            family_name(family), f.fwd_ewma));
@@ -167,9 +167,10 @@ void HybridizationGovernor::on_override_failure(ros::SysNr nr, unsigned core,
   }
   ++demotions_;
   MV_COUNTER_INC(demotions_metric_, 1);
-  MV_FR_EVENT(core, FrKind::kHybridDemote, 0,
-              static_cast<std::uint64_t>(family),
-              static_cast<std::uint64_t>(f.failures), family_name(family));
+  FlightRecorder::instance().record(core, FrKind::kHybridDemote, 0,
+                                    static_cast<std::uint64_t>(family),
+                                    static_cast<std::uint64_t>(f.failures),
+                                    family_name(family));
   MV_TRACE_ANNOTATE(core, "hybridize", "demote",
                     strfmt("\"family\":\"%s\",\"failures\":%d,\"pinned\":%s",
                            family_name(family), f.failures,

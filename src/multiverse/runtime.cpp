@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 #include "support/flightrec.hpp"
 #include "support/log.hpp"
@@ -79,10 +78,7 @@ Result<std::uint64_t> HrtCtx::syscall(ros::SysNr nr,
   const std::uint64_t begin = sampled ? core.cycles() : 0;
   auto result = naut.syscall_stub(nr, args);
   if (sampled) gov->note_forwarded(nr, core, core.cycles() - begin);
-  if (nr == ros::SysNr::kExitGroup && result.is_ok()) {
-    group_->finished = true;
-    rt_->release_core_load(*group_);
-  }
+  if (nr == ros::SysNr::kExitGroup && result.is_ok()) group_->finished = true;
   return result;
 }
 
@@ -466,12 +462,12 @@ Result<ExecGroup*> MultiverseRuntime::create_group(ros::Thread& caller,
   group->owner_proc = caller.proc;
   group->tenant = &tenant;
   tenant.group_ids.push_back(group->id);
-  // Place the group's top-level HRT thread across the partition (not pinned
-  // to the boot core); the channel is bound to the same core so its cycle
-  // clock and doorbells track the thread that actually uses it.
-  const unsigned hrt_core = pick_hrt_core();
+  // Place the group's top-level HRT thread round-robin across the partition
+  // (not pinned to the boot core); the channel is bound to the same core so
+  // its cycle clock and doorbells track the thread that actually uses it.
+  const std::vector<unsigned>& hrt_cores = hvm_->config().hrt_cores;
+  const unsigned hrt_core = hrt_cores[next_hrt_core_rr_++ % hrt_cores.size()];
   group->hrt_core = hrt_core;
-  ++hrt_core_load_[hrt_core];
   metrics::Registry::instance()
       .counter(strfmt("mv/groups/per_core/%u", hrt_core))
       .inc();
@@ -615,37 +611,6 @@ void MultiverseRuntime::partner_body(ExecGroup* group, ros::SysIface& pctx) {
   // exit, at which point the main thread will be unblocked").
   (void)pctx.munmap(group->hrt_stack_base, group->hrt_stack_size);
   group->finished = true;
-  release_core_load(*group);
-}
-
-// --- placement -------------------------------------------------------------
-
-unsigned MultiverseRuntime::pick_hrt_core() {
-  const std::vector<unsigned>& cores = hvm_->config().hrt_cores;
-  if (cores.size() == 1) return cores.front();
-  if (config_.options.hrt_placement == HrtPlacement::kLeastLoaded) {
-    // Ties break toward partition order, so an idle machine fills cores in
-    // the same sequence round-robin would.
-    unsigned best = cores.front();
-    int best_load = std::numeric_limits<int>::max();
-    for (const unsigned core : cores) {
-      const auto it = hrt_core_load_.find(core);
-      const int load = it == hrt_core_load_.end() ? 0 : it->second;
-      if (load < best_load) {
-        best_load = load;
-        best = core;
-      }
-    }
-    return best;
-  }
-  return cores[next_hrt_core_rr_++ % cores.size()];
-}
-
-void MultiverseRuntime::release_core_load(ExecGroup& group) {
-  if (group.hrt_load_released) return;
-  group.hrt_load_released = true;
-  const auto it = hrt_core_load_.find(group.hrt_core);
-  if (it != hrt_core_load_.end() && it->second > 0) --it->second;
 }
 
 // --- shared-daemon execution groups (future-work variant) -------------------
@@ -660,9 +625,10 @@ void MultiverseRuntime::enqueue_ready(ExecGroup* group) {
     MV_HISTOGRAM_RECORD(
         &metrics::Registry::instance().histogram("service/ready_depth"),
         static_cast<double>(shard.ready.size()));
-    MV_FR_EVENT_T(group->hrt_core, FrKind::kReadyEnqueue, 0,
-                  static_cast<std::uint64_t>(group->id), shard.ready.size(),
-                  "", group->tenant->id);
+    FlightRecorder::instance().record(group->hrt_core, FrKind::kReadyEnqueue, 0,
+                                      static_cast<std::uint64_t>(group->id),
+                                      shard.ready.size(), "",
+                                      group->tenant->id);
   }
   // Wake only this shard's worker. wake() (not unblock()) so a doorbell that
   // lands while the worker is mid-drain is never lost: it parks a
@@ -737,7 +703,6 @@ void MultiverseRuntime::service_worker_body(std::size_t idx,
         ros::UseProcess use_owner(*self, *group->owner_proc);
         (void)dctx.munmap(group->hrt_stack_base, group->hrt_stack_size);
         group->finished = true;
-        release_core_load(*group);
         for (const TaskId waiter : group->join_waiters) {
           sched_->unblock(waiter);
         }
@@ -777,8 +742,9 @@ bool MultiverseRuntime::service_worker_spin(ServiceWorker& worker,
     any_live = true;
   }
   if (!any_live) return false;
-  MV_FR_EVENT(core_id, FrKind::kSpinEnter, 0,
-              static_cast<std::uint64_t>(worker.thread->tid), window, "");
+  FlightRecorder::instance().record(
+      core_id, FrKind::kSpinEnter, 0,
+      static_cast<std::uint64_t>(worker.thread->tid), window);
   const Cycles spin_begin = core.cycles();
   bool hit = false;
   for (;;) {
@@ -834,8 +800,9 @@ bool MultiverseRuntime::service_worker_spin(ServiceWorker& worker,
     ++worker.spin_timeouts;
     reg.counter("service/spin_timeouts").inc(1);
   }
-  MV_FR_EVENT(core_id, FrKind::kSpinExit, 0,
-              static_cast<std::uint64_t>(worker.thread->tid), hit ? 1 : 0, "");
+  FlightRecorder::instance().record(
+      core_id, FrKind::kSpinExit, 0,
+      static_cast<std::uint64_t>(worker.thread->tid), hit ? 1 : 0);
   return hit;
 }
 
@@ -1108,7 +1075,6 @@ Status MultiverseRuntime::tenant_destroy(int tenant_id) {
 }
 
 void MultiverseRuntime::destroy_group(ExecGroup* group) {
-  release_core_load(*group);
   if (group->channel) naut_->detach_channel(group->channel.get());
   for (ServiceWorker& worker : workers_) {
     worker.ready.erase(

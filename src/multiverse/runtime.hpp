@@ -104,7 +104,7 @@ struct ExecGroup {
   std::unique_ptr<EventChannel> channel;
   ros::Thread* partner = nullptr;
   int hrt_tid = -1;                 // Nautilus thread id, set after creation
-  // HRT core the placement policy picked for this group's top-level thread;
+  // HRT core round-robin placement picked for this group's top-level thread;
   // the channel is bound to the same core, by construction.
   unsigned hrt_core = 0;
   std::uint64_t hrt_stack_base = 0; // ROS-side stack the partner allocated
@@ -113,9 +113,6 @@ struct ExecGroup {
   std::uint64_t fs_base = 0;        // TLS superposition payload
   hw::Gdt gdt;                      // GDT superposition payload
   bool finished = false;
-  // The group's placement-load contribution has been returned to the pool
-  // (idempotence guard: several teardown paths can race to release it).
-  bool hrt_load_released = false;
   // Each HRT context (top-level + nested threads) stages syscall arguments
   // in its own slice of the ROS-side stack, so concurrent requests on the
   // shared channel cannot clobber each other's buffers.
@@ -279,12 +276,6 @@ class MultiverseRuntime {
   [[nodiscard]] std::size_t service_worker_count() const noexcept {
     return workers_.size();
   }
-  // Live (placed, not yet torn down) groups on an HRT core, as the
-  // least-loaded placement policy sees them.
-  [[nodiscard]] int hrt_core_load(unsigned core) const {
-    const auto it = hrt_core_load_.find(core);
-    return it == hrt_core_load_.end() ? 0 : it->second;
-  }
   // Single source of truth for override dispatch: the active entry for `nr`,
   // or nullptr when the call must forward. Consulted by both HrtCtx::syscall
   // and syscall_batch, so a family can never drift between the two paths.
@@ -323,10 +314,10 @@ class MultiverseRuntime {
   };
 
   Result<ExecGroup*> create_group(ros::Thread& caller, ros::GuestThreadFn fn);
-  // Erase one finished group everywhere it is referenced: placement load,
-  // the kernel's channel pointers, shard ready deques and group lists, the
-  // invocation trampoline, and the id indexes. Destroying the group frees
-  // its channel (ring page, providers, watchdog state) with it.
+  // Erase one finished group everywhere it is referenced: the kernel's
+  // channel pointers, shard ready deques and group lists, the invocation
+  // trampoline, and the id indexes. Destroying the group frees its channel
+  // (ring page, providers, watchdog state) with it.
   void destroy_group(ExecGroup* group);
   // The per-tenant state every tenant gets, tenant 0 (startup) and created
   // tenants (tenant_create) alike: its fault plan parsed from `fault_spec`
@@ -354,10 +345,6 @@ class MultiverseRuntime {
   // Doorbell path: push the group onto its shard's ready queue (deduped) and
   // wake only that shard's worker.
   void enqueue_ready(ExecGroup* group);
-  // Placement policy for a new group's top-level HRT thread.
-  [[nodiscard]] unsigned pick_hrt_core();
-  // Return the group's contribution to its core's placement load (idempotent).
-  void release_core_load(ExecGroup& group);
   Status launch_hrt_thread(ExecGroup* group, ros::Thread& launcher,
                            ros::SysIface& lctx);
   // Lazily resolve an override entry's kernel symbol on its first use
@@ -382,11 +369,8 @@ class MultiverseRuntime {
   GroupMode group_mode_ = GroupMode::kDedicatedPartner;
   std::vector<ServiceWorker> workers_;
   bool pool_stop_ = false;
-  // Placement state: round-robin cursor and per-core live-group counts (the
-  // runtime's own accounting — in dedicated-partner mode the kernel thread
-  // spawns lazily, so kernel-side thread counts lag placement decisions).
+  // Placement state: the round-robin cursor over the HRT partition.
   std::size_t next_hrt_core_rr_ = 0;
-  std::map<unsigned, int> hrt_core_load_;
   // Tenant state (only tenant 0 at tenants=1).
   std::map<int, std::unique_ptr<Tenant>> tenants_;
   std::map<ros::Process*, Tenant*> tenants_by_proc_;

@@ -35,8 +35,8 @@ struct SystemConfig {
   std::uint64_t dram_bytes = 1ull << 30;      // 1 GiB guest, as the paper
   std::uint64_t ros_mem_bytes = 1ull << 29;   // ROS partition
   // The two partitions. Both default to one core on socket 0 (Fig 2 moves
-  // the HRT to core 2 for the cross-socket rows). The placement policies
-  // spread top-level HRT threads over hrt_cores; the ROS schedules its
+  // the HRT to core 2 for the cross-socket rows). The runtime spreads
+  // top-level HRT threads over hrt_cores round-robin; the ROS schedules its
   // threads (service workers included) round-robin over ros_cores.
   std::vector<unsigned> ros_cores{0};
   std::vector<unsigned> hrt_cores{1};

@@ -124,18 +124,18 @@ void FaultPlan::note_injected(FaultClass c) {
   MV_COUNTER_INC(injected_metric_, 1);
   MV_COUNTER_INC(class_metric_[static_cast<std::size_t>(c)], 1);
   MV_COUNTER_INC(tenant_injected_metric_, 1);
-  MV_FR_EVENT_T(FlightRecorder::instance().current_core(),
-                FrKind::kFaultInject, 0, static_cast<std::uint64_t>(c), 0,
-                fault_class_name(c), tenant_id_);
+  FlightRecorder& fr = FlightRecorder::instance();
+  fr.record(fr.current_core(), FrKind::kFaultInject, 0,
+            static_cast<std::uint64_t>(c), 0, fault_class_name(c), tenant_id_);
 }
 
 void FaultPlan::note_recovered(FaultClass c) {
   ++recovered_[static_cast<std::size_t>(c)];
   MV_COUNTER_INC(recovered_metric_, 1);
   MV_COUNTER_INC(tenant_recovered_metric_, 1);
-  MV_FR_EVENT_T(FlightRecorder::instance().current_core(),
-                FrKind::kFaultRecover, 0, static_cast<std::uint64_t>(c), 0,
-                fault_class_name(c), tenant_id_);
+  FlightRecorder& fr = FlightRecorder::instance();
+  fr.record(fr.current_core(), FrKind::kFaultRecover, 0,
+            static_cast<std::uint64_t>(c), 0, fault_class_name(c), tenant_id_);
 }
 
 std::uint64_t FaultPlan::injected_total() const noexcept {

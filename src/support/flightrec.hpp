@@ -26,13 +26,6 @@
 #include <string>
 #include <vector>
 
-// Compile-time kill switch, shared with trace.hpp and metrics.hpp:
-// -DMV_TELEMETRY_ENABLED=0 turns the recording macro into a no-op with zero
-// residual code (the class itself stays, so snapshot plumbing still links).
-#ifndef MV_TELEMETRY_ENABLED
-#define MV_TELEMETRY_ENABLED 1
-#endif
-
 namespace mv {
 
 // Structured event kinds. Keep this list flat and stable: records are fixed
@@ -75,12 +68,12 @@ class FlightRecorder {
   // provider state still work — they read live state, not the ring).
   void enable() noexcept { enabled_ = true; }
   void disable() noexcept { enabled_ = false; }
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
-  // Record one event on `core`'s ring. Timestamped with the Tracer's bound
-  // simulated clock (0 when none is bound); charges no simulated cycles.
-  // `tenant` is the owning tenant id (0 = the host tenant); dumps
-  // print it only when non-zero, so single-tenant output is unchanged.
+  // Record one event on `core`'s ring; a no-op while disabled. Timestamped
+  // with the Tracer's bound simulated clock (0 when none is bound); charges
+  // no simulated cycles. `tenant` is the owning tenant id (0 = the host
+  // tenant); dumps print it only when non-zero, so single-tenant output is
+  // unchanged.
   void record(unsigned core, FrKind kind, std::uint64_t span = 0,
               std::uint64_t a = 0, std::uint64_t b = 0, const char* tag = "",
               int tenant = 0);
@@ -170,26 +163,3 @@ class FlightRecorder {
 };
 
 }  // namespace mv
-
-#if MV_TELEMETRY_ENABLED
-#define MV_FR_EVENT(core, kind, span, a, b, tag)                        \
-  do {                                                                  \
-    ::mv::FlightRecorder& mv_fr__ = ::mv::FlightRecorder::instance();   \
-    if (mv_fr__.enabled()) mv_fr__.record(core, kind, span, a, b, tag); \
-  } while (0)
-// Tenant-tagged variant for events with a known owner (fault injections,
-// watchdog stalls, channel lifecycle in a tenant's group).
-#define MV_FR_EVENT_T(core, kind, span, a, b, tag, tenant)            \
-  do {                                                                \
-    ::mv::FlightRecorder& mv_fr__ = ::mv::FlightRecorder::instance(); \
-    if (mv_fr__.enabled())                                            \
-      mv_fr__.record(core, kind, span, a, b, tag, tenant);            \
-  } while (0)
-#else
-#define MV_FR_EVENT(core, kind, span, a, b, tag) \
-  do {                                           \
-  } while (0)
-#define MV_FR_EVENT_T(core, kind, span, a, b, tag, tenant) \
-  do {                                                     \
-  } while (0)
-#endif

@@ -33,12 +33,6 @@
 #include <utility>
 #include <vector>
 
-// Compile-time kill switch, shared with trace.hpp and flightrec.hpp: with
-// -DMV_TELEMETRY_ENABLED=0 the MV_COUNTER / MV_HISTOGRAM macros vanish.
-#ifndef MV_TELEMETRY_ENABLED
-#define MV_TELEMETRY_ENABLED 1
-#endif
-
 namespace mv::metrics {
 
 class Counter {
@@ -160,7 +154,6 @@ class Registry {
 
 }  // namespace mv::metrics
 
-#if MV_TELEMETRY_ENABLED
 // `instrument` is a Counter* / Histogram* cached by the call site; a null
 // pointer means "not wired" and is skipped.
 #define MV_COUNTER_INC(instrument, delta)              \
@@ -171,11 +164,3 @@ class Registry {
   do {                                                      \
     if ((instrument) != nullptr) (instrument)->record(x);   \
   } while (0)
-#else
-#define MV_COUNTER_INC(instrument, delta) \
-  do {                                    \
-  } while (0)
-#define MV_HISTOGRAM_RECORD(instrument, x) \
-  do {                                     \
-  } while (0)
-#endif

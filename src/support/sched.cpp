@@ -127,7 +127,8 @@ void Sched::block() {
     return;
   }
   task->blocked = true;
-  MV_FR_EVENT(task->core, FrKind::kSchedBlock, 0, task->id, task->core, "");
+  FlightRecorder::instance().record(task->core, FrKind::kSchedBlock, 0,
+                                    task->id, task->core);
   Fiber::yield();
   // When we come back, someone unblocked us.
 }
@@ -136,7 +137,8 @@ void Sched::unblock(TaskId id) {
   Task* task = find(id);
   if (task == nullptr || task->done || !task->blocked) return;
   task->blocked = false;
-  MV_FR_EVENT(task->core, FrKind::kSchedWake, 0, task->id, task->core, "");
+  FlightRecorder::instance().record(task->core, FrKind::kSchedWake, 0, task->id,
+                                    task->core);
   run_queue_.push_back(id);
 }
 
@@ -145,7 +147,8 @@ void Sched::wake(TaskId id) {
   if (task == nullptr || task->done) return;
   if (task->blocked) {
     task->blocked = false;
-    MV_FR_EVENT(task->core, FrKind::kSchedWake, 0, task->id, task->core, "");
+    FlightRecorder::instance().record(task->core, FrKind::kSchedWake, 0,
+                                      task->id, task->core);
     run_queue_.push_back(id);
     return;
   }

@@ -26,13 +26,6 @@
 
 #include "support/result.hpp"
 
-// Compile-time kill switch, shared with metrics.hpp and flightrec.hpp:
-// -DMV_TELEMETRY_ENABLED=0 turns every macro below into a no-op with zero
-// residual code.
-#ifndef MV_TELEMETRY_ENABLED
-#define MV_TELEMETRY_ENABLED 1
-#endif
-
 namespace mv {
 
 // Causal request-span identity: one SpanId per cross-domain request, carried
@@ -179,7 +172,6 @@ class TraceScope {
 
 }  // namespace mv
 
-#if MV_TELEMETRY_ENABLED
 #define MV_TRACE_SCOPE(core, category, name) \
   ::mv::TraceScope MV_CONCAT(mv_trace_scope__, __LINE__)(core, category, name)
 #define MV_TRACE_INSTANT(core, category, name)                    \
@@ -195,24 +187,10 @@ class TraceScope {
   } while (0)
 // Instant event carrying a pre-rendered JSON args body (span annotations:
 // retries, degradations, injected faults, ring occupancy). The args
-// expression is not evaluated when tracing is disabled or compiled out.
+// expression is not evaluated while tracing is disabled.
 #define MV_TRACE_ANNOTATE(core, category, name, args_json)        \
   do {                                                            \
     if (::mv::Tracer::instance().enabled())                       \
       ::mv::Tracer::instance().instant(core, category, name,      \
                                        args_json);                \
   } while (0)
-#else
-#define MV_TRACE_SCOPE(core, category, name) \
-  do {                                       \
-  } while (0)
-#define MV_TRACE_INSTANT(core, category, name) \
-  do {                                         \
-  } while (0)
-#define MV_TRACE_FLOW(phase, core, span, ts) \
-  do {                                       \
-  } while (0)
-#define MV_TRACE_ANNOTATE(core, category, name, args_json) \
-  do {                                                     \
-  } while (0)
-#endif

@@ -268,8 +268,8 @@ Result<std::uint64_t> Hvm::hypercall(unsigned vcore, Hypercall nr,
       // the ring holds — that is the entire point of batching.
       core.charge(hw::costs().event_inject);
       count_injection(config_.ros_cores.front(), "inject:doorbell");
-      MV_FR_EVENT(config_.ros_cores.front(), FrKind::kDoorbell, 0, a0, a1,
-                  "vmm");
+      FlightRecorder::instance().record(config_.ros_cores.front(),
+                                        FrKind::kDoorbell, 0, a0, a1, "vmm");
       // The governing plan is resolved per channel so one tenant's fault
       // schedule never perturbs another tenant's doorbells.
       FaultPlan* plan =

@@ -451,6 +451,34 @@ TEST(FlightRecorderIntegrationTest, PartnerDeathSnapshotsStuckSlot) {
   EXPECT_NE(snap.find("slot seq=0"), std::string::npos) << snap;
 }
 
+// --- unit: the recorder's run-time switch ------------------------------------
+
+TEST(FlightRecorderTest, DisabledRecorderSnapshotsStateButRecordsNoEvents) {
+  FlightRecorder& recorder = FlightRecorder::instance();
+  recorder.reset();
+  const int owner = 0;
+  recorder.register_state_provider(&owner, "probe",
+                                   [] { return std::string("probe-state"); });
+
+  recorder.disable();
+  recorder.record(0, FrKind::kSubmit, 1, 2, 3, "off");
+  EXPECT_EQ(recorder.render_events(), "");
+  // Snapshots read live provider state, so they work while disabled.
+  const std::string snap = recorder.take_snapshot("disabled");
+  EXPECT_EQ(recorder.snapshot_count(), 1u);
+  EXPECT_NE(snap.find("-- probe --\nprobe-state\n"), std::string::npos) << snap;
+  EXPECT_EQ(snap.find("submit"), std::string::npos) << snap;
+
+  recorder.enable();
+  recorder.record(0, FrKind::kSubmit, 1, 2, 3, "on");
+  const std::string events = recorder.render_events();
+  EXPECT_NE(events.find("submit span=1 a=2 b=3 on"), std::string::npos)
+      << events;
+  EXPECT_EQ(events.find(" off"), std::string::npos) << events;
+  recorder.unregister_state_providers(&owner);
+  recorder.reset();
+}
+
 // --- determinism: instrumentation on == instrumentation off ------------------
 
 TEST(SpanDeterminismTest, InstrumentationDoesNotPerturbVirtualTime) {

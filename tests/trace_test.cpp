@@ -208,6 +208,8 @@ TEST_F(TracerTest, DisabledTracerRecordsNothing) {
   Tracer& t = Tracer::instance();
   t.complete(0, "cat", "span", 10, 20);
   t.instant(1, "cat", "flash");
+  t.flow('s', 0, 7, 10);
+  t.counter(1, "cat", "depth", 3.0);
   { MV_TRACE_SCOPE(0, "cat", "scoped"); }
   EXPECT_EQ(t.event_count(), 0u);
 }
