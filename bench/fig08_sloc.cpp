@@ -9,7 +9,9 @@
 //   Total               4502  103  130   4735
 //
 // This harness counts this repository's implementation of the same
-// components (C++ here instead of C/ASM/Perl) by scanning the source tree.
+// components (C++ here instead of C/ASM/Perl) by scanning the source tree
+// named by its argument: `fig08_sloc <repo>/src` (ctest passes the
+// checkout's).
 
 #include <filesystem>
 #include <fstream>
@@ -44,30 +46,18 @@ bool is_src_root(const fs::path& src) {
   return fs::exists(src / "multiverse" / "runtime.cpp");
 }
 
-fs::path find_src_root() {
-  // Walk upward from cwd until a source tree shows up (works from the build
-  // tree and from the repo root).
-  fs::path p = fs::current_path();
-  for (int i = 0; i < 6; ++i) {
-    if (is_src_root(p / "src")) return p / "src";
-    p = p.parent_path();
-  }
-  return {};
-}
-
 }  // namespace
 }  // namespace mvbench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace mvbench;
   Report report("Figure 8", "source lines of code for Multiverse");
 
-  const auto src = find_src_root();
-  if (src.empty()) {
-    std::printf("cannot locate src/ tree from %s\n",
-                std::filesystem::current_path().c_str());
+  if (argc != 2 || !is_src_root(argv[1])) {
+    std::printf("usage: fig08_sloc <repo>/src\n");
     return 1;
   }
+  const std::filesystem::path src = argv[1];
 
   struct Component {
     const char* paper_name;

@@ -10,8 +10,8 @@
 //                                 ~1060 cycles cross socket (48 ns)
 //   Sec 2:  HVM async latency     ~11 us;  sync 359-482 ns
 //
-// tests/hw/costs_test.cc asserts the composed paths stay within tolerance of
-// the paper's numbers, so the calibration cannot silently drift.
+// CostModelTest.* in tests/hw_test.cpp asserts the composed paths stay within
+// tolerance of the paper's numbers, so the calibration cannot silently drift.
 
 #include <cstdint>
 

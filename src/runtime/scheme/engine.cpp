@@ -351,10 +351,6 @@ Result<Value> Engine::env_lookup(Cell* env, SymId sym) {
   return unbound_error(sym);
 }
 
-void Engine::define_global(const std::string& name, Value v) {
-  bind_global(intern(name), v);
-}
-
 void Engine::define_builtin(const std::string& name, BuiltinFn fn) {
   auto b = make_builtin(name, std::move(fn));
   if (b) bind_global(intern(name), *b);

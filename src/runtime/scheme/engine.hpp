@@ -95,7 +95,6 @@ class Engine {
   Status env_define(Cell* env, SymId sym, Value v);
   Status env_set(Cell* env, SymId sym, Value v);
   Result<Value> env_lookup(Cell* env, SymId sym);
-  void define_global(const std::string& name, Value v);
   void define_builtin(const std::string& name, BuiltinFn fn);
 
   // --- printing --------------------------------------------------------------------
@@ -150,7 +149,8 @@ class Engine {
   Status eval_prelude();
   void tick();                        // scheduler tick (poll/getrusage)
   void count_step();
-  void count_vm_step();               // per-instruction accounting (vm.cpp)
+  // VM steps until the next one that charges a batch or ticks (vm.cpp).
+  [[nodiscard]] std::uint64_t vm_steps_to_event() const;
 
   // The bound global `sym`, or null.
   Value* global_slot(SymId sym) {
@@ -171,6 +171,11 @@ class Engine {
   // Call setup shared by kCall dispatch and vm_apply: the operand stack
   // holds [closure, arg0..argN-1]; replaces them with a new frame record.
   Status vm_push_call(VmContext& ctx, std::size_t nargs);
+  // Binds the nargs operands above the callee's slot `fnpos` to `frame`'s
+  // parameter slots, those past proto's fixed ones as a rest list. They
+  // stay on the operand stack, rooted, for the caller to drop.
+  Status vm_bind_args(VmContext& ctx, Cell* frame, const Proto& proto,
+                      std::size_t fnpos, std::size_t nargs);
 
   // Evaluator internals (eval.cpp).
   Result<Value> eval_quasiquote(Value tmpl, Cell* env, int depth);

@@ -127,7 +127,13 @@ class Heap {
   // Mutation barrier: called by set-car!/set-cdr!/vector-set!/define. Writes
   // to a protected chunk SIGSEGV into the handler, which unprotects it.
   void write_barrier(Cell* cell) {
-    if (cell->chunk != nullptr && cell->chunk->protected_) barrier_store(cell);
+    if (barrier_armed(cell)) barrier_store(cell);
+  }
+  // Whether a store into `cell` faults: its chunk is write-protected. The
+  // fault's handler makes a syscall, so another interpreter thread may run
+  // (and collect) before the store completes.
+  [[nodiscard]] static bool barrier_armed(const Cell* cell) {
+    return cell->chunk != nullptr && cell->chunk->protected_;
   }
 
   // Force a full collection.

@@ -300,11 +300,6 @@ Result<Value> Reader::parse(const std::string& src, std::size_t* pos,
   return err(Err::kParse, "reader: unreachable");
 }
 
-Result<Value> Reader::read_one(const std::string& src, std::size_t* pos) {
-  std::size_t line = 1;
-  return parse(src, pos, &line);
-}
-
 Result<std::vector<Value>> Reader::read_all(const std::string& src) {
   std::vector<Value> forms;
   RootScope scope(engine_->heap());

@@ -23,10 +23,6 @@ class Reader {
   // Parse every top-level form in `src`.
   Result<std::vector<Value>> read_all(const std::string& src);
 
-  // Parse one form starting at `pos`; advances pos. Returns EOF value when
-  // input is exhausted.
-  Result<Value> read_one(const std::string& src, std::size_t* pos);
-
  private:
   struct Token {
     enum class Kind {

@@ -1,6 +1,8 @@
 #include "runtime/scheme/vm.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -13,6 +15,12 @@
 // stack or in frame slots. Every allocation point below keeps its operands
 // in one of those two places (or in an explicit RootScope) until the new
 // cell is reachable.
+//
+// Host cost (DESIGN.md §13): vm_run holds the operand-stack top, the
+// frame's slots and a down-counter of steps to the next event step in
+// locals, and writes the height and the counted steps back to the engine
+// before anything that can read them. Every simulated figure stays what
+// counting each instruction on its own gives.
 
 namespace mv::scheme {
 
@@ -25,11 +33,11 @@ constexpr std::size_t kInlineArgs = 8;
 // The inline fast path of a tagged builtin (Prim, value.hpp): its common
 // operand types only, computed with the helpers the builtin itself uses.
 // Returns false for anything else (other types, arity, an index out of
-// range); the caller then calls the builtin, so every error text comes
-// from builtins.cpp. Forced inline: called out of line, the result makes a
-// round trip through memory on every builtin call.
-[[gnu::always_inline]] inline bool prim_fast(Prim prim, Heap& heap,
-                                             const Value* args,
+// range, a store that takes a barrier fault); the caller then calls the
+// builtin, so every error text and every fault comes from builtins.cpp.
+// Forced inline: called out of line, the result makes a round trip through
+// memory on every builtin call.
+[[gnu::always_inline]] inline bool prim_fast(Prim prim, const Value* args,
                                              std::size_t nargs, Value* out) {
   const bool two_numbers =
       nargs == 2 && args[0].is_number() && args[1].is_number();
@@ -75,19 +83,15 @@ constexpr std::size_t kInlineArgs = 8;
       }
       *out = args[0].cell->vec[static_cast<std::size_t>(args[1].i)];
       return true;
-    case Prim::kVectorSet: {
+    case Prim::kVectorSet:
       if (nargs != 3 || !args[0].is_vector() || !args[1].is_int() ||
-          !index_ok(args[1].i, args[0].cell->vec.size())) {
+          !index_ok(args[1].i, args[0].cell->vec.size()) ||
+          Heap::barrier_armed(args[0].cell)) {
         return false;
       }
-      Cell* const v = args[0].cell;
-      const std::size_t i = static_cast<std::size_t>(args[1].i);
-      const Value x = args[2];
-      heap.write_barrier(v);
-      v->vec[i] = x;
+      args[0].cell->vec[static_cast<std::size_t>(args[1].i)] = args[2];
       *out = Value::unspecified();
       return true;
-    }
   }
   return false;
 }
@@ -111,6 +115,17 @@ Result<Value> call_native(Engine& engine, Value fn, const Value* argv,
   return fn.cell->type == Cell::Type::kBuiltin
              ? fn.cell->builtin(engine, args)
              : engine.apply_value(fn, args);
+}
+
+bool arity_ok(const Proto& proto, std::size_t nargs) {
+  return nargs >= proto.nparams && (proto.has_rest || nargs == proto.nparams);
+}
+
+Status arity_error(const Cell& cl, const Proto& proto, std::size_t nargs) {
+  return err(Err::kInval,
+             strfmt("%s: expected %zu argument(s), got %zu",
+                    cl.proc_name.empty() ? "procedure" : cl.proc_name.c_str(),
+                    static_cast<std::size_t>(proto.nparams), nargs));
 }
 
 }  // namespace
@@ -139,18 +154,21 @@ std::uint64_t Engine::vm_max_frame_depth() const noexcept {
 // Per-instruction accounting. Charge batching uses the same 64-step
 // threshold as count_step so syscall-visible charge_user calls batch the
 // same way; the tick cadence is scaled (vm_tick_every_) so wall-clock
-// poll/getrusage/timer traffic matches the interpreter's.
-void Engine::count_vm_step() {
-  ++evals_;
-  pending_charge_ += config_.vm_insn_cycles;
-  if (pending_charge_ >= 64 * config_.eval_cycles) {
-    sys().charge_user(pending_charge_);
-    pending_charge_ = 0;
+// poll/getrusage/timer traffic matches the interpreter's. Every VM step
+// adds to evals_ and pending_charge_; only an event step, the first whose
+// count reaches the charge threshold or the next tick, does more. This is
+// how many steps away the next one is (>= 1).
+std::uint64_t Engine::vm_steps_to_event() const {
+  const std::uint64_t threshold = 64 * config_.eval_cycles;
+  const std::uint64_t per_step = config_.vm_insn_cycles;
+  std::uint64_t steps = std::numeric_limits<std::uint64_t>::max();
+  if (pending_charge_ >= threshold) {
+    steps = 1;
+  } else if (per_step > 0) {
+    steps = 1 + (threshold - pending_charge_ - 1) / per_step;
   }
-  if (evals_ >= next_tick_) {
-    next_tick_ = evals_ + vm_tick_every_;
-    tick();
-  }
+  const std::uint64_t to_tick = next_tick_ > evals_ ? next_tick_ - evals_ : 1;
+  return std::min(steps, to_tick);
 }
 
 Result<Value> Engine::eval_toplevel(Value form) {
@@ -159,29 +177,14 @@ Result<Value> Engine::eval_toplevel(Value form) {
   return run_toplevel_proto(idx);
 }
 
-Status Engine::vm_push_call(VmContext& ctx, std::size_t nargs) {
-  const std::size_t fnpos = ctx.stack.size() - nargs - 1;
-  Cell* const cl = ctx.stack[fnpos].cell;
-  const Proto* const proto =
-      protos_[static_cast<std::size_t>(cl->proto_idx)].get();
-  const std::size_t fixed = proto->nparams;
-  if (nargs < fixed || (!proto->has_rest && nargs > fixed)) {
-    return err(Err::kInval,
-               strfmt("%s: expected %zu argument(s), got %zu",
-                      cl->proc_name.empty() ? "procedure"
-                                            : cl->proc_name.c_str(),
-                      fixed, nargs));
-  }
-  // Allocation is safe: cl and the args are still on the operand stack.
-  MV_ASSIGN_OR_RETURN(Cell* const frame,
-                      heap_.alloc_env_frame(proto->nslots));
-  frame->vec.assign(proto->nslots, Value{});
-  frame->parent_env = cl->closure_env;
+Status Engine::vm_bind_args(VmContext& ctx, Cell* frame, const Proto& proto,
+                            std::size_t fnpos, std::size_t nargs) {
   heap_.write_barrier(frame);
+  const std::size_t fixed = proto.nparams;
   for (std::size_t i = 0; i < fixed; ++i) {
     frame->vec[i] = ctx.stack[fnpos + 1 + i];
   }
-  if (proto->has_rest) {
+  if (proto.has_rest) {
     RootScope scope(heap_);
     scope.add(Value::from_cell(frame));
     Value rest = Value::nil();
@@ -191,7 +194,22 @@ Status Engine::vm_push_call(VmContext& ctx, std::size_t nargs) {
     }
     frame->vec[fixed] = rest;
   }
-  ctx.stack.truncate(fnpos);
+  return Status::ok();
+}
+
+Status Engine::vm_push_call(VmContext& ctx, std::size_t nargs) {
+  const std::size_t fnpos = ctx.stack.size() - nargs - 1;
+  Cell* const cl = ctx.stack[fnpos].cell;
+  const Proto* const proto =
+      protos_[static_cast<std::size_t>(cl->proto_idx)].get();
+  if (!arity_ok(*proto, nargs)) return arity_error(*cl, *proto, nargs);
+  // Allocation is safe: cl and the args are still on the operand stack.
+  MV_ASSIGN_OR_RETURN(Cell* const frame,
+                      heap_.alloc_env_frame(proto->nslots));
+  frame->vec.assign(proto->nslots, Value{});
+  frame->parent_env = cl->closure_env;
+  MV_RETURN_IF_ERROR(vm_bind_args(ctx, frame, *proto, fnpos, nargs));
+  ctx.stack.set_size(fnpos);
   VmFrame fr;
   fr.proto = proto;
   fr.env = frame;
@@ -206,283 +224,352 @@ Status Engine::vm_push_call(VmContext& ctx, std::size_t nargs) {
   return Status::ok();
 }
 
+// Threaded dispatch: every handler ends in VM_DISPATCH, which fetches the
+// next instruction, counts its step and jumps to its handler through
+// vm_run's label table (GCC labels-as-values).
+#define VM_DISPATCH()                                    \
+  do {                                                   \
+    insn = pc++;                                         \
+    if (--left == 0) goto event_step;                    \
+    goto* kHandlers[static_cast<std::size_t>(insn->op)]; \
+  } while (0)
+
 Result<Value> Engine::vm_run(VmContext& ctx, std::size_t frame_floor) {
   ValueStack& stack = ctx.stack;
 
-  // The running frame lives in locals: its record, code, constants and
-  // next instruction. The record's ip is stale while the frame runs; it is
-  // stored before a call leaves the frame. Any call, return or builtin call
-  // can move the frame records, so each reloads the locals.
+  // The helper lambdas below are forced inline: one left out of line takes
+  // every local it captures by reference into memory, the register-held
+  // stack top and step counter with them.
+  //
+  // The running frame lives in locals: its record, code, constants, slot
+  // array and next instruction. The record's ip is stale while the frame
+  // runs; it is stored before a call leaves the frame. Any call, return or
+  // builtin call can move the frame records, so each reloads `fr`.
   VmFrame* fr = nullptr;
   const Insn* code = nullptr;
+  const Insn* pc = nullptr;
   const Value* consts = nullptr;
-  std::uint32_t ip = 0;
-  const auto load_frame = [&] {
+  Value* slots = nullptr;  // fr->env's slots; the env never resizes
+  const auto load_frame = [&] [[gnu::always_inline]] () {
     fr = &ctx.frames.back();
     code = fr->proto->code.data();
     consts = fr->proto->consts.data();
-    ip = fr->ip;
+    slots = fr->env->vec.data();
+    pc = code + fr->ip;
   };
 
-  // Pop the current frame, recycling its env when poolable (a non-escaping
-  // frame is unreachable once its VmFrame record is gone). Returns true
-  // when the floor frame returned; `out` then carries the final result.
-  const auto do_return = [&](Value result, Value* out) -> bool {
-    const VmFrame done = ctx.frames.back();
-    ctx.frames.pop_back();
-    if (done.poolable) heap_.recycle_env_frame(done.env);
-    stack.truncate(done.stack_base);
-    if (ctx.frames.size() == frame_floor) {
-      *out = result;
-      return true;
+  // The operand stack's top lives in `sp` (one past it) and its storage
+  // end in `sp_end`; stack.size() is stale while instructions run.
+  Value* sp = nullptr;
+  Value* sp_end = nullptr;
+  // Step accounting: `left` counts down to the next event step
+  // (vm_steps_to_event), from `batch`; batch - left steps have run but are
+  // not yet in evals_/pending_charge_.
+  std::uint64_t batch = 0;
+  std::uint64_t left = 0;
+  // Hands the stack height and the counted steps to the engine. Runs before
+  // everything that reads them or can switch to another interpreter thread:
+  // an allocation (the collector marks every context's stack), a builtin or
+  // closure call, a barrier fault, an event step, leaving vm_run.
+  const auto sync = [&] [[gnu::always_inline]] () {
+    stack.set_size(static_cast<std::size_t>(sp - stack.data()));
+    evals_ += batch - left;
+    pending_charge_ += (batch - left) * config_.vm_insn_cycles;
+    batch = left;
+  };
+  // Takes them back after such a call, which may have counted steps of its
+  // own (a nested VM, the tree walker, another thread).
+  const auto resume = [&] [[gnu::always_inline]] () {
+    fr = &ctx.frames.back();
+    sp = stack.data() + stack.size();
+    sp_end = stack.data() + stack.capacity();
+    batch = left = vm_steps_to_event();
+  };
+  // By value: `v` may be a stack element, which growth moves.
+  const auto push = [&] [[gnu::always_inline]] (Value v) {
+    if (sp == sp_end) {
+      stack.set_size(static_cast<std::size_t>(sp - stack.data()));
+      stack.grow();
+      sp = stack.data() + stack.size();
+      sp_end = stack.data() + stack.capacity();
     }
-    stack.push_back(result);
-    load_frame();
-    return false;
+    *sp++ = v;
+  };
+  const auto barrier = [&] [[gnu::always_inline]] (Cell* cell) {
+    if (Heap::barrier_armed(cell)) {
+      sync();
+      heap_.write_barrier(cell);
+      resume();
+    }
   };
 
+  // One handler per Op, in declaration order.
+  static void* const kHandlers[] = {
+      &&op_const,         &&op_local,        &&op_set_local,
+      &&op_global,        &&op_set_global,   &&op_def_global,
+      &&op_pop,           &&op_dup,          &&op_jump,
+      &&op_jump_if_false, &&op_jump_if_true, &&op_make_closure,
+      &&op_call,          &&op_tail_call,    &&op_return,
+      &&op_cons,          &&op_init_slots,   &&op_name_if_anon,
+      &&op_case_match,
+  };
+  static_assert(std::size(kHandlers) ==
+                static_cast<std::size_t>(Op::kCaseMatch) + 1);
+
+  const Insn* insn = nullptr;  // the running instruction
+  Value ret;  // the value do_return hands to the caller
   load_frame();
-  for (;;) {
-    const Insn insn = code[ip++];
-    count_vm_step();
+  resume();
+  VM_DISPATCH();
 
-    switch (insn.op) {
-      case Op::kConst:
-        stack.push_back(consts[insn.a]);
-        break;
-
-      case Op::kLocal: {
-        Cell* e = fr->env;
-        for (std::int32_t d = 0; d < insn.a; ++d) e = e->parent_env;
-        stack.push_back(e->vec[static_cast<std::size_t>(insn.b)]);
-        break;
-      }
-
-      case Op::kSetLocal: {
-        Cell* e = fr->env;
-        for (std::int32_t d = 0; d < insn.a; ++d) e = e->parent_env;
-        e->vec[static_cast<std::size_t>(insn.b)] = stack.back();
-        stack.pop_back();
-        heap_.write_barrier(e);
-        break;
-      }
-
-      case Op::kGlobal: {
-        const SymId sym = static_cast<SymId>(insn.a);
-        const Value* const slot = global_slot(sym);
-        if (slot == nullptr) return unbound_error(sym);
-        stack.push_back(*slot);
-        break;
-      }
-
-      case Op::kSetGlobal: {
-        const SymId sym = static_cast<SymId>(insn.a);
-        Value* const slot = global_slot(sym);
-        if (slot == nullptr) return unbound_set_error(sym);
-        *slot = stack.back();
-        stack.pop_back();
-        break;
-      }
-
-      case Op::kDefGlobal:
-        bind_global(static_cast<SymId>(insn.a), stack.back());
-        stack.pop_back();
-        break;
-
-      case Op::kPop:
-        stack.pop_back();
-        break;
-
-      case Op::kDup:
-        stack.push_back(stack.back());
-        break;
-
-      case Op::kJump:
-        ip = static_cast<std::uint32_t>(insn.a);
-        break;
-
-      case Op::kJumpIfFalse: {
-        const Value v = stack.back();
-        stack.pop_back();
-        if (!v.truthy()) ip = static_cast<std::uint32_t>(insn.a);
-        break;
-      }
-
-      case Op::kJumpIfTrue: {
-        const Value v = stack.back();
-        stack.pop_back();
-        if (v.truthy()) ip = static_cast<std::uint32_t>(insn.a);
-        break;
-      }
-
-      case Op::kMakeClosure: {
-        MV_ASSIGN_OR_RETURN(Cell* const cl,
-                            heap_.alloc(Cell::Type::kClosure));
-        cl->proto_idx = insn.a;
-        cl->closure_env = fr->env;
-        cl->proc_name = protos_[static_cast<std::size_t>(insn.a)]->name;
-        stack.push_back(Value::from_cell(cl));
-        break;
-      }
-
-      case Op::kCall:
-      case Op::kTailCall: {
-        const std::size_t nargs = static_cast<std::size_t>(insn.a);
-        const std::size_t fnpos = stack.size() - nargs - 1;
-        const Value fn = stack[fnpos];
-        if (!fn.is_callable()) {
-          return err(Err::kInval,
-                     "application of non-procedure: " + to_display(fn) +
-                         " in " +
-                         to_display(consts[static_cast<std::size_t>(insn.b)]));
-        }
-        const bool is_tail = insn.op == Op::kTailCall;
-
-        if (fn.cell->type == Cell::Type::kBuiltin ||
-            fn.cell->proto_idx < 0) {
-          // Builtin, or an interpreter closure leaking across engines:
-          // evaluate to a value here (args stay rooted on the operand
-          // stack until the result is in).
-          const Value* const argv = stack.begin() + fnpos + 1;
-          Value result;
-          if (!prim_fast(fn.cell->prim, heap_, argv, nargs, &result)) {
-            MV_ASSIGN_OR_RETURN(result, call_native(*this, fn, argv, nargs));
-            fr = &ctx.frames.back();
-          }
-          stack.truncate(fnpos);
-          if (is_tail) {
-            Value out;
-            if (do_return(result, &out)) return out;
-          } else {
-            stack.push_back(result);
-          }
-          break;
-        }
-
-        if (!is_tail) {
-          fr->ip = ip;
-          MV_RETURN_IF_ERROR(vm_push_call(ctx, nargs));
-          load_frame();
-          break;
-        }
-
-        // Tail call to a bytecode closure: replace the current frame.
-        VmFrame& cur = *fr;
-        Cell* const cl = fn.cell;
-        const Proto* const proto =
-            protos_[static_cast<std::size_t>(cl->proto_idx)].get();
-        const std::size_t fixed = proto->nparams;
-        if (nargs < fixed || (!proto->has_rest && nargs > fixed)) {
-          return err(Err::kInval,
-                     strfmt("%s: expected %zu argument(s), got %zu",
-                            cl->proc_name.empty() ? "procedure"
-                                                  : cl->proc_name.c_str(),
-                            fixed, nargs));
-        }
-
-        if (cl == cur.closure && cur.poolable) {
-          // Self tail call to a non-escaping frame: rebind in place. Slots
-          // need no clearing — correct programs store before every read
-          // (params here; contour slots at their binding forms).
-          Cell* const frame = cur.env;
-          heap_.write_barrier(frame);
-          for (std::size_t i = 0; i < fixed; ++i) {
-            frame->vec[i] = stack[fnpos + 1 + i];
-          }
-          if (proto->has_rest) {
-            RootScope scope(heap_);
-            Value rest = Value::nil();
-            for (std::size_t i = nargs; i-- > fixed;) {
-              scope.add(rest);
-              MV_ASSIGN_OR_RETURN(rest, cons(stack[fnpos + 1 + i], rest));
-            }
-            frame->vec[fixed] = rest;
-          }
-          stack.truncate(cur.stack_base);
-          ip = 0;
-          break;
-        }
-
-        MV_ASSIGN_OR_RETURN(Cell* const frame,
-                            heap_.alloc_env_frame(proto->nslots));
-        frame->vec.assign(proto->nslots, Value{});
-        frame->parent_env = cl->closure_env;
-        heap_.write_barrier(frame);
-        for (std::size_t i = 0; i < fixed; ++i) {
-          frame->vec[i] = stack[fnpos + 1 + i];
-        }
-        if (proto->has_rest) {
-          RootScope scope(heap_);
-          scope.add(Value::from_cell(frame));
-          Value rest = Value::nil();
-          for (std::size_t i = nargs; i-- > fixed;) {
-            scope.add(rest);
-            MV_ASSIGN_OR_RETURN(rest, cons(stack[fnpos + 1 + i], rest));
-          }
-          frame->vec[fixed] = rest;
-        }
-        Cell* const old_env = cur.env;
-        const bool old_poolable = cur.poolable;
-        stack.truncate(cur.stack_base);
-        cur.proto = proto;
-        cur.env = frame;
-        cur.closure = cl;
-        cur.ip = 0;
-        cur.poolable = !proto->frame_escapes;
-        if (old_poolable) heap_.recycle_env_frame(old_env);
-        load_frame();
-        break;
-      }
-
-      case Op::kReturn: {
-        const Value result = stack.back();
-        Value out;
-        if (do_return(result, &out)) return out;
-        break;
-      }
-
-      case Op::kCons: {
-        const std::size_t n = stack.size();
-        // Operands stay on the (rooted) stack through the allocation.
-        MV_ASSIGN_OR_RETURN(const Value pair,
-                            cons(stack[n - 2], stack[n - 1]));
-        stack.truncate(n - 2);
-        stack.push_back(pair);
-        break;
-      }
-
-      case Op::kInitSlots: {
-        Cell* const frame = fr->env;
-        for (std::int32_t i = 0; i < insn.b; ++i) {
-          frame->vec[static_cast<std::size_t>(insn.a + i)] =
-              Value::unspecified();
-        }
-        heap_.write_barrier(frame);
-        break;
-      }
-
-      case Op::kNameIfAnon: {
-        const Value v = stack.back();
-        if (v.is_cell() && v.cell->type == Cell::Type::kClosure &&
-            v.cell->proc_name.empty()) {
-          v.cell->proc_name = sym_name(static_cast<SymId>(insn.a));
-        }
-        break;
-      }
-
-      case Op::kCaseMatch: {
-        const Value key = stack.back();
-        bool hit = false;
-        for (Value d = consts[static_cast<std::size_t>(insn.a)];
-             !hit && d.is_pair(); d = d.cell->cdr) {
-          hit = value_eqv(key, d.cell->car);
-        }
-        stack.push_back(Value::boolean(hit));
-        break;
-      }
-    }
+event_step:
+  // count_step's checks, on the step that passes a threshold.
+  sync();
+  if (pending_charge_ >= 64 * config_.eval_cycles) {
+    sys().charge_user(pending_charge_);
+    pending_charge_ = 0;
   }
+  if (evals_ >= next_tick_) {
+    next_tick_ = evals_ + vm_tick_every_;
+    tick();
+  }
+  resume();
+  goto* kHandlers[static_cast<std::size_t>(insn->op)];
+
+op_const:
+  push(consts[insn->a]);
+  VM_DISPATCH();
+
+op_local: {
+  const Value* s = slots;
+  if (insn->a != 0) {
+    Cell* e = fr->env;
+    for (std::int32_t d = 0; d < insn->a; ++d) e = e->parent_env;
+    s = e->vec.data();
+  }
+  push(s[insn->b]);
+  VM_DISPATCH();
 }
+
+op_set_local: {
+  Cell* e = fr->env;
+  Value* s = slots;
+  if (insn->a != 0) {
+    for (std::int32_t d = 0; d < insn->a; ++d) e = e->parent_env;
+    s = e->vec.data();
+  }
+  s[insn->b] = *--sp;
+  barrier(e);
+  VM_DISPATCH();
+}
+
+op_global: {
+  const SymId sym = static_cast<SymId>(insn->a);
+  const Value* const slot = global_slot(sym);
+  if (slot == nullptr) {
+    sync();
+    return unbound_error(sym);
+  }
+  push(*slot);
+  VM_DISPATCH();
+}
+
+op_set_global: {
+  const SymId sym = static_cast<SymId>(insn->a);
+  Value* const slot = global_slot(sym);
+  if (slot == nullptr) {
+    sync();
+    return unbound_set_error(sym);
+  }
+  *slot = *--sp;
+  VM_DISPATCH();
+}
+
+op_def_global:
+  bind_global(static_cast<SymId>(insn->a), sp[-1]);
+  --sp;
+  VM_DISPATCH();
+
+op_pop:
+  --sp;
+  VM_DISPATCH();
+
+op_dup:
+  push(sp[-1]);
+  VM_DISPATCH();
+
+op_jump:
+  pc = code + insn->a;
+  VM_DISPATCH();
+
+op_jump_if_false:
+  if (!(--sp)->truthy()) pc = code + insn->a;
+  VM_DISPATCH();
+
+op_jump_if_true:
+  if ((--sp)->truthy()) pc = code + insn->a;
+  VM_DISPATCH();
+
+op_make_closure: {
+  sync();
+  MV_ASSIGN_OR_RETURN(Cell* const cl, heap_.alloc(Cell::Type::kClosure));
+  resume();
+  cl->proto_idx = insn->a;
+  cl->closure_env = fr->env;
+  cl->proc_name = protos_[static_cast<std::size_t>(insn->a)]->name;
+  push(Value::from_cell(cl));
+  VM_DISPATCH();
+}
+
+op_call:
+op_tail_call: {
+  const bool is_tail = insn->op == Op::kTailCall;
+  const std::size_t nargs = static_cast<std::size_t>(insn->a);
+  Value* const fnp = sp - nargs - 1;
+  const Value fn = *fnp;
+  // A tagged builtin first: only builtin cells carry a Prim, so a hit
+  // needs no other check. Its result takes the callee's slot.
+  if (fn.is_cell() && fn.cell->prim != Prim::kNone &&
+      prim_fast(fn.cell->prim, fnp + 1, nargs, &ret)) {
+    sp = fnp;
+    if (is_tail) goto do_return;
+    *sp++ = ret;
+    VM_DISPATCH();
+  }
+  if (!fn.is_callable()) {
+    sync();
+    return err(Err::kInval,
+               "application of non-procedure: " + to_display(fn) + " in " +
+                   to_display(consts[static_cast<std::size_t>(insn->b)]));
+  }
+  const std::size_t fnpos = static_cast<std::size_t>(fnp - stack.data());
+
+  if (fn.cell->type == Cell::Type::kBuiltin || fn.cell->proto_idx < 0) {
+    // Builtin, or an interpreter closure leaking across engines: evaluate
+    // to a value here (args stay rooted on the operand stack until the
+    // result is in).
+    sync();
+    MV_ASSIGN_OR_RETURN(ret, call_native(*this, fn, stack.data() + fnpos + 1,
+                                         nargs));
+    resume();
+    sp = stack.data() + fnpos;
+    if (is_tail) goto do_return;
+    *sp++ = ret;
+    VM_DISPATCH();
+  }
+
+  if (!is_tail) {
+    fr->ip = static_cast<std::uint32_t>(pc - code);
+    sync();
+    MV_RETURN_IF_ERROR(vm_push_call(ctx, nargs));
+    load_frame();
+    resume();
+    VM_DISPATCH();
+  }
+
+  // Tail call to a bytecode closure: replace the current frame.
+  Cell* const cl = fn.cell;
+  const Proto* const proto =
+      protos_[static_cast<std::size_t>(cl->proto_idx)].get();
+  if (!arity_ok(*proto, nargs)) {
+    sync();
+    return arity_error(*cl, *proto, nargs);
+  }
+
+  if (cl == fr->closure && fr->poolable) {
+    // Self tail call to a non-escaping frame: rebind in place. Slots need
+    // no clearing — correct programs store before every read (params
+    // here; contour slots at their binding forms).
+    if (proto->has_rest) {
+      sync();
+      MV_RETURN_IF_ERROR(vm_bind_args(ctx, fr->env, *proto, fnpos, nargs));
+      resume();
+    } else {
+      barrier(fr->env);
+      std::copy(sp - nargs, sp, slots);
+    }
+    sp = stack.data() + fr->stack_base;
+    pc = code;
+    VM_DISPATCH();
+  }
+
+  sync();
+  MV_ASSIGN_OR_RETURN(Cell* const frame, heap_.alloc_env_frame(proto->nslots));
+  frame->vec.assign(proto->nslots, Value{});
+  frame->parent_env = cl->closure_env;
+  MV_RETURN_IF_ERROR(vm_bind_args(ctx, frame, *proto, fnpos, nargs));
+  VmFrame& cur = ctx.frames.back();
+  Cell* const old_env = cur.env;
+  const bool old_poolable = cur.poolable;
+  stack.set_size(cur.stack_base);
+  cur.proto = proto;
+  cur.env = frame;
+  cur.closure = cl;
+  cur.ip = 0;
+  cur.poolable = !proto->frame_escapes;
+  if (old_poolable) heap_.recycle_env_frame(old_env);
+  load_frame();
+  resume();
+  VM_DISPATCH();
+}
+
+op_return:
+  ret = sp[-1];
+do_return: {
+  // Pop the current frame, recycling its env when poolable (a non-escaping
+  // frame is unreachable once its VmFrame record is gone).
+  const VmFrame done = ctx.frames.back();
+  ctx.frames.pop_back();
+  if (done.poolable) heap_.recycle_env_frame(done.env);
+  sp = stack.data() + done.stack_base;
+  if (ctx.frames.size() == frame_floor) {
+    sync();
+    return ret;
+  }
+  // No growth check: a frame above the floor started where its callee
+  // was pushed, so its base is below the height at that call.
+  *sp++ = ret;
+  load_frame();
+  VM_DISPATCH();
+}
+
+op_cons: {
+  // Operands stay on the (rooted) stack through the allocation.
+  sync();
+  MV_ASSIGN_OR_RETURN(const Value pair, cons(sp[-2], sp[-1]));
+  resume();
+  sp[-2] = pair;
+  --sp;
+  VM_DISPATCH();
+}
+
+op_init_slots:
+  std::fill_n(slots + insn->a, insn->b, Value::unspecified());
+  barrier(fr->env);
+  VM_DISPATCH();
+
+op_name_if_anon: {
+  const Value v = sp[-1];
+  if (v.is_cell() && v.cell->type == Cell::Type::kClosure &&
+      v.cell->proc_name.empty()) {
+    v.cell->proc_name = sym_name(static_cast<SymId>(insn->a));
+  }
+  VM_DISPATCH();
+}
+
+op_case_match: {
+  const Value key = sp[-1];
+  bool hit = false;
+  for (Value d = consts[static_cast<std::size_t>(insn->a)];
+       !hit && d.is_pair(); d = d.cell->cdr) {
+    hit = value_eqv(key, d.cell->car);
+  }
+  push(Value::boolean(hit));
+  VM_DISPATCH();
+}
+}
+
+#undef VM_DISPATCH
 
 Result<Value> Engine::run_toplevel_proto(int proto_idx) {
   VmContext& ctx = current_vm_context();
@@ -510,7 +597,7 @@ Result<Value> Engine::run_toplevel_proto(int proto_idx) {
   if (!result.is_ok()) {
     // Unwind to the entry state; abandoned envs are ordinary garbage.
     ctx.frames.resize(floor);
-    ctx.stack.truncate(entry);
+    ctx.stack.set_size(entry);
   }
   return result;
 }
@@ -523,13 +610,13 @@ Result<Value> Engine::vm_apply(Value fn, Args args) {
   for (const Value& a : args) ctx.stack.push_back(a);
   const Status st = vm_push_call(ctx, args.size());
   if (!st.is_ok()) {
-    ctx.stack.truncate(entry);
+    ctx.stack.set_size(entry);
     return st;
   }
   Result<Value> result = vm_run(ctx, floor);
   if (!result.is_ok()) {
     ctx.frames.resize(floor);
-    ctx.stack.truncate(entry);
+    ctx.stack.set_size(entry);
   }
   return result;
 }

@@ -24,31 +24,33 @@ struct VmFrame {
   bool poolable = false;       // !proto->frame_escapes: recycled on return
 };
 
-// The operand stack: push and pop stay inline in the dispatch loop; only
-// growth is a call. Storage moves when it grows, and a builtin can re-enter
-// the VM and grow it, so no pointer into it survives a call.
+// The operand stack. The dispatch loop keeps its top in a local (vm_run)
+// and writes the height back with set_size() before anything that reads
+// it: the collector marks [0, size()) of every context. Storage moves when
+// it grows, and a builtin can re-enter the VM and grow it, so no pointer
+// into it survives a call.
 class ValueStack {
  public:
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
   Value& operator[](std::size_t i) noexcept { return slots_[i]; }
-  Value& back() noexcept { return slots_[size_ - 1]; }
+  [[nodiscard]] Value* data() noexcept { return slots_.data(); }
   // By value: `v` may be an element of this stack, which grow() moves.
   void push_back(Value v) {
     if (size_ == slots_.size()) grow();
     slots_[size_++] = v;
   }
-  void pop_back() noexcept { --size_; }
-  // Drops everything above height n (n <= size()).
-  void truncate(std::size_t n) noexcept { size_ = n; }
+  // Sets the height to n <= capacity(): a truncation, or the dispatch
+  // loop's write-back of values it stored above the old height.
+  void set_size(std::size_t n) noexcept { size_ = n; }
+  // Doubles the capacity. Out of line, so push sites stay small.
+  [[gnu::noinline]] void grow();
   [[nodiscard]] const Value* begin() const noexcept { return slots_.data(); }
   [[nodiscard]] const Value* end() const noexcept {
     return slots_.data() + size_;
   }
 
  private:
-  // Out of line, so push_back stays small enough to inline.
-  [[gnu::noinline]] void grow();
-
   std::vector<Value> slots_;  // capacity; [0, size_) is live
   std::size_t size_ = 0;
 };

@@ -11,6 +11,8 @@
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 
+#include "recording_iface.hpp"
+
 namespace mv::scheme {
 namespace {
 
@@ -729,6 +731,67 @@ TEST_F(SchemeTest, EveryAllocationCollectsAndNothingLiveIsSwept) {
           << c.src;
     }
   }
+}
+
+// The battery's two-thread case, under the VM with write barriers armed by
+// every collection. Thread A's set!s and vector-set!s take barrier faults,
+// and each fault yields to thread B (as a forwarded fault blocks in the
+// hybridized configuration), whose next allocation collects while A is
+// mid-instruction. A's operand stack then holds a pair that nothing else
+// references (`g` was just cleared), so it survives only if A's stack
+// height was current when the fault began. Spawning and joining happen in
+// one toplevel form, so no new frame of the main thread is in flight.
+TEST_F(SchemeTest, EveryAllocationCollectsWhileAThreadTakesBarrierFaults) {
+  Engine::Config cfg;
+  cfg.exec = Engine::Exec::kBytecodeVm;
+  cfg.heap.gc_allocation_trigger = 1;
+  cfg.load_boot_files = false;
+  static const char* const kForms[] = {
+      "(define g #f)"
+      "(define old (make-vector 2 0))"
+      "(define results (make-vector 2 #f))"
+      "(define (taker k)"
+      "  (let ((acc '()) (n 0))"
+      "    (do ((i 0 (+ i 1))) ((= i k) acc)"
+      "      (set! g (cons 'g i))"
+      "      (set! acc (cons (list 'a 'b g (begin (set! g #f)"
+      "                                           (set! n (+ n 1)) n))"
+      "                      acc))"
+      "      (vector-set! old 1 (list 'c i)))))"
+      "(define (allocator k acc)"
+      "  (thread-yield)"
+      "  (if (= k 0) (length acc) (allocator (- k 1) (cons k acc))))",
+      "(let ((ta (spawn-thread (lambda () (vector-set! results 0 (taker 4)))))"
+      "      (tb (spawn-thread"
+      "           (lambda () (vector-set! results 1 (allocator 40 '()))))))"
+      "  (thread-join ta)"
+      "  (thread-join tb)"
+      "  (list results old))",
+  };
+  std::string result;
+  GcStats gc;
+  testutil::EventLog log;
+  run_guest([&](ros::SysIface& sys) {
+    testutil::RecordingIface rec(sys, machine_->core(0), log,
+                                 /*yield_after_fault=*/true);
+    Engine engine(rec, cfg);
+    const Status up = engine.init();
+    EXPECT_TRUE(up.is_ok()) << up.to_string();
+    for (const char* form : kForms) {
+      auto r = engine.eval_to_string(form);
+      result = r.is_ok() ? *r : "ERROR: " + r.status().to_string();
+    }
+    gc = engine.heap().stats();
+    return 0;
+  });
+  EXPECT_EQ(result,
+            "(#(((a b (g . 3) 4) (a b (g . 2) 3) (a b (g . 1) 2)"
+            " (a b (g . 0) 1)) 40) #(0 (c 3)))");
+  EXPECT_EQ(gc.collections, 975u);
+  EXPECT_EQ(gc.cells_swept, 384u);
+  EXPECT_EQ(gc.barrier_hits, 62u);
+  EXPECT_EQ(log.events.size(), 5508u);
+  EXPECT_EQ(log.fnv1a(), 17875562408841635677u);
 }
 
 TEST_F(SchemeTest, StartupHasRacketLikeSyscallProfile) {

@@ -16,6 +16,8 @@
 #include "runtime/scheme/programs.hpp"
 #include "support/rng.hpp"
 
+#include "recording_iface.hpp"
+
 namespace mv::scheme {
 namespace {
 
@@ -431,7 +433,8 @@ TEST_F(SchemeVmTest, FastPathPrimitivesMatchGenericBuiltins) {
         } else {
           operand = any();
         }
-        const std::string var = "a" + std::to_string(k);
+        std::string var = "a";
+        var += std::to_string(k);
         binds += "(" + var + " " + operand + ")";
         names += " " + var;
       }
@@ -494,9 +497,42 @@ TEST_F(SchemeVmTest, ReentrantBuiltinsSurviveStackGrowth) {
 // --- simulated accounting --------------------------------------------------
 
 // One VM program mixing builtin, closure, tail and self-tail calls, global
-// set!/define, GC and unbound globals. Its instruction count, GC statistics
-// and simulated core cycles are pinned: host-side changes to the VM must
-// leave every simulated figure exactly as it is.
+// set!/define, GC, barrier faults and unbound globals.
+const char* const kAccountingForms[] = {
+    "(define counter 0)"
+    "(define (bump! k) (set! counter (+ counter k)))"
+    "(define (fact n) (if (= n 0) 1 (* n (fact (- n 1)))))"
+    "(define (count-down n acc)"
+    "  (if (= n 0) acc (count-down (- n 1) (+ acc 1))))"
+    "(define (ping n) (if (= n 0) 'ping (pong (- n 1))))"
+    "(define (pong n) (if (= n 0) 'pong (ping (- n 1))))"
+    "(define (sum-list l) (if (null? l) 0 (+ (car l) (sum-list (cdr l)))))"
+    "(define v (make-vector 64 0))"
+    "(define junk '())"
+    "(do ((i 0 (+ i 1))) ((= i 100))"
+    "  (set! junk (iota 300))"
+    "  (vector-set! v (modulo i 64) (* i i))"
+    "  (bump! (vector-ref v (modulo i 64))))"
+    "(list (fact 20) (count-down 5000 0) (ping 3001)"
+    "      (sum-list (iota 200)) counter"
+    "      (apply + (map (lambda (x) (* 2 x)) (iota 50)))"
+    "      (sort (list 5 3 9 1) <) (vector-ref v 39))",
+    // Old vectors spread over several chunks: after the collection
+    // protects them, each chunk's first store takes a barrier fault.
+    "(define olds (map (lambda (i) (make-vector 2 i)) (iota 1500)))"
+    "(collect-garbage)"
+    "(for-each (lambda (o) (vector-set! o 1 'x)) olds)"
+    "(vector-ref (car olds) 1)",
+    "(define (probe) undefined-inside) (define late-global 1)",
+    "(probe)",
+    "(set! undefined-inside 2)",
+    "(+ late-global never-seen-before)",
+    "(set! also-never-seen 1)",
+};
+
+// The accounting program's instruction count, GC statistics and simulated
+// core cycles are pinned: host-side changes to the VM must leave every
+// simulated figure exactly as it is.
 TEST_F(SchemeVmTest, SimulatedAccountingIsPinned) {
   std::vector<std::string> results;
   std::uint64_t steps = 0;
@@ -504,38 +540,7 @@ TEST_F(SchemeVmTest, SimulatedAccountingIsPinned) {
   run_guest([&](ros::SysIface& sys) -> int {
     Engine engine(sys, vm_config());
     EXPECT_TRUE(engine.init().is_ok());
-    const char* const kForms[] = {
-        "(define counter 0)"
-        "(define (bump! k) (set! counter (+ counter k)))"
-        "(define (fact n) (if (= n 0) 1 (* n (fact (- n 1)))))"
-        "(define (count-down n acc)"
-        "  (if (= n 0) acc (count-down (- n 1) (+ acc 1))))"
-        "(define (ping n) (if (= n 0) 'ping (pong (- n 1))))"
-        "(define (pong n) (if (= n 0) 'pong (ping (- n 1))))"
-        "(define (sum-list l) (if (null? l) 0 (+ (car l) (sum-list (cdr l)))))"
-        "(define v (make-vector 64 0))"
-        "(define junk '())"
-        "(do ((i 0 (+ i 1))) ((= i 100))"
-        "  (set! junk (iota 300))"
-        "  (vector-set! v (modulo i 64) (* i i))"
-        "  (bump! (vector-ref v (modulo i 64))))"
-        "(list (fact 20) (count-down 5000 0) (ping 3001)"
-        "      (sum-list (iota 200)) counter"
-        "      (apply + (map (lambda (x) (* 2 x)) (iota 50)))"
-        "      (sort (list 5 3 9 1) <) (vector-ref v 39))",
-        // Old vectors spread over several chunks: after the collection
-        // protects them, each chunk's first store takes a barrier fault.
-        "(define olds (map (lambda (i) (make-vector 2 i)) (iota 1500)))"
-        "(collect-garbage)"
-        "(for-each (lambda (o) (vector-set! o 1 'x)) olds)"
-        "(vector-ref (car olds) 1)",
-        "(define (probe) undefined-inside) (define late-global 1)",
-        "(probe)",
-        "(set! undefined-inside 2)",
-        "(+ late-global never-seen-before)",
-        "(set! also-never-seen 1)",
-    };
-    for (const char* form : kForms) {
+    for (const char* form : kAccountingForms) {
       auto r = engine.eval_to_string(form);
       results.push_back(r.is_ok() ? *r : "ERROR: " + r.status().to_string());
     }
@@ -564,6 +569,73 @@ TEST_F(SchemeVmTest, SimulatedAccountingIsPinned) {
   EXPECT_EQ(gc.env_reuses, 38089u);
   EXPECT_EQ(gc.env_recycles, 39793u);
   EXPECT_EQ(machine_->core(0).cycles(), 25871481u);
+}
+
+// The order of simulated events, not only their totals: the accounting
+// program again, with every charge_user batch, syscall, signal and memory
+// touch logged with the core's cycle count at entry. A charge batch moved
+// across a syscall can leave the totals above as they are; it changes the
+// log.
+TEST_F(SchemeVmTest, SimulatedEventOrderIsPinned) {
+  testutil::EventLog log;
+  run_guest([&](ros::SysIface& sys) -> int {
+    testutil::RecordingIface rec(sys, machine_->core(0), log);
+    Engine engine(rec, vm_config());
+    EXPECT_TRUE(engine.init().is_ok());
+    for (const char* form : kAccountingForms) (void)engine.eval_string(form);
+    return 0;
+  });
+  // The wrapper itself charges nothing.
+  EXPECT_EQ(machine_->core(0).cycles(), 25871481u);
+  EXPECT_EQ(log.events.size(), 3005u);
+  EXPECT_EQ(log.fnv1a(), 1403048619298736196u);
+}
+
+// A config where every VM instruction is an event step: 64 cycles per
+// instruction fill the 64 * 1-cycle charge batch, and the tick comes every
+// instruction. A short program covering each call shape, allocation, a
+// barrier fault, output and an error return.
+TEST_F(SchemeVmTest, EveryInstructionAnEventStepIsPinned) {
+  Engine::Config cfg = vm_config();
+  cfg.eval_cycles = 1;
+  cfg.vm_insn_cycles = 64;
+  cfg.tick_every_evals = 1;
+  cfg.load_boot_files = false;
+  static const char* const kForms[] = {
+      "(define (build n acc) (if (= n 0) acc (build (- n 1) (cons n acc))))"
+      "(define (twice x) (* x 2))"
+      "(define (via x) (twice x))"
+      "(define v (make-vector 4 0))",
+      "(display (build 5 '()))",
+      "(collect-garbage)",
+      "(vector-set! v 1 (apply + (list 1 2)))",
+      "(list (via 21) (vector-ref v 1) (length (build 3 '())))",
+      "(car 5)",
+  };
+  std::vector<std::string> results;
+  std::uint64_t steps = 0;
+  testutil::EventLog log;
+  run_guest([&](ros::SysIface& sys) -> int {
+    testutil::RecordingIface rec(sys, machine_->core(0), log);
+    Engine engine(rec, cfg);
+    EXPECT_TRUE(engine.init().is_ok());
+    for (const char* form : kForms) {
+      auto r = engine.eval_to_string(form);
+      results.push_back(r.is_ok() ? *r : "ERROR: " + r.status().to_string());
+    }
+    (void)engine.flush();
+    steps = engine.eval_steps();
+    return 0;
+  });
+  const std::vector<std::string> want = {
+      "", "", "", "", "(42 3 3)", "ERROR: EINVAL: car: expected pair",
+  };
+  EXPECT_EQ(results, want);
+  EXPECT_EQ(proc_->stdout_text, "(1 2 3 4 5)");
+  EXPECT_EQ(steps, 305u);
+  EXPECT_EQ(machine_->core(0).cycles(), 552495u);
+  EXPECT_EQ(log.events.size(), 765u);
+  EXPECT_EQ(log.fnv1a(), 8944484109488063386u);
 }
 
 // --- fig13 suite byte-identity ---------------------------------------------
