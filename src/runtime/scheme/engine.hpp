@@ -140,6 +140,7 @@ class Engine {
   }
   // Deepest frame chain any VM context has reached (tail-call tests).
   [[nodiscard]] std::uint64_t vm_max_frame_depth() const noexcept;
+  [[nodiscard]] const VmStats& vm_stats() const noexcept { return vm_stats_; }
 
  private:
   friend class Reader;
@@ -217,6 +218,7 @@ class Engine {
   std::vector<std::unique_ptr<Proto>> protos_;
   std::vector<std::pair<const Fiber*, std::unique_ptr<VmContext>>>
       vm_contexts_;
+  VmStats vm_stats_;
   // Tick cadence in VM instructions, scaled so wall-clock poll/timer
   // traffic matches the interpreter's (tick_every_evals * eval_cycles
   // guest cycles between ticks in both engines).

@@ -150,12 +150,16 @@ Result<Cell*> Heap::alloc(Cell::Type type) {
   ++stats_.live_cells;
 
   // First touch of each page in the chunk demand-faults, exactly like a real
-  // allocator walking a fresh arena.
+  // allocator walking a fresh arena. The fault can block while another
+  // interpreter thread collects, and no caller holds the cell yet, so it
+  // stays rooted through the touch.
   const std::uint64_t page_index =
       (cell->guest_addr - target->guest_base) / kPageSize;
   if ((target->touched_pages & (1ull << page_index)) == 0) {
     target->touched_pages |= 1ull << page_index;
+    push_root(Value::from_cell(cell));
     (void)sys().mem_touch(cell->guest_addr, hw::Access::kWrite);
+    pop_roots(1);
   }
   return cell;
 }

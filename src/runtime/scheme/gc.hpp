@@ -129,6 +129,15 @@ class Heap {
   void write_barrier(Cell* cell) {
     if (barrier_armed(cell)) barrier_store(cell);
   }
+  // The barrier for a cell no root holds yet (a fresh call frame before
+  // its VM frame record exists): the cell stays rooted through the fault,
+  // which can switch to an interpreter thread that collects.
+  void write_barrier_unrooted(Cell* cell) {
+    if (!barrier_armed(cell)) return;
+    push_root(Value::from_cell(cell));
+    barrier_store(cell);
+    pop_roots(1);
+  }
   // Whether a store into `cell` faults: its chunk is write-protected. The
   // fault's handler makes a syscall, so another interpreter thread may run
   // (and collect) before the store completes.

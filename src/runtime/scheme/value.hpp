@@ -131,13 +131,22 @@ enum class Prim : std::uint8_t {
   kAdd,
   kSub,
   kMul,
+  kDiv,
+  kModulo,
   kNumEq,
   kLt,
   kGt,
+  kEven,
+  kFloor,
+  kSqrt,
+  kInexactToExact,
+  kNull,
+  kCons,
   kCar,
   kCdr,
   kVectorRef,
   kVectorSet,
+  kStringSet,
 };
 
 class Cell {
@@ -243,6 +252,11 @@ inline std::int64_t fix_quotient(std::int64_t a, std::int64_t b) {
 inline std::int64_t fix_remainder(std::int64_t a, std::int64_t b) {
   return b == -1 ? 0 : a % b;
 }
+// Floored division's remainder (b != 0): the result takes b's sign.
+inline std::int64_t fix_modulo(std::int64_t a, std::int64_t b) {
+  const std::int64_t m = fix_remainder(a, b);
+  return m != 0 && (m < 0) != (b < 0) ? m + b : m;
+}
 
 // Two-operand arithmetic with int/real contagion: two fixnums stay exact,
 // anything else is flonum arithmetic. Operands must be numbers.
@@ -258,6 +272,16 @@ inline Value num_mul(const Value& a, const Value& b) {
   return a.is_int() && b.is_int() ? Value::integer(fix_mul(a.i, b.i))
                                   : Value::real(a.as_real() * b.as_real());
 }
+// Division by a nonzero number: two fixnums that divide exactly stay
+// exact, anything else is flonum division.
+inline Value num_div(const Value& a, const Value& b) {
+  return a.is_int() && b.is_int() && fix_remainder(a.i, b.i) == 0
+             ? Value::integer(fix_quotient(a.i, b.i))
+             : Value::real(a.as_real() / b.as_real());
+}
+// Whether flonum `d` truncates to a fixnum: finite and in [-2^63, 2^63).
+// Converting anything else to int64_t is undefined.
+inline bool fixnum_range(double d) { return d >= -0x1p63 && d < 0x1p63; }
 // Numeric comparisons compare as flonums.
 inline bool num_eq(const Value& a, const Value& b) {
   return a.as_real() == b.as_real();
@@ -269,7 +293,10 @@ inline bool num_gt(const Value& a, const Value& b) {
   return a.as_real() > b.as_real();
 }
 
-// Whether fixnum `i` indexes a vector of `size` elements.
+// even?: true only for an even fixnum, false for anything else.
+inline bool num_even(const Value& v) { return v.is_int() && v.i % 2 == 0; }
+
+// Whether fixnum `i` indexes a vector or string of `size` elements.
 inline bool index_ok(std::int64_t i, std::size_t size) {
   return i >= 0 && static_cast<std::uint64_t>(i) < size;
 }

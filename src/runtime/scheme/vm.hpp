@@ -55,6 +55,14 @@ class ValueStack {
   std::size_t size_ = 0;
 };
 
+// Host-side counters of the dispatch loop. They charge nothing and move no
+// simulated figure.
+struct VmStats {
+  // Builtin calls the inline fast path (Prim, value.hpp) declined, which
+  // ran the builtin itself.
+  std::uint64_t generic_builtin_calls = 0;
+};
+
 struct VmContext {
   ValueStack stack;
   std::vector<VmFrame> frames;

@@ -7,11 +7,11 @@
 // keep not only the simulated totals but the order and timing of every
 // simulated event.
 //
-// With `yield_after_fault`, a memory touch that raised a SIGSEGV (a GC
-// write barrier's fault) ends in a thread_yield. That models the
-// hybridized case, where the fault is forwarded and blocks the faulting
-// thread while another interpreter thread runs. Threads the guest creates
-// through the wrapper run on wrappers of their own that share the log.
+// With a YieldOn other than kNothing, the chosen memory touches end in a
+// thread_yield. That models the hybridized case, where the fault is
+// forwarded and blocks the faulting thread while another interpreter
+// thread runs. Threads the guest creates through the wrapper run on
+// wrappers of their own that share the log.
 
 #include <cstdint>
 #include <string>
@@ -40,14 +40,22 @@ struct EventLog {
   }
 };
 
+// Which memory touches end in a thread_yield.
+enum class YieldOn {
+  kNothing,
+  // A touch that raised a SIGSEGV: a GC write barrier's fault.
+  kBarrierFault,
+  // A touch that raised none. The Vessel heap touches a page outside a
+  // barrier only the first time it hands out a cell there, so this is a
+  // fresh page's demand fault.
+  kFirstTouch,
+};
+
 class RecordingIface final : public ros::SysIface {
  public:
   RecordingIface(ros::SysIface& inner, const hw::Core& core, EventLog& log,
-                 bool yield_after_fault = false)
-      : inner_(&inner),
-        core_(&core),
-        log_(&log),
-        yield_after_fault_(yield_after_fault) {}
+                 YieldOn yield_on = YieldOn::kNothing)
+      : inner_(&inner), core_(&core), log_(&log), yield_on_(yield_on) {}
 
   Result<std::uint64_t> syscall(ros::SysNr nr,
                                 std::array<std::uint64_t, 6> args) override {
@@ -65,7 +73,9 @@ class RecordingIface final : public ros::SysIface {
     record(strfmt("touch %#llx", static_cast<unsigned long long>(vaddr)));
     log_->in_fault = false;
     const Status s = inner_->mem_touch(vaddr, access);
-    if (yield_after_fault_ && log_->in_fault) inner_->thread_yield();
+    const YieldOn touched =
+        log_->in_fault ? YieldOn::kBarrierFault : YieldOn::kFirstTouch;
+    if (yield_on_ == touched) inner_->thread_yield();
     return s;
   }
   ros::TimeVal vdso_gettimeofday() override {
@@ -75,9 +85,9 @@ class RecordingIface final : public ros::SysIface {
   Result<int> thread_create(ros::GuestThreadFn fn) override {
     record("thread_create");
     return inner_->thread_create(
-        [core = core_, log = log_, yield = yield_after_fault_,
+        [core = core_, log = log_, yield_on = yield_on_,
          fn = std::move(fn)](ros::SysIface& child) {
-          RecordingIface wrapped(child, *core, *log, yield);
+          RecordingIface wrapped(child, *core, *log, yield_on);
           fn(wrapped);
         });
   }
@@ -118,7 +128,7 @@ class RecordingIface final : public ros::SysIface {
   ros::SysIface* inner_;
   const hw::Core* core_;
   EventLog* log_;
-  bool yield_after_fault_;
+  YieldOn yield_on_;
 };
 
 }  // namespace mv::testutil

@@ -773,7 +773,7 @@ TEST_F(SchemeTest, EveryAllocationCollectsWhileAThreadTakesBarrierFaults) {
   testutil::EventLog log;
   run_guest([&](ros::SysIface& sys) {
     testutil::RecordingIface rec(sys, machine_->core(0), log,
-                                 /*yield_after_fault=*/true);
+                                 testutil::YieldOn::kBarrierFault);
     Engine engine(rec, cfg);
     const Status up = engine.init();
     EXPECT_TRUE(up.is_ok()) << up.to_string();
@@ -792,6 +792,112 @@ TEST_F(SchemeTest, EveryAllocationCollectsWhileAThreadTakesBarrierFaults) {
   EXPECT_EQ(gc.barrier_hits, 62u);
   EXPECT_EQ(log.events.size(), 5508u);
   EXPECT_EQ(log.fnv1a(), 17875562408841635677u);
+}
+
+// The battery's first-touch case. Thread A's new pairs land on fresh heap
+// pages, and each page's first touch yields to thread B (as a forwarded
+// page fault blocks in the hybridized configuration), whose next
+// allocation collects before A has stored its new cell anywhere. The cell
+// survives only if the allocator roots it through the touch; swept, it is
+// handed to B as well, and the two threads' lists run into each other.
+// `ballast` keeps the live set above every cell the engine's boot built,
+// so each new pair is a cell never handed out before, and eight 512-byte
+// cells fill a page.
+TEST_F(SchemeTest, EveryAllocationCollectsWhileAThreadTakesFirstTouchFaults) {
+  Engine::Config cfg;
+  cfg.exec = Engine::Exec::kBytecodeVm;
+  cfg.heap.gc_allocation_trigger = 1;
+  cfg.heap.cell_bytes = 512;
+  cfg.heap.write_barriers = false;
+  cfg.load_boot_files = false;
+  static const char* const kForms[] = {
+      "(define results (make-vector 2 #f))"
+      "(define (build n acc) (if (= n 0) acc (build (- n 1) (cons n acc))))"
+      "(define (allocator k acc)"
+      "  (thread-yield)"
+      "  (if (= k 0) acc (allocator (- k 1) (cons (- k) acc))))"
+      "(define ballast (build 400 '()))",
+      "(let ((ta (spawn-thread (lambda () (vector-set! results 0 (build 24 '())))))"
+      "      (tb (spawn-thread"
+      "           (lambda () (vector-set! results 1 (allocator 12 '()))))))"
+      "  (thread-join ta)"
+      "  (thread-join tb)"
+      "  results)",
+  };
+  std::string result;
+  GcStats gc;
+  testutil::EventLog log;
+  run_guest([&](ros::SysIface& sys) {
+    testutil::RecordingIface rec(sys, machine_->core(0), log,
+                                 testutil::YieldOn::kFirstTouch);
+    Engine engine(rec, cfg);
+    const Status up = engine.init();
+    EXPECT_TRUE(up.is_ok()) << up.to_string();
+    for (const char* form : kForms) {
+      auto r = engine.eval_to_string(form);
+      result = r.is_ok() ? *r : "ERROR: " + r.status().to_string();
+    }
+    gc = engine.heap().stats();
+    return 0;
+  });
+  EXPECT_EQ(result,
+            "#((1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24)"
+            " (-1 -2 -3 -4 -5 -6 -7 -8 -9 -10 -11 -12))");
+  EXPECT_EQ(gc.collections, 1280u);
+  EXPECT_EQ(log.events.size(), 1497u);
+  EXPECT_EQ(log.fnv1a(), 15506615751701015010u);
+}
+
+// A fresh call frame's own barrier fault, under the same schedule: thread
+// A's closure calls take pooled frames that a collection left in
+// write-protected chunks, so binding the arguments faults, and the fault
+// yields to thread B, which collects. The frame is on no VM frame record
+// yet; unrooted, it is swept mid-call (its parent link cleared) and A's
+// next free-variable reference dereferences nothing.
+TEST_F(SchemeTest, EveryAllocationCollectsWhileACallFrameTakesABarrierFault) {
+  Engine::Config cfg;
+  cfg.exec = Engine::Exec::kBytecodeVm;
+  cfg.heap.gc_allocation_trigger = 1;
+  cfg.load_boot_files = false;
+  static const char* const kForms[] = {
+      "(define results (make-vector 2 #f))"
+      "(define (make-adder k) (lambda (x) (+ x k)))"
+      "(define add3 (make-adder 3))"
+      "(define (descend n)"
+      "  (if (= n 0) (length (list 1 2)) (+ (add3 (descend (- n 1))) 0)))"
+      "(define (caller k acc)"
+      "  (if (= k 0) acc (caller (- k 1) (cons (descend 6) acc))))"
+      "(define (allocator k acc)"
+      "  (thread-yield)"
+      "  (if (= k 0) (length acc) (allocator (- k 1) (cons k acc))))",
+      "(let ((ta (spawn-thread (lambda () (vector-set! results 0 (caller 4 '())))))"
+      "      (tb (spawn-thread"
+      "           (lambda () (vector-set! results 1 (allocator 40 '()))))))"
+      "  (thread-join ta)"
+      "  (thread-join tb)"
+      "  results)",
+  };
+  std::string result;
+  GcStats gc;
+  testutil::EventLog log;
+  run_guest([&](ros::SysIface& sys) {
+    testutil::RecordingIface rec(sys, machine_->core(0), log,
+                                 testutil::YieldOn::kBarrierFault);
+    Engine engine(rec, cfg);
+    const Status up = engine.init();
+    EXPECT_TRUE(up.is_ok()) << up.to_string();
+    for (const char* form : kForms) {
+      auto r = engine.eval_to_string(form);
+      result = r.is_ok() ? *r : "ERROR: " + r.status().to_string();
+    }
+    gc = engine.heap().stats();
+    return 0;
+  });
+  EXPECT_EQ(result, "#((20 20 20 20) 40)");
+  EXPECT_EQ(gc.collections, 964u);
+  EXPECT_EQ(gc.barrier_hits, 75u);
+  EXPECT_EQ(log.events.size(), 5455u);
+  EXPECT_EQ(log.fnv1a(), 927221290465587400u);
 }
 
 TEST_F(SchemeTest, StartupHasRacketLikeSyscallProfile) {

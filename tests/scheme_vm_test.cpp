@@ -236,6 +236,19 @@ TEST_F(SchemeVmTest, ErrorMessagesMatchInterpreter) {
             "ERROR: EINVAL: procedure: expected 1 argument(s), got 0");
   EXPECT_EQ(twin("(unquote 1)"),
             "ERROR: EINVAL: unquote outside quasiquote");
+  // `/` checks every operand, the first one too; its fast path declines
+  // a non-number.
+  const std::string not_number = "ERROR: EINVAL: /: expected number";
+  EXPECT_EQ(twin("(/ 'x 2)"), not_number);
+  EXPECT_EQ(twin("(/ \"abc\" 4)"), not_number);
+  EXPECT_EQ(twin("(/ 'x 0)"), not_number);
+  EXPECT_EQ(twin("(/ #\\a)"), not_number);
+  EXPECT_EQ(twin("(/ 6 'x)"), not_number);
+  EXPECT_EQ(twin("(/ 6 2 \"abc\")"), not_number);
+  EXPECT_EQ(twin("(apply / (list 'x 2))"), not_number);
+  EXPECT_EQ(twin("(/ 6 0)"), "ERROR: EINVAL: /: division by zero");
+  EXPECT_EQ(twin("(list (/ 6 3) (/ 7 2) (/ 1 0.5) (/ 24 2 3) (/ 4))"),
+            "(2 3.5 2.0 4 0.25)");
 }
 
 TEST_F(SchemeVmTest, InterpreterThreadsUnderVm) {
@@ -346,7 +359,9 @@ TEST_F(SchemeVmTest, EscapingFramesAreNotRecycled) {
 // --- fixnum edge cases -----------------------------------------------------
 
 // Fixnums wrap modulo 2^64 in every operation, in both engines: no host
-// SIGFPE, no signed-overflow UB.
+// SIGFPE, no signed-overflow UB. A flonum converts to an exact integer
+// only when it truncates to a fixnum: NaN, the infinities and anything at
+// or past 2^63 in magnitude are range errors, not an undefined conversion.
 TEST_F(SchemeVmTest, FixnumEdgeCasesWrapWithoutTrapping) {
   EXPECT_EQ(twin("(quotient -9223372036854775808 -1)"),
             "-9223372036854775808");
@@ -372,6 +387,25 @@ TEST_F(SchemeVmTest, FixnumEdgeCasesWrapWithoutTrapping) {
   EXPECT_EQ(twin("(string->number \"-9223372036854775808\")"),
             "-9223372036854775808");
   EXPECT_EQ(twin("(list (exp 1000) (- (exp 1000)))"), "(inf -inf)");
+  EXPECT_EQ(twin("(inexact->exact 1e300)"),
+            "ERROR: ERANGE: inexact->exact: 1e+300 out of range");
+  EXPECT_EQ(twin("(inexact->exact (exp 1000))"),
+            "ERROR: ERANGE: inexact->exact: inf out of range");
+  EXPECT_EQ(twin("(inexact->exact (- (exp 1000)))"),
+            "ERROR: ERANGE: inexact->exact: -inf out of range");
+  EXPECT_EQ(twin("(inexact->exact 9223372036854775808.0)"),
+            "ERROR: ERANGE: inexact->exact: 9.22337e+18 out of range");
+  // NaN's sign, and so its text, is the host's.
+  EXPECT_EQ(twin("(inexact->exact (- (exp 1000) (exp 1000)))")
+                .rfind("ERROR: ERANGE: inexact->exact: ", 0),
+            0u);
+  // Exact integers come back unchanged.
+  EXPECT_EQ(twin("(list (inexact->exact -9223372036854775808.0)"
+                 "      (inexact->exact 9223372036854774784.0)"
+                 "      (inexact->exact -2.75) (inexact->exact 3.5)"
+                 "      (inexact->exact 9223372036854775807))"),
+            "(-9223372036854775808 9223372036854774784 -2 3"
+            " 9223372036854775807)");
 }
 
 // --- builtin fast path -----------------------------------------------------
@@ -385,9 +419,12 @@ TEST_F(SchemeVmTest, FastPathPrimitivesMatchGenericBuiltins) {
     int arity;
   };
   static const PrimCase kPrims[] = {
-      {"vector-ref", 2}, {"+", 2}, {"vector-set!", 3}, {"=", 2},
-      {"*", 2},          {"-", 2}, {"<", 2},           {"car", 1},
-      {"cdr", 1},        {">", 2},
+      {"vector-ref", 2}, {"+", 2},      {"vector-set!", 3}, {"=", 2},
+      {"*", 2},          {"-", 2},      {"<", 2},           {"car", 1},
+      {"cdr", 1},        {">", 2},      {"+", 3},           {"*", 3},
+      {"-", 3},          {"/", 2},      {"modulo", 2},      {"even?", 1},
+      {"floor", 1},      {"sqrt", 1},   {"inexact->exact", 1},
+      {"null?", 1},      {"cons", 2},   {"string-set!", 3},
   };
   static const char* const kNumbers[] = {
       "0", "1", "-1", "7", "-13", "9223372036854775807",
@@ -402,6 +439,16 @@ TEST_F(SchemeVmTest, FastPathPrimitivesMatchGenericBuiltins) {
       "0", "1", "2", "3", "-1", "9223372036854775807",
       "-9223372036854775808", "1.0",
   };
+  static const char* const kFixnums[] = {
+      "0", "1", "-1", "2", "7", "-7", "-13", "64", "9223372036854775807",
+      "-9223372036854775808",
+  };
+  static const char* const kFlonums[] = {
+      "0.5", "-2.5", "3.0", "-0.0", "1e19", "-1e19", "9.2e18",
+      "-9223372036854775808.0", "(exp 1000)", "(- (exp 1000))",
+      "(- (exp 1000) (exp 1000))",
+  };
+  static const char* const kChars[] = {"#\\z", "#\\space", "#\\0"};
   Rng rng(20261017);
   const auto pick = [&rng](const auto& pool) {
     return std::string(pool[rng.below(std::size(pool))]);
@@ -410,10 +457,30 @@ TEST_F(SchemeVmTest, FastPathPrimitivesMatchGenericBuiltins) {
     return rng.below(2) == 0 ? pick(kNumbers) : pick(kOthers);
   };
   std::vector<std::string> direct, oracle_apply;
+  // The operand the prim's inline case expects at position k, with its
+  // edge cases: zero divisors, negative and extreme fixnums, flonums with
+  // no fixnum value, out-of-range indices.
+  const auto usual_operand = [&](const std::string& name, int k) {
+    if (name.rfind("vector", 0) == 0) {
+      return k == 0 ? std::string("(vector 10 20 30)")
+                    : k == 1 ? pick(kIndices) : any();
+    }
+    if (name == "string-set!") {
+      return k == 0 ? std::string("(string-copy \"abc\")")
+                    : k == 1 ? pick(kIndices) : pick(kChars);
+    }
+    if (name == "car" || name == "cdr") return std::string("(list 1 2 3)");
+    if (name == "modulo" || name == "even?") return pick(kFixnums);
+    if (name == "null?" || name == "cons") {
+      return rng.below(2) == 0 ? std::string("'()") : any();
+    }
+    if (name == "floor" || name == "sqrt" || name == "inexact->exact") {
+      return rng.below(2) == 0 ? pick(kFlonums) : pick(kNumbers);
+    }
+    return pick(kNumbers);
+  };
   for (const PrimCase& prim : kPrims) {
     const std::string name = prim.name;
-    const bool vec_prim = name.rfind("vector", 0) == 0;
-    const bool pair_prim = name == "car" || name == "cdr";
     for (int c = 0; c < 160; ++c) {
       const int arity = rng.below(8) == 0
                             ? static_cast<int>(rng.below(5))
@@ -421,18 +488,7 @@ TEST_F(SchemeVmTest, FastPathPrimitivesMatchGenericBuiltins) {
       std::string binds, names;
       for (int k = 0; k < arity; ++k) {
         const bool usual = rng.below(4) != 0;
-        std::string operand;
-        if (vec_prim && k == 0) {
-          operand = usual ? "(vector 10 20 30)" : any();
-        } else if (vec_prim && k == 1) {
-          operand = usual ? pick(kIndices) : any();
-        } else if (pair_prim) {
-          operand = usual ? "(list 1 2 3)" : any();
-        } else if (!vec_prim) {
-          operand = usual ? pick(kNumbers) : any();
-        } else {
-          operand = any();
-        }
+        const std::string operand = usual ? usual_operand(name, k) : any();
         std::string var = "a";
         var += std::to_string(k);
         binds += "(" + var + " " + operand + ")";
@@ -639,6 +695,37 @@ TEST_F(SchemeVmTest, EveryInstructionAnEventStepIsPinned) {
 }
 
 // --- fig13 suite byte-identity ---------------------------------------------
+
+// The Fig 13 programs' builtin calls stay inline: how many of them take
+// the generic builtin path instead, per program at test size under the
+// Racket benchmarks' engine profile (bench/common.hpp's racket_profile).
+// A call shape that falls off the inline path moves a count here, not
+// only the host time.
+TEST_F(SchemeVmTest, Fig13GenericBuiltinCallsArePinned) {
+  Engine::Config cfg = vm_config();
+  cfg.heap.gc_allocation_trigger = 8 * 1024;
+  cfg.eval_cycles = 110;
+  cfg.vm_insn_cycles = 26;
+  std::vector<std::uint64_t> generic;
+  for (int b = 0; b < kBenchCount; ++b) {
+    const Bench bench = static_cast<Bench>(b);
+    const std::string src =
+        benchmark_source(bench, benchmark_test_size(bench));
+    run_guest([&](ros::SysIface& sys) -> int {
+      Engine engine(sys, cfg);
+      EXPECT_TRUE(engine.init().is_ok());
+      const auto r = engine.eval_string(src);
+      EXPECT_TRUE(r.is_ok()) << benchmark_name(bench);
+      generic.push_back(engine.vm_stats().generic_builtin_calls);
+      return 0;
+    });
+  }
+  // In Bench order. What is left is output (display, newline), setup
+  // (make-vector, make-string, vector, expt, ...) and the fastas' `min`
+  // and `substring` once per output line.
+  const std::vector<std::uint64_t> want = {25, 10, 148, 150, 11, 5, 9};
+  EXPECT_EQ(generic, want);
+}
 
 class VmBenchmarkTwinTest : public SchemeVmTest,
                             public ::testing::WithParamInterface<int> {};
