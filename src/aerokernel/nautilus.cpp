@@ -408,14 +408,6 @@ const NautThread* Nautilus::find_thread(int id) const {
   return nullptr;
 }
 
-std::size_t Nautilus::live_threads_on(unsigned core) const {
-  std::size_t live = 0;
-  for (const auto& t : threads_) {
-    if (!t->exited && t->core == core) ++live;
-  }
-  return live;
-}
-
 int Nautilus::event_create() {
   events_.push_back(false);
   return static_cast<int>(events_.size() - 1);

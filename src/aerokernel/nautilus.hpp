@@ -134,12 +134,7 @@ class Nautilus final : public vmm::HrtKernelIface {
                                     int pinned_core = -1);
   Status thread_join(int id);
   [[nodiscard]] NautThread* current_thread();
-  [[nodiscard]] std::size_t thread_count() const noexcept {
-    return threads_.size();
-  }
   [[nodiscard]] const NautThread* find_thread(int id) const;
-  // Live (non-exited) kernel threads currently placed on `core`.
-  [[nodiscard]] std::size_t live_threads_on(unsigned core) const;
 
   // --- events ------------------------------------------------------------------
   int event_create();
@@ -174,9 +169,6 @@ class Nautilus final : public vmm::HrtKernelIface {
   // stale slot in the threads_ table can never forward into freed memory.
   void detach_channel(LegacyChannel* channel);
   [[nodiscard]] bool merged() const noexcept { return merged_; }
-  [[nodiscard]] std::uint64_t merged_ros_cr3() const noexcept {
-    return ros_cr3_;
-  }
   [[nodiscard]] std::uint64_t remerge_count() const noexcept {
     return remerges_;
   }

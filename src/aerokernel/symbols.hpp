@@ -28,13 +28,11 @@ class SymbolTable {
   Result<std::uint64_t> resolve(hw::Core& core, std::string_view name);
 
   void set_cache_enabled(bool enabled) noexcept { cache_enabled_ = enabled; }
-  [[nodiscard]] bool cache_enabled() const noexcept { return cache_enabled_; }
 
   [[nodiscard]] std::uint64_t lookups() const noexcept { return lookups_; }
   [[nodiscard]] std::uint64_t cache_hits() const noexcept {
     return cache_hits_;
   }
-  [[nodiscard]] std::size_t size() const noexcept { return symbols_.size(); }
 
  private:
   struct Entry {

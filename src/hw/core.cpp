@@ -16,15 +16,11 @@ Status Core::deliver(InterruptFrame frame) {
                strfmt("core %u: no IDT handler for vector %u", id_,
                       unsigned{frame.vector}));
   }
-  ++interrupts_taken_;
   if (Tracer::instance().enabled()) {
     Tracer::instance().instant(
         id_, "irq", strfmt("vector%u", unsigned{frame.vector}));
   }
-  if (frame.vector == kVecPageFault) {
-    ++page_faults_taken_;
-    cr2_ = frame.fault_addr;
-  }
+  if (frame.vector == kVecPageFault) ++page_faults_taken_;
   charge(costs().page_fault_vector);
   frame.cpl_before = cpl_;
   const int saved_cpl = cpl_;

@@ -31,7 +31,6 @@ struct InterruptFrame {
   std::uint32_t error_code = 0;
   std::uint64_t fault_addr = 0;  // CR2 for #PF
   int cpl_before = 0;
-  std::uint64_t payload = 0;     // simulator-level message (IPIs, HVM events)
 };
 
 // Segment descriptor table. We model entries as opaque 64-bit words; what
@@ -64,7 +63,6 @@ class Core {
 
   [[nodiscard]] unsigned id() const noexcept { return id_; }
   [[nodiscard]] unsigned socket() const noexcept { return socket_; }
-  [[nodiscard]] Machine& machine() noexcept { return *machine_; }
 
   // --- control registers -------------------------------------------------
   [[nodiscard]] std::uint64_t cr3() const noexcept { return cr3_; }
@@ -75,7 +73,6 @@ class Core {
   }
   [[nodiscard]] bool cr0_wp() const noexcept { return cr0_wp_; }
   void set_cr0_wp(bool wp) noexcept { cr0_wp_ = wp; }
-  [[nodiscard]] std::uint64_t cr2() const noexcept { return cr2_; }
 
   // --- privilege & per-thread state ---------------------------------------
   [[nodiscard]] int cpl() const noexcept { return cpl_; }
@@ -84,7 +81,6 @@ class Core {
   void set_fs_base(std::uint64_t base) noexcept { fs_base_ = base; }
 
   [[nodiscard]] Gdt& gdt() noexcept { return gdt_; }
-  [[nodiscard]] const Gdt& gdt() const noexcept { return gdt_; }
   void load_gdt(Gdt gdt) { gdt_ = std::move(gdt); }
 
   // --- IDT / IST -----------------------------------------------------------
@@ -126,9 +122,6 @@ class Core {
   [[nodiscard]] Cycles cycles() const noexcept { return cycles_; }
 
   // --- counters ---------------------------------------------------------------
-  [[nodiscard]] std::uint64_t interrupts_taken() const noexcept {
-    return interrupts_taken_;
-  }
   [[nodiscard]] std::uint64_t page_faults_taken() const noexcept {
     return page_faults_taken_;
   }
@@ -146,7 +139,6 @@ class Core {
   unsigned id_;
   unsigned socket_;
   std::uint64_t cr3_ = 0;
-  std::uint64_t cr2_ = 0;
   bool cr0_wp_ = false;  // architectural reset default for our purposes
   int cpl_ = 0;
   std::uint64_t fs_base_ = 0;
@@ -155,7 +147,6 @@ class Core {
   std::array<std::uint64_t, 8> ist_{};  // index 0 = "no stack switch"
   Tlb tlb_;
   Cycles cycles_ = 0;
-  std::uint64_t interrupts_taken_ = 0;
   std::uint64_t page_faults_taken_ = 0;
 };
 

@@ -30,17 +30,6 @@ Machine::Machine(const MachineConfig& config)
 
 Machine::~Machine() { Tracer::instance().clear_clock(this); }
 
-Status Machine::send_ipi(unsigned from, unsigned to, std::uint8_t vector,
-                         std::uint64_t payload) {
-  if (to >= cores_.size()) return err(Err::kInval, "IPI to bad core");
-  ++ipis_sent_;
-  core(from).charge(costs().tlb_shootdown_ipi / 2);  // send half
-  InterruptFrame frame;
-  frame.vector = vector;
-  frame.payload = payload;
-  return core(to).deliver(frame);
-}
-
 void Machine::shootdown_ipi_round(Core& init, unsigned target) {
   init.charge(costs().tlb_shootdown_ipi);
   ++ipis_sent_;

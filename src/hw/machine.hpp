@@ -54,11 +54,6 @@ class Machine {
                                  : costs().cacheline_cross_socket;
   }
 
-  // Deliver an IPI: charges the sender, vectors on the target immediately
-  // (the cooperative scheduler makes "immediately" well-defined).
-  Status send_ipi(unsigned from, unsigned to, std::uint8_t vector,
-                  std::uint64_t payload = 0);
-
   // TLB shootdown of one page (or a full flush when vaddr==0) on a set of
   // target cores; charges the initiator per the cost model.
   void tlb_shootdown(unsigned initiator, const std::vector<unsigned>& targets,

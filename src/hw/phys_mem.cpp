@@ -35,42 +35,6 @@ Result<std::uint64_t> PhysMem::alloc_frame(unsigned zone) {
   return err(Err::kNoMem, "NUMA zone exhausted");
 }
 
-Result<std::vector<std::uint64_t>> PhysMem::alloc_frames(std::uint64_t count,
-                                                         unsigned zone) {
-  std::vector<std::uint64_t> out;
-  out.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    auto r = alloc_frame(zone);
-    if (!r) {
-      for (std::uint64_t paddr : out) free_frame(paddr);
-      return r.status();
-    }
-    out.push_back(*r);
-  }
-  return out;
-}
-
-Result<std::uint64_t> PhysMem::alloc_contiguous(std::uint64_t count,
-                                                unsigned zone) {
-  if (zone >= zones_.size()) return err(Err::kInval, "bad NUMA zone");
-  const NumaZone& z = zones_[zone];
-  std::uint64_t run = 0;
-  for (std::uint64_t f = z.first_frame; f < z.first_frame + z.frame_count;
-       ++f) {
-    run = allocated_[f] ? 0 : run + 1;
-    if (run == count) {
-      const std::uint64_t base = f + 1 - count;
-      for (std::uint64_t i = base; i <= f; ++i) {
-        allocated_[i] = true;
-        backing(i).fill(0);
-      }
-      used_ += count;
-      return base * kPageSize;
-    }
-  }
-  return err(Err::kNoMem, "no contiguous run");
-}
-
 Status PhysMem::free_frame(std::uint64_t paddr) {
   const std::uint64_t frame = paddr >> kPageShift;
   if (frame >= frame_count_) return err(Err::kInval, "frame out of range");
@@ -134,10 +98,6 @@ Result<std::uint64_t> PhysMem::read_u64(std::uint64_t paddr) const {
 
 Status PhysMem::write_u64(std::uint64_t paddr, std::uint64_t value) {
   return write(paddr, &value, sizeof(value));
-}
-
-std::uint8_t* PhysMem::page_ptr(std::uint64_t paddr) {
-  return backing(paddr >> kPageShift).data();
 }
 
 PhysMem::Page& PhysMem::backing(std::uint64_t frame) const {

@@ -37,9 +37,6 @@ class PhysMem {
   // Builds memory of `bytes` total split evenly across `numa_zones` zones.
   explicit PhysMem(std::uint64_t bytes, unsigned numa_zones = 1);
 
-  [[nodiscard]] std::uint64_t total_frames() const noexcept {
-    return frame_count_;
-  }
   [[nodiscard]] unsigned zone_count() const noexcept {
     return static_cast<unsigned>(zones_.size());
   }
@@ -49,12 +46,6 @@ class PhysMem {
   // Allocate one physical frame from the given zone; returns its physical
   // address. Frames are zero-filled on allocation.
   Result<std::uint64_t> alloc_frame(unsigned zone = 0);
-  // Allocate `count` frames, not necessarily contiguous.
-  Result<std::vector<std::uint64_t>> alloc_frames(std::uint64_t count,
-                                                  unsigned zone = 0);
-  // Allocate `count` physically contiguous frames; returns base address.
-  Result<std::uint64_t> alloc_contiguous(std::uint64_t count,
-                                         unsigned zone = 0);
   Status free_frame(std::uint64_t paddr);
 
   // Reserve a specific frame range (used to pin the HRT image region).
@@ -66,10 +57,6 @@ class PhysMem {
   Status write(std::uint64_t paddr, const void* in, std::uint64_t len);
   Result<std::uint64_t> read_u64(std::uint64_t paddr) const;
   Status write_u64(std::uint64_t paddr, std::uint64_t value);
-
-  // Direct host pointer to one page's backing store (never spans pages).
-  // Creates the backing page on demand.
-  std::uint8_t* page_ptr(std::uint64_t paddr);
 
  private:
   using Page = std::array<std::uint8_t, kPageSize>;

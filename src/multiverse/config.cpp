@@ -130,10 +130,7 @@ Result<OverrideConfig> parse_override_config(const std::string& text) {
         return err(Err::kParse, strfmt("line %d: option takes 2 operands",
                                        lineno));
       }
-      if (tokens[1] == "merge_address_space") {
-        MV_ASSIGN_OR_RETURN(config.options.merge_address_space,
-                            switch_option(tokens, lineno));
-      } else if (tokens[1] == "symbol_cache") {
+      if (tokens[1] == "symbol_cache") {
         MV_ASSIGN_OR_RETURN(config.options.symbol_cache,
                             switch_option(tokens, lineno));
       } else if (tokens[1] == "sync_channel") {

@@ -47,7 +47,6 @@ struct HybridizeOptions {
 };
 
 struct ToolchainOptions {
-  bool merge_address_space = true;
   bool symbol_cache = false;
   bool sync_channel = false;  // post-merge memory protocol for events
   // Event-channel submission-ring depth. 1 (default) selects the eager

@@ -123,8 +123,6 @@ class EventChannel final : public naut::LegacyChannel {
                unsigned hrt_core, int id = 0, TenantBinding tenant = {});
   ~EventChannel() override;
 
-  [[nodiscard]] int id() const noexcept { return id_; }
-  [[nodiscard]] int tenant_id() const noexcept { return tenant_.tenant_id; }
   // The HRT core this channel is bound to: requester-side cycle clock,
   // doorbell hypercall origin, and transport cost model all key off it. Must
   // match the core the group's HRT thread actually runs on.
@@ -142,7 +140,6 @@ class EventChannel final : public naut::LegacyChannel {
   [[nodiscard]] bool eager_doorbell() const noexcept { return eager_; }
 
   void bind_partner(ros::Thread* partner) { partner_ = partner; }
-  [[nodiscard]] ros::Thread* partner() noexcept { return partner_; }
   // The process the channel's group belongs to. A server from another
   // process (a shared service worker) adopts it for every request it serves,
   // so forwarded syscalls, fault replays and their accounting land in the
@@ -165,9 +162,6 @@ class EventChannel final : public naut::LegacyChannel {
   // + mv/watchdog/stalls). 0 disables. Purely observational: checking reads
   // clocks but charges nothing, so results are identical with it on or off.
   void set_watchdog_multiple(unsigned mult) noexcept { watchdog_mult_ = mult; }
-  [[nodiscard]] unsigned watchdog_multiple() const noexcept {
-    return watchdog_mult_;
-  }
   [[nodiscard]] std::uint64_t watchdog_stalls() const noexcept {
     return watchdog_stalls_;
   }

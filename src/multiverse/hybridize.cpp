@@ -25,17 +25,6 @@ SysFamily sys_family(ros::SysNr nr) noexcept {
   }
 }
 
-ros::SysNr family_sysnr(SysFamily f) noexcept {
-  switch (f) {
-    case SysFamily::kMmap: return ros::SysNr::kMmap;
-    case SysFamily::kMunmap: return ros::SysNr::kMunmap;
-    case SysFamily::kMprotect: return ros::SysNr::kMprotect;
-    case SysFamily::kBrk: return ros::SysNr::kBrk;
-    case SysFamily::kCount_: break;
-  }
-  return ros::SysNr::kCount_;
-}
-
 const char* family_name(SysFamily f) noexcept {
   switch (f) {
     case SysFamily::kMmap: return "mmap";

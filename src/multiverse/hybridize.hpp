@@ -59,7 +59,6 @@ inline constexpr std::size_t kSysFamilyCount =
 
 // kCount_ for syscalls outside the override families.
 [[nodiscard]] SysFamily sys_family(ros::SysNr nr) noexcept;
-[[nodiscard]] ros::SysNr family_sysnr(SysFamily f) noexcept;
 // Legacy name as it appears in `override` directives ("mmap", ...).
 [[nodiscard]] const char* family_name(SysFamily f) noexcept;
 // Default AeroKernel symbol the governor binds when no static spec names one.
@@ -97,9 +96,6 @@ class OverrideTable {
     return &entries_[static_cast<std::size_t>(f)];
   }
   [[nodiscard]] OverrideEntry& at(SysFamily f) noexcept {
-    return entries_[static_cast<std::size_t>(f)];
-  }
-  [[nodiscard]] const OverrideEntry& at(SysFamily f) const noexcept {
     return entries_[static_cast<std::size_t>(f)];
   }
 

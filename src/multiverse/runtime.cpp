@@ -312,7 +312,7 @@ Status MultiverseRuntime::startup(ros::Thread& main_thread,
   // boot-time shootdowns already see it.
   MV_ASSIGN_OR_RETURN(std::unique_ptr<Tenant> host,
                       make_tenant(0, *process_, config_.options.fault_spec));
-  add_tenant(std::move(host), config_.options.merge_address_space);
+  add_tenant(std::move(host));
   install_fault_resolvers();
 
   // 2. Install the image in HRT physical memory and boot the AeroKernel.
@@ -341,12 +341,10 @@ Status MultiverseRuntime::startup(ros::Thread& main_thread,
 
   // 5. Merge the address spaces (state superposition; tenant 0's coherency
   //    domain already covers the HRT cores).
-  if (config_.options.merge_address_space) {
-    MV_RETURN_IF_ERROR(
-        hvm_->hypercall(main_thread.core, vmm::Hypercall::kMergeAddressSpaces,
-                        process_->as->cr3())
-            .status());
-  }
+  MV_RETURN_IF_ERROR(
+      hvm_->hypercall(main_thread.core, vmm::Hypercall::kMergeAddressSpaces,
+                      process_->as->cr3())
+          .status());
 
   started_ = true;
   return Status::ok();
@@ -587,7 +585,7 @@ Status MultiverseRuntime::launch_hrt_thread(ExecGroup* group,
   group->hrt_tid = static_cast<int>(tid);
   groups_by_hrt_tid_[group->hrt_tid] = group;
 
-  if (config_.options.sync_channel && naut_->merged()) {
+  if (config_.options.sync_channel) {
     (void)group->channel->enable_sync_mode(group->hrt_stack_base);
   }
   return Status::ok();
@@ -946,14 +944,11 @@ Result<std::unique_ptr<Tenant>> MultiverseRuntime::make_tenant(
   return tenant;
 }
 
-Tenant& MultiverseRuntime::add_tenant(std::unique_ptr<Tenant> tenant,
-                                      bool merged) {
+Tenant& MultiverseRuntime::add_tenant(std::unique_ptr<Tenant> tenant) {
   Tenant& t = *tenant;
-  if (merged) {
-    std::vector<unsigned> domain = t.proc->as->coherency_domain();
-    for (const unsigned c : hvm_->config().hrt_cores) domain.push_back(c);
-    t.proc->as->set_coherency_domain(std::move(domain));
-  }
+  std::vector<unsigned> domain = t.proc->as->coherency_domain();
+  for (const unsigned c : hvm_->config().hrt_cores) domain.push_back(c);
+  t.proc->as->set_coherency_domain(std::move(domain));
   tenants_by_proc_[t.proc] = &t;
   tenants_by_root_[t.hrt_root] = &t;
   tenants_[t.id] = std::move(tenant);
@@ -1012,7 +1007,7 @@ Result<int> MultiverseRuntime::tenant_create(ros::Thread& caller,
 
   // The stamped root merges the tenant's user half, so its shootdowns must
   // reach the HRT cores.
-  return add_tenant(std::move(tenant), /*merged=*/true).id;
+  return add_tenant(std::move(tenant)).id;
 }
 
 Status MultiverseRuntime::tenant_destroy(int tenant_id) {

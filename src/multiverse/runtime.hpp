@@ -171,8 +171,6 @@ class HrtCtx final : public ros::SysIface {
   Result<std::uint64_t> aerokernel_call(std::string_view symbol,
                                         std::uint64_t arg);
 
-  [[nodiscard]] ExecGroup& group() noexcept { return *group_; }
-
   static constexpr std::uint64_t kScratchSliceBytes = 64 * 1024;
 
  private:
@@ -251,19 +249,14 @@ class MultiverseRuntime {
   }
 
   // ------ accessors -----------------------------------------------------------
-  [[nodiscard]] const OverrideConfig& config() const noexcept {
-    return config_;
-  }
   [[nodiscard]] naut::Nautilus& naut() noexcept { return *naut_; }
   [[nodiscard]] ros::LinuxSim& linux() noexcept { return *linux_; }
   [[nodiscard]] vmm::Hvm& hvm() noexcept { return *hvm_; }
-  [[nodiscard]] ros::Process* process() noexcept { return process_; }
   [[nodiscard]] bool started() const noexcept { return started_; }
   [[nodiscard]] std::uint64_t groups_created() const noexcept {
     return next_group_id_ - 1;
   }
   void set_group_mode(GroupMode mode) noexcept { group_mode_ = mode; }
-  [[nodiscard]] GroupMode group_mode() const noexcept { return group_mode_; }
   // White-box inspection for placement/service-pool tests.
   [[nodiscard]] ExecGroup* find_group(int group_id) {
     const auto it = groups_by_id_.find(group_id);
@@ -325,11 +318,10 @@ class MultiverseRuntime {
   // config, and its governor when `option hybridize` is on.
   Result<std::unique_ptr<Tenant>> make_tenant(int id, ros::Process& proc,
                                               const std::string& fault_spec);
-  // Admit a built tenant: index it by id, process and HRT root and, when
-  // `merged` (its user half is mapped into an HRT root), extend its address
-  // space's TLB coherency domain to the HRT cores so mprotect downgrades
-  // reach them.
-  Tenant& add_tenant(std::unique_ptr<Tenant> tenant, bool merged);
+  // Admit a built tenant: index it by id, process and HRT root, and extend
+  // its address space's TLB coherency domain to the HRT cores (its user half
+  // is mapped into an HRT root) so mprotect downgrades reach them.
+  Tenant& add_tenant(std::unique_ptr<Tenant> tenant);
   // Install the fault-plan resolvers on the HVM (by doorbell channel) and
   // the machine (by shootdown initiator): the only way either finds a plan.
   void install_fault_resolvers();

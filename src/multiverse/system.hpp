@@ -147,11 +147,6 @@ class HybridSystem {
     return fat_binary_;
   }
 
-  // Manually drive startup on a process's main thread (white-box testing).
-  Status manual_startup(ros::Thread& main_thread) {
-    return runtime_.startup(main_thread, fat_binary_);
-  }
-
  private:
   ProgramResult collect(const ros::Process& proc, std::uint64_t start_us,
                         bool hybrid);

@@ -35,15 +35,6 @@ Result<std::vector<std::uint8_t>> get_blob(std::span<const std::uint8_t> blob,
 
 }  // namespace
 
-const char* usage_model_name(UsageModel m) noexcept {
-  switch (m) {
-    case UsageModel::kNative: return "native";
-    case UsageModel::kAccelerator: return "accelerator";
-    case UsageModel::kIncremental: return "incremental";
-  }
-  return "?";
-}
-
 std::vector<std::uint8_t> FatBinary::serialize() const {
   std::vector<std::uint8_t> out;
   put_u32(out, kMagic);

@@ -34,15 +34,6 @@ class FatBinary {
   static Result<FatBinary> parse(std::span<const std::uint8_t> blob);
 };
 
-// Usage models from Sec 3.3.
-enum class UsageModel {
-  kNative,       // fully ported to the AeroKernel, no ROS dependence
-  kAccelerator,  // explicit hrt_invoke_func + AeroKernel functions
-  kIncremental,  // unmodified program; main() runs in the HRT
-};
-
-const char* usage_model_name(UsageModel m) noexcept;
-
 class Toolchain {
  public:
   // "To leverage Multiverse, a user must simply integrate their application

@@ -1,7 +1,6 @@
 #include "ros/address_space.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "support/log.hpp"
 #include "support/strings.hpp"
@@ -190,10 +189,6 @@ Result<std::uint64_t> AddressSpace::brk(std::uint64_t new_brk,
   return brk_;
 }
 
-const Vma* AddressSpace::find_vma(std::uint64_t addr) const {
-  return const_cast<AddressSpace*>(this)->find_vma_mut(addr);
-}
-
 Vma* AddressSpace::find_vma_mut(std::uint64_t addr) {
   auto it = vmas_.upper_bound(addr);
   if (it == vmas_.begin()) return nullptr;
@@ -350,57 +345,6 @@ void AddressSpace::unmap_range_pages(std::uint64_t start, std::uint64_t end,
       : coherency_cores_.empty() ? 0u
                                  : coherency_cores_.front();
   machine_->tlb_shootdown(initiator, coherency_cores_, vaddrs);
-}
-
-void AddressSpace::invalidate(std::uint64_t vaddr) {
-  for (unsigned c : coherency_cores_) {
-    machine_->core(c).tlb().invalidate_page(vaddr);
-  }
-}
-
-Status AddressSpace::poke(std::uint64_t vaddr, const void* data,
-                          std::uint64_t len) {
-  const auto* src = static_cast<const std::uint8_t*>(data);
-  while (len > 0) {
-    auto leaf = machine_->paging().lookup(cr3_, vaddr);
-    if (!leaf || page_floor(leaf->paddr) == zero_page_) {
-      // Materialize a private frame as a write fault would.
-      const FaultOutcome out = handle_fault(
-          coherency_cores_.empty() ? 0 : coherency_cores_.front(), vaddr,
-          leaf ? 3u : 2u);
-      if (!out.repaired) return err(Err::kFault, "poke: unmapped");
-      leaf = machine_->paging().lookup(cr3_, vaddr);
-      if (!leaf) return err(Err::kFault, "poke: still unmapped");
-    }
-    const std::uint64_t off = hw::page_offset(vaddr);
-    const std::uint64_t chunk = std::min(len, kPageSize - off);
-    MV_RETURN_IF_ERROR(machine_->mem().write(leaf->paddr, src, chunk));
-    src += chunk;
-    vaddr += chunk;
-    len -= chunk;
-  }
-  return Status::ok();
-}
-
-Status AddressSpace::peek(std::uint64_t vaddr, void* out,
-                          std::uint64_t len) const {
-  auto* dst = static_cast<std::uint8_t*>(out);
-  while (len > 0) {
-    auto leaf = machine_->paging().lookup(cr3_, vaddr);
-    const std::uint64_t off = hw::page_offset(vaddr);
-    const std::uint64_t chunk = std::min(len, kPageSize - off);
-    if (leaf) {
-      MV_RETURN_IF_ERROR(machine_->mem().read(leaf->paddr, dst, chunk));
-    } else if (find_vma(vaddr) != nullptr) {
-      std::memset(dst, 0, chunk);  // untouched demand-zero page
-    } else {
-      return err(Err::kFault, "peek: unmapped");
-    }
-    dst += chunk;
-    vaddr += chunk;
-    len -= chunk;
-  }
-  return Status::ok();
 }
 
 }  // namespace mv::ros

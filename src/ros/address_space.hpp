@@ -68,9 +68,7 @@ class AddressSpace {
   Status mprotect(unsigned initiator_core, std::uint64_t addr,
                   std::uint64_t len, int prot);
   Result<std::uint64_t> brk(std::uint64_t new_brk, int initiator_core = -1);
-  [[nodiscard]] std::uint64_t current_brk() const noexcept { return brk_; }
 
-  [[nodiscard]] const Vma* find_vma(std::uint64_t addr) const;
   [[nodiscard]] std::size_t vma_count() const noexcept { return vmas_.size(); }
 
   // --- fault handling --------------------------------------------------------
@@ -106,11 +104,6 @@ class AddressSpace {
   [[nodiscard]] std::uint64_t minor_faults() const noexcept { return minflt_; }
   [[nodiscard]] std::uint64_t major_faults() const noexcept { return majflt_; }
 
-  // Host-side convenience for loaders/tests: copy bytes in/out, materializing
-  // pages as needed (bypasses the CPU, does not fault-account).
-  Status poke(std::uint64_t vaddr, const void* data, std::uint64_t len);
-  Status peek(std::uint64_t vaddr, void* out, std::uint64_t len) const;
-
   // Kernel-owned pages the kernel mapped directly into this space (the vvar
   // page): outside VMA accounting, so range teardown must not charge them
   // against resident_pages_.
@@ -125,7 +118,6 @@ class AddressSpace {
   [[nodiscard]] static std::uint64_t prot_to_flags(int prot) noexcept;
   void unmap_range_pages(std::uint64_t start, std::uint64_t end,
                          int initiator_core = -1);
-  void invalidate(std::uint64_t vaddr);
   Vma* find_vma_mut(std::uint64_t addr);
   // Split VMAs so that [addr, addr+len) is exactly covered by whole VMAs.
   void split_around(std::uint64_t addr, std::uint64_t len);

@@ -149,6 +149,4 @@ Result<int> FdTable::dup(int fd) {
   return install(*file);
 }
 
-std::size_t FdTable::open_count() const noexcept { return files_.size(); }
-
 }  // namespace mv::ros

@@ -69,7 +69,6 @@ class FdTable {
   Result<OpenFile*> get(int fd);
   Status close(int fd);
   Result<int> dup(int fd);
-  [[nodiscard]] std::size_t open_count() const noexcept;
 
  private:
   static constexpr int kMaxFds = 256;

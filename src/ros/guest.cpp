@@ -123,14 +123,6 @@ Result<std::uint64_t> SysIface::getpid() {
   return syscall(SysNr::kGetpid, {0, 0, 0, 0, 0, 0});
 }
 
-Result<TimeVal> SysIface::gettimeofday_syscall() {
-  MV_RETURN_IF_ERROR(
-      syscall(SysNr::kGettimeofday, {scratch_base(), 0, 0, 0, 0, 0}).status());
-  TimeVal tv;
-  MV_RETURN_IF_ERROR(unstage(0, &tv, sizeof(tv)));
-  return tv;
-}
-
 Result<Rusage> SysIface::getrusage() {
   MV_RETURN_IF_ERROR(
       syscall(SysNr::kGetrusage, {0, scratch_base(), 0, 0, 0, 0}).status());
@@ -148,10 +140,6 @@ Result<int> SysIface::poll0() {
   MV_ASSIGN_OR_RETURN(const std::uint64_t r,
                       syscall(SysNr::kPoll, {0, 0, 0, 0, 0, 0}));
   return static_cast<int>(r);
-}
-
-void SysIface::sched_yield() {
-  (void)syscall(SysNr::kSchedYield, {0, 0, 0, 0, 0, 0});
 }
 
 void SysIface::exit_group(int code) {

@@ -93,14 +93,12 @@ class SysIface {
   Result<Stat> stat(const std::string& path);
   Result<std::string> getcwd();
   Result<std::uint64_t> getpid();
-  Result<TimeVal> gettimeofday_syscall();
   Result<Rusage> getrusage();
   // it_interval / it_value, microseconds. value_us == 0 arms the first expiry
   // one interval out (the common periodic shape); interval_us == 0 with a
   // nonzero value_us arms a one-shot timer that fires once and disarms.
   Status setitimer(std::uint64_t interval_us, std::uint64_t value_us = 0);
   Result<int> poll0();  // poll with zero timeout, as runtimes use for ticks
-  void sched_yield();
   [[noreturn]] void exit_group(int code);
 
   // printf-shaped output through write(1): formats host-side, then pushes the

@@ -171,9 +171,6 @@ class NativeCtx final : public SysIface {
   std::uint64_t scratch_size() override { return t_->scratch_size; }
   [[nodiscard]] Mode mode() const override;
 
-  [[nodiscard]] Thread& thread() noexcept { return *t_; }
-  [[nodiscard]] LinuxSim& kernel() noexcept { return *k_; }
-
  private:
   LinuxSim* k_;
   Thread* t_;
@@ -190,14 +187,11 @@ class LinuxSim {
   LinuxSim(hw::Machine& machine, Sched& sched, Config config);
   ~LinuxSim();
 
-  [[nodiscard]] hw::Machine& machine() noexcept { return *machine_; }
   [[nodiscard]] Sched& sched() noexcept { return *sched_; }
   [[nodiscard]] FileSystem& fs() noexcept { return fs_; }
-  [[nodiscard]] const Config& config() const noexcept { return config_; }
   [[nodiscard]] bool virtualized() const noexcept {
     return config_.virtualized;
   }
-  [[nodiscard]] std::uint64_t zero_page() const noexcept { return zero_page_; }
 
   // Spawn a process whose main thread runs `guest_main`. The process exits
   // with the returned code (or via exit_group).

@@ -36,6 +36,22 @@ Result<std::int64_t> want_int(const char* name, const Value& v) {
   return v.i;
 }
 
+// The longest vector or string a guest may make: 256x the longest a Fig 13
+// program makes (fasta's 4 096-entry lookup table), and at most 16 MiB of
+// host memory for a vector's slots.
+constexpr std::int64_t kMaxObjectSize = std::int64_t{1} << 20;
+
+// A vector or string length: EINVAL below zero, ERANGE past kMaxObjectSize.
+Result<std::size_t> want_size(const char* name, const Value& v) {
+  MV_ASSIGN_OR_RETURN(const std::int64_t n, want_int(name, v));
+  if (n < 0) return err(Err::kInval, std::string(name) + ": negative size");
+  if (n > kMaxObjectSize) {
+    return err(Err::kRange, strfmt("%s: size %lld out of range", name,
+                                   static_cast<long long>(n)));
+  }
+  return static_cast<std::size_t>(n);
+}
+
 Result<double> want_num(const char* name, const Value& v) {
   if (!v.is_number()) {
     return err(Err::kInval, std::string(name) + ": expected number");
@@ -210,8 +226,15 @@ void Engine::register_builtins() {
     MV_ASSIGN_OR_RETURN(const double base, want_num("expt", args[0]));
     MV_ASSIGN_OR_RETURN(const double power, want_num("expt", args[1]));
     if (args[0].is_int() && args[1].is_int() && args[1].i >= 0) {
+      // Square-and-multiply, in log2(exponent) steps: fixnum products wrap
+      // modulo 2^64, where multiplication is associative, so the result is
+      // the repeated product's.
       std::int64_t r = 1;
-      for (std::int64_t i = 0; i < args[1].i; ++i) r = fix_mul(r, args[0].i);
+      std::int64_t b = args[0].i;
+      for (auto e = static_cast<std::uint64_t>(args[1].i); e != 0; e >>= 1) {
+        if ((e & 1) != 0) r = fix_mul(r, b);
+        b = fix_mul(b, b);
+      }
       return Value::integer(r);
     }
     return Value::real(std::pow(base, power));
@@ -403,10 +426,8 @@ void Engine::register_builtins() {
   define_builtin("make-vector",
                  [](Engine& e, Args args) -> Result<Value> {
     MV_RETURN_IF_ERROR(need_at_least("make-vector", args, 1));
-    MV_ASSIGN_OR_RETURN(const std::int64_t n, want_int("make-vector", args[0]));
-    if (n < 0) return err(Err::kInval, "make-vector: negative size");
-    return e.make_vector(static_cast<std::size_t>(n),
-                         args.size() > 1 ? args[1] : Value::integer(0));
+    MV_ASSIGN_OR_RETURN(const std::size_t n, want_size("make-vector", args[0]));
+    return e.make_vector(n, args.size() > 1 ? args[1] : Value::integer(0));
   });
   define_builtin("vector",
                  [](Engine& e, Args args) -> Result<Value> {
@@ -502,9 +523,9 @@ void Engine::register_builtins() {
   define_builtin("make-string",
                  [](Engine& e, Args args) -> Result<Value> {
     MV_RETURN_IF_ERROR(need_at_least("make-string", args, 1));
-    MV_ASSIGN_OR_RETURN(const std::int64_t n, want_int("make-string", args[0]));
+    MV_ASSIGN_OR_RETURN(const std::size_t n, want_size("make-string", args[0]));
     const char fill = args.size() > 1 && args[1].is_char() ? args[1].c : ' ';
-    return e.make_string(std::string(static_cast<std::size_t>(n), fill));
+    return e.make_string(std::string(n, fill));
   });
   define_builtin("string->number",
                  [](Engine&, Args args) -> Result<Value> {

@@ -130,8 +130,6 @@ class Engine {
   [[nodiscard]] Heap& heap() noexcept { return heap_; }
   [[nodiscard]] ros::SysIface& sys();
   [[nodiscard]] std::uint64_t eval_steps() const noexcept { return evals_; }
-  [[nodiscard]] const Config& config() const noexcept { return config_; }
-  [[nodiscard]] Cell* globals_env() noexcept { return global_env_; }
   // Proto table for the bytecode compiler/VM. unique_ptr elements keep
   // Proto addresses stable across nested compilation (a `load` during VM
   // execution appends protos while frames hold pointers into the table).

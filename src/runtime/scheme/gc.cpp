@@ -253,7 +253,6 @@ void Heap::collect() {
 
   // Mark. Every fiber's shadow stack is a root set: suspended interpreter
   // threads hold live temporaries too.
-  for (const Value& v : persistent_roots_) mark(v);
   for (const auto& [fiber, stack] : root_stacks_) {
     for (const Value& v : stack) mark(v);
   }

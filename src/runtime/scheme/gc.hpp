@@ -76,7 +76,6 @@ class Heap {
   };
 
   Heap(ros::SysIface& sys, Config config);
-  Heap(ros::SysIface& sys) : Heap(sys, Config{}) {}
   Heap(const Heap&) = delete;  // the installed barrier handler holds `this`
   Heap& operator=(const Heap&) = delete;
 
@@ -107,9 +106,6 @@ class Heap {
     auto& stack = current_stack();
     stack.resize(stack.size() - n);
   }
-  [[nodiscard]] std::size_t root_depth() { return current_stack().size(); }
-  // Persistent roots (the global environment, green-thread states).
-  void add_persistent_root(Value v) { persistent_roots_.push_back(v); }
   // Callback-based roots for containers the heap cannot see (the engine's
   // global binding table).
   using RootVisitor = std::function<void(Value)>;
@@ -149,9 +145,6 @@ class Heap {
   void collect();
 
   [[nodiscard]] const GcStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] std::uint64_t bytes_mapped() const noexcept {
-    return chunks_.size() * config_.chunk_bytes;
-  }
 
  private:
   [[nodiscard]] ros::SysIface& sys() {
@@ -182,7 +175,6 @@ class Heap {
   // Per-fiber shadow stacks (index 0 doubles as the no-fiber fallback).
   std::vector<std::pair<const Fiber*, std::vector<Value>>> root_stacks_;
   std::size_t current_stack_hint_ = 0;
-  std::vector<Value> persistent_roots_;
   std::function<void(const RootVisitor&)> extra_marker_;
   SysProvider sys_provider_;
   std::uint64_t since_gc_ = 0;

@@ -106,7 +106,6 @@ struct Value {
   [[nodiscard]] bool is_string() const;
   [[nodiscard]] bool is_vector() const;
   [[nodiscard]] bool is_callable() const;
-  [[nodiscard]] bool is_env() const;
 
   // Scheme truthiness: everything but #f is true.
   [[nodiscard]] bool truthy() const { return !(is_bool() && !b); }
@@ -221,9 +220,6 @@ inline bool Value::is_vector() const {
 inline bool Value::is_callable() const {
   return is_cell() && (cell->type == Cell::Type::kClosure ||
                        cell->type == Cell::Type::kBuiltin);
-}
-inline bool Value::is_env() const {
-  return is_cell() && cell->type == Cell::Type::kEnv;
 }
 
 // --- numeric helpers ------------------------------------------------------

@@ -30,8 +30,6 @@ class TaskGraph {
   Result<TaskId> add(TaskFn fn, std::vector<TaskId> deps = {},
                      std::string name = {});
 
-  [[nodiscard]] std::size_t size() const noexcept { return tasks_.size(); }
-
   // Execute the whole graph on `workers` threads created through `sys`.
   // Returns once every task has run. The cooperative scheduler makes
   // execution deterministic for a fixed graph and worker count.

@@ -12,11 +12,6 @@ Vm::~Vm() {
   for (Vec& vec : stack_) release(vec);
 }
 
-const std::vector<double>& Vm::top() const {
-  static const std::vector<double> kEmpty;
-  return stack_.empty() ? kEmpty : stack_.back().data;
-}
-
 void Vm::charge_elements(std::size_t n) {
   stats_.elements_processed += n;
   sys_->charge_user(static_cast<std::uint64_t>(
@@ -331,13 +326,6 @@ Status Vm::run(const std::string& program) {
     }
   }
   return Status::ok();
-}
-
-Result<std::string> run_program(ros::SysIface& sys,
-                                const std::string& program) {
-  Vm vm(sys);
-  MV_RETURN_IF_ERROR(vm.run(program));
-  return std::string{};  // PRINT output went to guest stdout
 }
 
 }  // namespace mv::vcode

@@ -65,7 +65,6 @@ class Vm {
   [[nodiscard]] std::size_t stack_depth() const noexcept {
     return stack_.size();
   }
-  [[nodiscard]] const std::vector<double>& top() const;
 
   [[nodiscard]] const VmStats& stats() const noexcept { return stats_; }
 
@@ -93,9 +92,5 @@ class Vm {
   std::vector<Vec> stack_;
   VmStats stats_;
 };
-
-// Run a program and return what PRINT produced (stdout text is written
-// through the guest write path; this helper spawns no threads).
-Result<std::string> run_program(ros::SysIface& sys, const std::string& program);
 
 }  // namespace mv::vcode

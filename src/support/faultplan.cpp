@@ -92,13 +92,6 @@ Result<FaultPlan> FaultPlan::parse(std::string_view text) {
   return FaultPlan(spec);
 }
 
-bool FaultPlan::enabled() const noexcept {
-  for (const double p : spec_.probability) {
-    if (p > 0.0) return true;
-  }
-  return false;
-}
-
 bool FaultPlan::should_inject(FaultClass c, Cycles now) {
   const auto idx = static_cast<std::size_t>(c);
   const double p = spec_.probability[idx];

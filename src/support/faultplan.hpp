@@ -57,8 +57,6 @@ class FaultPlan {
   [[nodiscard]] double probability(FaultClass c) const noexcept {
     return spec_.probability[static_cast<std::size_t>(c)];
   }
-  // Any class armed at all.
-  [[nodiscard]] bool enabled() const noexcept;
 
   // Decide whether to inject `c` at simulated cycle `now`. Draws from the
   // class's dedicated stream only when the class is armed and `now` falls in
@@ -76,7 +74,6 @@ class FaultPlan {
   // faults/* counters keep counting — fleet totals stay one query — so
   // binding adds attribution, never moves it.
   void bind_tenant(int tenant_id, metrics::Registry& registry);
-  [[nodiscard]] int tenant_id() const noexcept { return tenant_id_; }
 
   [[nodiscard]] std::uint64_t injected(FaultClass c) const noexcept {
     return injected_[static_cast<std::size_t>(c)];

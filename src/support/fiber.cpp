@@ -20,8 +20,8 @@ thread_local Fiber* g_trampoline_target = nullptr;
 
 }  // namespace
 
-Fiber::Fiber(Entry entry, std::size_t stack_size, std::string name)
-    : entry_(std::move(entry)), name_(std::move(name)) {
+Fiber::Fiber(Entry entry, std::size_t stack_size)
+    : entry_(std::move(entry)) {
   static const std::size_t kPage =
       static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
   const std::size_t stack = (stack_size + kPage - 1) / kPage * kPage;

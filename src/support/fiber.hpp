@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <string>
 
 namespace mv {
 
@@ -23,8 +22,7 @@ class Fiber {
   // evaluation recurses, so default generously. The size only reserves
   // address space: the host commits a stack page when the fiber first
   // touches it.
-  explicit Fiber(Entry entry, std::size_t stack_size = 1024 * 1024,
-                 std::string name = {});
+  explicit Fiber(Entry entry, std::size_t stack_size = 1024 * 1024);
   ~Fiber();
 
   Fiber(const Fiber&) = delete;
@@ -46,7 +44,6 @@ class Fiber {
   [[nodiscard]] bool finished() const noexcept {
     return state_ == State::kFinished;
   }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
  private:
   static void trampoline();
@@ -54,7 +51,6 @@ class Fiber {
 
   Entry entry_;
   State state_ = State::kReady;
-  std::string name_;
   // Anonymous mapping: one PROT_NONE guard page, then the stack. Null once
   // released.
   void* mapping_ = nullptr;

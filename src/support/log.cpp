@@ -24,8 +24,7 @@ Logger& Logger::instance() noexcept {
 
 void Logger::write(LogLevel level, std::string_view component,
                    std::string_view msg) {
-  if (sink_ == nullptr) return;
-  std::fprintf(sink_, "[%s] %.*s: %.*s\n", level_tag(level),
+  std::fprintf(stderr, "[%s] %.*s: %.*s\n", level_tag(level),
                static_cast<int>(component.size()), component.data(),
                static_cast<int>(msg.size()), msg.data());
 }

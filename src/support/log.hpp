@@ -1,7 +1,7 @@
 #pragma once
 
-// Minimal leveled logger. The simulator is deterministic and single-threaded
-// (fiber-multiplexed), so no locking is needed; sinks are process-global.
+// Minimal leveled logger to stderr. The simulator is deterministic and
+// single-threaded (fiber-multiplexed), so no locking is needed.
 
 #include <cstdio>
 #include <string>
@@ -16,20 +16,15 @@ class Logger {
   static Logger& instance() noexcept;
 
   void set_level(LogLevel level) noexcept { level_ = level; }
-  [[nodiscard]] LogLevel level() const noexcept { return level_; }
   [[nodiscard]] bool enabled(LogLevel level) const noexcept {
     return level >= level_;
   }
-
-  // Redirect output (default stderr). Pass nullptr to silence entirely.
-  void set_sink(std::FILE* sink) noexcept { sink_ = sink; }
 
   void write(LogLevel level, std::string_view component, std::string_view msg);
 
  private:
   Logger() = default;
   LogLevel level_ = LogLevel::kWarn;
-  std::FILE* sink_ = stderr;
 };
 
 void log_msg(LogLevel level, std::string_view component, std::string_view msg);

@@ -13,14 +13,6 @@ void Histogram::record(double x) {
   min_ = count_ == 1 ? x : std::min(min_, x);
   max_ = count_ == 1 ? x : std::max(max_, x);
 
-  const double clamped = x < 0 ? 0 : x;
-  const auto as_u64 = static_cast<std::uint64_t>(clamped);
-  std::size_t bucket = 0;
-  while (bucket + 1 < kNumBuckets && (1ull << (bucket + 1)) <= as_u64) {
-    ++bucket;
-  }
-  ++buckets_[bucket];
-
   // Deterministic reservoir: admit every stride-th sample; on overflow keep
   // every other retained sample and double the stride.
   if (++skipped_ < stride_) return;
@@ -53,7 +45,6 @@ void Histogram::reset() {
   sum_ = 0.0;
   min_ = 0.0;
   max_ = 0.0;
-  std::fill(buckets_.begin(), buckets_.end(), 0);
   samples_.clear();
   stride_ = 1;
   skipped_ = 0;

@@ -23,8 +23,7 @@
 // Histograms keep a bounded, deterministic sample reservoir: once the cap is
 // reached the stored samples are decimated 2:1 and the acceptance stride
 // doubles, so percentiles stay exact for short runs and deterministic (not
-// randomized) for long ones. A log2 bucket array is always maintained for
-// the full population.
+// randomized) for long ones.
 
 #include <cstdint>
 #include <map>
@@ -47,13 +46,11 @@ class Counter {
 
 class Histogram {
  public:
-  static constexpr std::size_t kNumBuckets = 64;  // log2 buckets over u64
   static constexpr std::size_t kReservoirCap = 1u << 16;
 
   void record(double x);
 
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
-  [[nodiscard]] double sum() const noexcept { return sum_; }
   [[nodiscard]] double min() const noexcept { return count_ ? min_ : 0.0; }
   [[nodiscard]] double max() const noexcept { return count_ ? max_ : 0.0; }
   [[nodiscard]] double mean() const noexcept {
@@ -61,9 +58,6 @@ class Histogram {
   }
   // Exact over the retained reservoir (the full population until the cap).
   [[nodiscard]] double percentile(double p) const;
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const {
-    return buckets_.at(i);
-  }
   [[nodiscard]] std::size_t reservoir_size() const noexcept {
     return samples_.size();
   }
@@ -76,7 +70,6 @@ class Histogram {
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-  std::vector<std::uint64_t> buckets_ = std::vector<std::uint64_t>(kNumBuckets);
   std::vector<double> samples_;
   std::uint64_t stride_ = 1;   // record every stride-th sample
   std::uint64_t skipped_ = 0;  // samples skipped since the last retained one

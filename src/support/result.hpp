@@ -61,15 +61,10 @@ class Status {
   static Status ok() noexcept { return Status{}; }
 
   [[nodiscard]] bool is_ok() const noexcept { return code_ == Err::kOk; }
-  explicit operator bool() const noexcept { return is_ok(); }
 
   [[nodiscard]] Err code() const noexcept { return code_; }
   [[nodiscard]] const std::string& detail() const noexcept { return detail_; }
   [[nodiscard]] std::string to_string() const;
-
-  friend bool operator==(const Status& a, const Status& b) noexcept {
-    return a.code_ == b.code_;
-  }
 
  private:
   Err code_;

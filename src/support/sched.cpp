@@ -40,7 +40,7 @@ TaskId Sched::spawn(unsigned core, std::function<void()> fn,
         fn();
         raw->done = true;
       },
-      16 * 1024 * 1024, task->name);
+      16 * 1024 * 1024);
   run_queue_.push_back(task->id);
   ++live_;
   tasks_.push_back(std::move(task));
@@ -107,11 +107,6 @@ std::uint64_t Sched::slices(unsigned core) const {
   return core < core_slices_.size() ? core_slices_[core] : 0;
 }
 
-std::uint64_t Sched::idle_cycles(unsigned core) const {
-  const std::uint64_t busy = busy_cycles(core);
-  return busy < max_end_cycles_ ? max_end_cycles_ - busy : 0;
-}
-
 void Sched::yield() {
   assert(current_ != kNoTask && "yield outside a task");
   Fiber::yield();
@@ -163,12 +158,6 @@ unsigned Sched::current_core() const {
 bool Sched::finished(TaskId id) const {
   const Task* task = find(id);
   return task == nullptr || task->done;
-}
-
-const std::string& Sched::task_name(TaskId id) const {
-  static const std::string kUnknown = "<unknown>";
-  const Task* task = find(id);
-  return task != nullptr ? task->name : kUnknown;
 }
 
 std::vector<std::string> Sched::blocked_names() const {

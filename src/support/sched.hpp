@@ -60,8 +60,6 @@ class Sched {
   [[nodiscard]] TaskId current() const noexcept { return current_; }
   [[nodiscard]] unsigned current_core() const;
   [[nodiscard]] bool finished(TaskId id) const;
-  [[nodiscard]] std::size_t live_tasks() const noexcept { return live_; }
-  [[nodiscard]] const std::string& task_name(TaskId id) const;
 
   // Diagnostic list of blocked task names (for deadlock reports).
   [[nodiscard]] std::vector<std::string> blocked_names() const;
@@ -69,11 +67,9 @@ class Sched {
   // --- per-core utilization accounting ------------------------------------
   // Simulated cycles each core spent running tasks (measured via the
   // tracer's bound cycle source around every slice; zero when no simulated
-  // clock is bound). Idle is relative to the busiest point on the global
-  // timeline: a core that stood still while others advanced was idle.
+  // clock is bound). The timeline ends at the latest slice end on any core.
   [[nodiscard]] std::uint64_t busy_cycles(unsigned core) const;
   [[nodiscard]] std::uint64_t slices(unsigned core) const;
-  [[nodiscard]] std::uint64_t idle_cycles(unsigned core) const;
   [[nodiscard]] std::uint64_t timeline_cycles() const noexcept {
     return max_end_cycles_;
   }

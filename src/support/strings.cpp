@@ -30,19 +30,6 @@ bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) {
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-  }
-  return out;
-}
-
 std::string strfmt(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);
@@ -54,21 +41,6 @@ std::string strfmt(const char* fmt, ...) {
   if (needed > 0) std::vsnprintf(out.data(), out.size() + 1, fmt, args2);
   va_end(args2);
   return out;
-}
-
-std::string si_quantity(double value) {
-  const char* suffix = "";
-  if (value >= 1e9) {
-    value /= 1e9;
-    suffix = "G";
-  } else if (value >= 1e6) {
-    value /= 1e6;
-    suffix = "M";
-  } else if (value >= 1e3) {
-    value /= 1e3;
-    suffix = "K";
-  }
-  return strfmt("%.1f%s", value, suffix);
 }
 
 }  // namespace mv

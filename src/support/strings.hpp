@@ -18,8 +18,6 @@ namespace mv {
 std::vector<std::string> split(std::string_view s, char sep);
 std::string_view trim(std::string_view s);
 bool starts_with(std::string_view s, std::string_view prefix);
-bool ends_with(std::string_view s, std::string_view suffix);
-std::string to_lower(std::string_view s);
 
 // printf-style formatting into std::string.
 std::string strfmt(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
@@ -43,8 +41,5 @@ Result<T> parse_number(std::string_view token) {
   }
   return value;
 }
-
-// Human-friendly quantity with SI suffix, e.g. 1536 -> "1.5K".
-std::string si_quantity(double value);
 
 }  // namespace mv

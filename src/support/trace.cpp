@@ -86,19 +86,6 @@ void Tracer::flow(char phase, unsigned core, SpanId id, std::uint64_t ts,
   push(std::move(e));
 }
 
-void Tracer::counter(unsigned core, const char* category, std::string name,
-                     double value) {
-  if (!enabled_) return;
-  Event e;
-  e.phase = 'C';
-  e.core = core;
-  e.ts = now(core);
-  e.value = value;
-  e.category = category;
-  e.name = std::move(name);
-  push(std::move(e));
-}
-
 namespace {
 
 // Minimal JSON string escaping: the simulator only emits printable ASCII
@@ -158,8 +145,6 @@ std::string Tracer::to_chrome_json() const {
       obj += strfmt(",\"dur\":%llu", static_cast<unsigned long long>(e.dur));
     } else if (e.phase == 'i') {
       obj += ",\"s\":\"t\"";
-    } else if (e.phase == 'C') {
-      obj += strfmt(",\"args\":{\"value\":%.17g}", e.value);
     } else if (e.phase == 's' || e.phase == 't' || e.phase == 'f') {
       // Flow events bind by (cat, name, id); "bp":"e" makes the terminator
       // attach to the enclosing slice instead of the next one.
@@ -167,7 +152,7 @@ std::string Tracer::to_chrome_json() const {
                     static_cast<unsigned long long>(e.flow_id));
       if (e.phase == 'f') obj += ",\"bp\":\"e\"";
     }
-    if (e.phase != 'C' && !e.args.empty()) {
+    if (!e.args.empty()) {
       obj += strfmt(",\"args\":{%s}", e.args.c_str());
     }
     obj += "}";

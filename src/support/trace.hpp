@@ -88,9 +88,6 @@ class Tracer {
   // Instant ("i") event at the core's current cycle.
   void instant(unsigned core, const char* category, std::string name,
                std::string args_json = {});
-  // Counter ("C") sample at the core's current cycle.
-  void counter(unsigned core, const char* category, std::string name,
-               double value);
   // Flow event: phase 's' (start), 't' (step), or 'f' (end) of span `id` on
   // `core`'s track at explicit timestamp `ts`. All flow events share one
   // cat/name pair ("span"/"request") so viewers bind the chain correctly.
@@ -115,12 +112,11 @@ class Tracer {
   Tracer() = default;
 
   struct Event {
-    char phase = 'X';        // 'X' complete, 'i' instant, 'C' counter,
+    char phase = 'X';        // 'X' complete, 'i' instant,
                              // 's'/'t'/'f' flow start/step/end
     unsigned core = 0;
     std::uint64_t ts = 0;    // simulated cycles
     std::uint64_t dur = 0;   // complete events only
-    double value = 0.0;      // counter events only
     SpanId flow_id = 0;      // flow events only
     const char* category = "";
     std::string name;

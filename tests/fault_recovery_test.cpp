@@ -31,7 +31,6 @@ TEST(FaultPlanTest, ParseAcceptsFullSpec) {
   EXPECT_EQ(plan->spec().window_hi, 2000u);
   EXPECT_DOUBLE_EQ(plan->probability(FaultClass::kDropDoorbell), 0.25);
   EXPECT_DOUBLE_EQ(plan->probability(FaultClass::kPartnerDeath), 1.0);
-  EXPECT_TRUE(plan->enabled());
 }
 
 TEST(FaultPlanTest, ParseRejectsGarbage) {
@@ -45,7 +44,6 @@ TEST(FaultPlanTest, ParseRejectsGarbage) {
 TEST(FaultPlanTest, ZeroProbabilityPlanIsInert) {
   auto plan = FaultPlan::parse("drop_doorbell=0.0,seed=3");
   ASSERT_TRUE(plan.is_ok());
-  EXPECT_FALSE(plan->enabled());
   for (Cycles now = 0; now < 10000; now += 100) {
     EXPECT_FALSE(plan->should_inject(FaultClass::kDropDoorbell, now));
   }

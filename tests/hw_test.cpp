@@ -54,16 +54,6 @@ TEST(PhysMemTest, NumaZonesPartitionFrames) {
   EXPECT_GE(*z1 >> kPageShift, mem.zone(1).first_frame);
 }
 
-TEST(PhysMemTest, ContiguousAllocation) {
-  PhysMem mem(1 << 20);
-  auto base = mem.alloc_contiguous(8);
-  ASSERT_TRUE(base.is_ok());
-  // The next single allocation must not land inside the run.
-  auto next = mem.alloc_frame();
-  ASSERT_TRUE(next.is_ok());
-  EXPECT_TRUE(*next >= *base + 8 * kPageSize || *next < *base);
-}
-
 TEST(PhysMemTest, CrossPageReadWrite) {
   PhysMem mem(1 << 20);
   std::vector<std::uint8_t> data(3 * kPageSize);

@@ -24,14 +24,17 @@ TEST(OverrideConfigTest, ParsesOverridesAndOptions) {
       "override mmap nk_mmap\n"
       "override pthread_create nk_thread_create args=0:1,1:0\n"
       "option symbol_cache on\n"
+      "option sync_channel on\n"
       "\n"
-      "option merge_address_space off\n");
+      "option sync_channel off\n");
   ASSERT_TRUE(cfg.is_ok());
   ASSERT_EQ(cfg->overrides.size(), 2u);
   EXPECT_EQ(cfg->overrides[0].legacy_name, "mmap");
   EXPECT_EQ(cfg->overrides[1].arg_map.size(), 2u);
   EXPECT_TRUE(cfg->options.symbol_cache);
-  EXPECT_FALSE(cfg->options.merge_address_space);
+  EXPECT_FALSE(cfg->options.sync_channel);
+  EXPECT_TRUE(parse_override_config("option sync_channel on\n")
+                  ->options.sync_channel);
   EXPECT_NE(cfg->find("mmap"), nullptr);
   EXPECT_EQ(cfg->find("munmap"), nullptr);
 }
@@ -63,7 +66,7 @@ TEST(OverrideConfigTest, RejectsMalformedValues) {
       "option fault seed=-1\n",
       "option fault drop_doorbell=nan\n",
       "option fault drop_doorbell=0.5x\n",
-      "option merge_address_space of\n",
+      "option sync_channel of\n",
       "option symbol_cache yes\n",
       "option sync_channel 2\n",
       "override mmap nk_mmap args=0:1x\n",
@@ -78,14 +81,15 @@ TEST(OverrideConfigTest, RejectsMalformedValues) {
       "option hybridize on,window=200000000,threshold=4000.5\n"
       "option fault window=100000000000:200000000000,seed=18446744073709551615,"
       "drop_doorbell=0.5\n"
-      "option merge_address_space false\n"
+      "option sync_channel on\n"
+      "option sync_channel false\n"
       "option symbol_cache 1\n"
       "override mmap nk_mmap args=0:1\n");
   ASSERT_TRUE(ok.is_ok()) << ok.status().to_string();
   EXPECT_EQ(ok->options.spin_cycles, 150000);
   EXPECT_EQ(ok->options.hybridize.window_cycles, 200000000u);
   EXPECT_EQ(ok->options.hybridize.threshold_cycles, 4000.5);
-  EXPECT_FALSE(ok->options.merge_address_space);
+  EXPECT_FALSE(ok->options.sync_channel);
   EXPECT_TRUE(ok->options.symbol_cache);
   ASSERT_EQ(ok->overrides.size(), 1u);
   EXPECT_EQ(ok->overrides[0].arg_map.size(), 1u);
@@ -449,24 +453,6 @@ TEST(HybridTest, MergedAddressSpaceSetUpOnce) {
   EXPECT_EQ(
       sys.hvm().hypercall_count(vmm::Hypercall::kMergeAddressSpaces), 1u);
   EXPECT_TRUE(sys.naut().merged());
-}
-
-TEST(HybridTest, NoMergeOptionStillBootsButCannotTouchRosMemory) {
-  SystemConfig cfg;
-  cfg.extra_override_config = "option merge_address_space off\n";
-  HybridSystem sys(cfg);
-  auto r = sys.run_hybrid("nomerge", [](SysIface& s) {
-    // Without the merged address space, lower-half access from the HRT has
-    // no mapping and cannot be repaired locally.
-    std::uint64_t v = 0;
-    const Status st = s.mem_read(ros::kBrkBase, &v, sizeof(v));
-    EXPECT_FALSE(st.is_ok());
-    return 3;
-  });
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_EQ(r->exit_code, 3);
-  EXPECT_EQ(sys.hvm().hypercall_count(vmm::Hypercall::kMergeAddressSpaces),
-            0u);
 }
 
 TEST(HybridTest, KernelModeMemopOverrides) {

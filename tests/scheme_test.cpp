@@ -437,7 +437,7 @@ class TwoEngineBarrierTest : public SchemeTest {
     Step step = Step::kStart;
     // Bounded, so a killed partner fails the test instead of hanging it.
     auto wait_for = [&step](ros::SysIface& sys, Step s) {
-      for (int i = 0; i < 1000 && step < s; ++i) sys.sched_yield();
+      for (int i = 0; i < 1000 && step < s; ++i) sys.thread_yield();
       return step >= s;
     };
     Engine::Config cfg;

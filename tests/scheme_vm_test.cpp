@@ -249,6 +249,19 @@ TEST_F(SchemeVmTest, ErrorMessagesMatchInterpreter) {
   EXPECT_EQ(twin("(/ 6 0)"), "ERROR: EINVAL: /: division by zero");
   EXPECT_EQ(twin("(list (/ 6 3) (/ 7 2) (/ 1 0.5) (/ 24 2 3) (/ 4))"),
             "(2 3.5 2.0 4 0.25)");
+  // A size below zero or past the builtins' bound is an error, not a host
+  // allocation failure.
+  const std::string negative = "ERROR: EINVAL: make-string: negative size";
+  EXPECT_EQ(twin("(make-string -1)"), negative);
+  EXPECT_EQ(twin("(apply make-string '(-1))"), negative);
+  const std::string huge =
+      "ERROR: ERANGE: make-vector: size 4611686018427387904 out of range";
+  EXPECT_EQ(twin("(make-vector 4611686018427387904 0)"), huge);
+  EXPECT_EQ(twin("(apply make-vector '(4611686018427387904 0))"), huge);
+  const std::string big =
+      "ERROR: ERANGE: make-vector: size 100000000000 out of range";
+  EXPECT_EQ(twin("(make-vector 100000000000 0)"), big);
+  EXPECT_EQ(twin("(apply make-vector '(100000000000 0))"), big);
 }
 
 TEST_F(SchemeVmTest, InterpreterThreadsUnderVm) {
@@ -377,6 +390,9 @@ TEST_F(SchemeVmTest, FixnumEdgeCasesWrapWithoutTrapping) {
   EXPECT_EQ(twin("(abs -9223372036854775808)"), "-9223372036854775808");
   EXPECT_EQ(twin("(expt 3 41)"), "-420491770248316829");
   EXPECT_EQ(twin("(expt 2 64)"), "0");
+  // Huge exponents take log2(exponent) host steps, not exponent steps.
+  EXPECT_EQ(twin("(expt 3 1000000000)"), "9215150800219179009");
+  EXPECT_EQ(twin("(expt 7 9223372036854775807)"), "7905747460161236407");
   // Ordinary operands keep their exact answers.
   EXPECT_EQ(twin("(list (quotient -7 2) (remainder -7 2) (modulo -7 2)"
                  "      (modulo 7 -2) (abs -5) (expt 2 10))"),

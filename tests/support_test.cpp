@@ -93,7 +93,6 @@ TEST(StringsTest, TrimRemovesAllWhitespaceKinds) {
 TEST(StringsTest, PrefixSuffix) {
   EXPECT_TRUE(starts_with("override foo", "override"));
   EXPECT_FALSE(starts_with("over", "override"));
-  EXPECT_TRUE(ends_with("image.naut", ".naut"));
 }
 
 TEST(StringsTest, Strfmt) {
@@ -339,9 +338,6 @@ TEST(SchedTest, UnknownIdsAreNotTasks) {
   EXPECT_FALSE(sched.finished(id));
   EXPECT_TRUE(sched.finished(kNoTask));
   EXPECT_TRUE(sched.finished(id + 1));
-  EXPECT_EQ(sched.task_name(kNoTask), "<unknown>");
-  EXPECT_EQ(sched.task_name(id + 1), "<unknown>");
-  EXPECT_EQ(sched.task_name(id), "t");
   ASSERT_TRUE(sched.run().is_ok());
 }
 

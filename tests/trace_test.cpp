@@ -209,7 +209,6 @@ TEST_F(TracerTest, DisabledTracerRecordsNothing) {
   t.complete(0, "cat", "span", 10, 20);
   t.instant(1, "cat", "flash");
   t.flow('s', 0, 7, 10);
-  t.counter(1, "cat", "depth", 3.0);
   { MV_TRACE_SCOPE(0, "cat", "scoped"); }
   EXPECT_EQ(t.event_count(), 0u);
 }
@@ -396,10 +395,9 @@ TEST(TraceIntegrationTest, SchedAccountsBusyCyclesPerCore) {
   EXPECT_GT(sched.busy_cycles(hrt_core), 0u);
   EXPECT_GT(sched.slices(hrt_core), 0u);
   EXPECT_GT(sched.timeline_cycles(), 0u);
-  // Idle + busy never exceeds the global timeline.
+  // No core is busy for longer than the global timeline.
   for (unsigned c = 0; c < sched.tracked_cores(); ++c) {
-    EXPECT_LE(sched.busy_cycles(c) + sched.idle_cycles(c),
-              sched.timeline_cycles());
+    EXPECT_LE(sched.busy_cycles(c), sched.timeline_cycles());
   }
 }
 
