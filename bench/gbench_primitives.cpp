@@ -63,7 +63,7 @@ BENCHMARK(BM_TlbHit);
 void BM_NativeSyscall(benchmark::State& state) {
   hw::Machine machine(hw::MachineConfig{1, 1, 1 << 26});
   Sched sched;
-  ros::LinuxSim kernel(machine, sched, ros::LinuxSim::Config{{0}, false, 0});
+  ros::LinuxSim kernel(machine, sched, ros::LinuxSim::Config{{0}, false});
   Cycles sim = 0;
   auto proc = kernel.spawn("bm", [&](ros::SysIface& sys) {
     hw::Core& core = machine.core(0);
@@ -134,7 +134,7 @@ BENCHMARK(BM_SymbolLookup)->Arg(0)->Arg(1);
 void BM_SchemeEval(benchmark::State& state) {
   hw::Machine machine(hw::MachineConfig{1, 1, 1 << 28});
   Sched sched;
-  ros::LinuxSim kernel(machine, sched, ros::LinuxSim::Config{{0}, false, 0});
+  ros::LinuxSim kernel(machine, sched, ros::LinuxSim::Config{{0}, false});
   auto proc = kernel.spawn("bm", [&](ros::SysIface& sys) {
     scheme::Engine::Config cfg;
     cfg.load_boot_files = false;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
+#include <iterator>
 
 #include "support/log.hpp"
 #include "support/strings.hpp"
@@ -444,12 +446,30 @@ Result<std::uint64_t> Nautilus::kmalloc(std::uint64_t bytes) {
   return boot_info_.higher_half_base + paddr;
 }
 
-Result<std::uint64_t> Nautilus::syscall_stub(
-    ros::SysNr nr, std::array<std::uint64_t, 6> args) {
+namespace {
+// "We must prohibit the ROS code executing in HRT context from leveraging
+// certain functionality": calls that create execution contexts or rely on
+// the Linux execution model.
+bool disallowed_in_hrt(const ros::SysReq& req) {
+  switch (req.nr) {
+    case ros::SysNr::kExecve:
+    case ros::SysNr::kClone:
+    case ros::SysNr::kFork:
+    case ros::SysNr::kFutex:
+      return true;
+    default:
+      return false;
+  }
+}
+}  // namespace
+
+void Nautilus::syscall_stub(std::span<const ros::SysReq> reqs,
+                            std::span<Result<std::uint64_t>> out) {
   NautThread* thread = current_thread();
-  hw::Core& core =
-      machine_->core(thread != nullptr ? thread->core : boot_core());
-  MV_TRACE_SCOPE(core.id(), "guest", sysnr_name(nr));
+  hw::Core& core = core_of(thread);
+  MV_TRACE_SCOPE(core.id(), "guest",
+                 reqs.size() == 1 ? sysnr_name(reqs.front().nr)
+                                  : "syscall_batch");
 
   // Ring-0 SYSCALL works ("SYSCALL has no problem making this idempotent
   // ring transition")...
@@ -458,94 +478,46 @@ Result<std::uint64_t> Nautilus::syscall_stub(
   // of the interrupted compilation unit survives (SYSCALL cannot use IST).
   core.charge(hw::costs().reg_op * 4);
 
-  // "We must prohibit the ROS code executing in HRT context from leveraging
-  // certain functionality": calls that create execution contexts or rely on
-  // the Linux execution model.
-  switch (nr) {
-    case ros::SysNr::kExecve:
-    case ros::SysNr::kClone:
-    case ros::SysNr::kFork:
-    case ros::SysNr::kFutex:
-      return err(Err::kNoSys,
-                 strfmt("%s is disallowed in HRT context", sysnr_name(nr)));
-    default:
-      break;
-  }
-
-  if (thread == nullptr || thread->channel == nullptr) {
-    return err(Err::kState, "syscall from HRT context with no event channel");
-  }
-  ++forwarded_syscalls_;
-  auto result = thread->channel->forward_syscall(nr, args);
-
-  // "...but SYSRET will not allow it. The return to ring 3 is unconditional
-  // for SYSRET. To work around this issue, we must emulate SYSRET and
-  // execute a direct jmp to the saved rip stashed during the SYSCALL."
-  if (!config_.emulate_sysret) {
-    return err(Err::kState, "SYSRET to ring 0 raises #GP (emulation disabled)");
-  }
-  core.charge(hw::costs().sysret_emulated);
-  return result;
-}
-
-std::vector<Result<std::uint64_t>> Nautilus::syscall_stub_batch(
-    const std::vector<ros::SysReq>& reqs) {
-  NautThread* thread = current_thread();
-  hw::Core& core =
-      machine_->core(thread != nullptr ? thread->core : boot_core());
-
-  // One ring-0 SYSCALL entry (and one red-zone pulldown) amortized over the
-  // whole batch — that is what the batch path buys on the stub side.
-  core.charge(hw::costs().syscall_insn);
-  core.charge(hw::costs().reg_op * 4);
-  MV_TRACE_SCOPE(core.id(), "guest", "syscall_batch");
-
-  std::vector<Result<std::uint64_t>> out;
-  out.reserve(reqs.size());
+  // A refused call answers kNoSys in its own entry; the allowed ones forward
+  // as one channel batch, copied out of `reqs` only when a call was refused.
+  const bool refused = std::ranges::any_of(reqs, disallowed_in_hrt);
   std::vector<ros::SysReq> allowed;
-  std::vector<std::size_t> allowed_at;
-  for (const ros::SysReq& req : reqs) {
-    switch (req.nr) {
-      case ros::SysNr::kExecve:
-      case ros::SysNr::kClone:
-      case ros::SysNr::kFork:
-      case ros::SysNr::kFutex:
-        out.push_back(err(Err::kNoSys,
-                          strfmt("%s is disallowed in HRT context",
-                                 sysnr_name(req.nr))));
-        break;
-      default:
-        allowed_at.push_back(out.size());
-        allowed.push_back(req);
-        out.push_back(err(Err::kAgain, "batch entry pending"));
-        break;
+  std::vector<Result<std::uint64_t>> allowed_out;
+  if (refused) {
+    std::ranges::copy_if(reqs, std::back_inserter(allowed),
+                         std::not_fn(disallowed_in_hrt));
+    allowed_out.assign(allowed.size(), Result<std::uint64_t>(Err::kAgain));
+  }
+  const std::span<const ros::SysReq> fwd =
+      refused ? std::span<const ros::SysReq>(allowed) : reqs;
+  const std::span<Result<std::uint64_t>> fwd_out =
+      refused ? std::span<Result<std::uint64_t>>(allowed_out) : out;
+  if (thread == nullptr || thread->channel == nullptr) {
+    std::ranges::fill(fwd_out, err(Err::kState, "syscall from HRT context "
+                                                "with no event channel"));
+  } else if (!fwd.empty()) {
+    forwarded_syscalls_ += fwd.size();
+    thread->channel->forward_syscalls(fwd, fwd_out);
+  }
+  if (refused) {
+    auto next = allowed_out.begin();
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      out[i] = disallowed_in_hrt(reqs[i])
+                   ? err(Err::kNoSys, strfmt("%s is disallowed in HRT context",
+                                             sysnr_name(reqs[i].nr)))
+                   : std::move(*next++);
     }
   }
 
-  if (!allowed.empty()) {
-    if (thread == nullptr || thread->channel == nullptr) {
-      for (const std::size_t at : allowed_at) {
-        out[at] = err(Err::kState,
-                      "syscall from HRT context with no event channel");
-      }
-    } else {
-      forwarded_syscalls_ += allowed.size();
-      auto fwd = thread->channel->forward_syscall_batch(allowed);
-      for (std::size_t i = 0; i < allowed_at.size() && i < fwd.size(); ++i) {
-        out[allowed_at[i]] = std::move(fwd[i]);
-      }
-    }
-  }
-
+  // ...but SYSRET cannot return to ring 0 (its return to ring 3 is
+  // unconditional), so the stub emulates it with a direct jmp to the rip
+  // saved at SYSCALL.
   if (!config_.emulate_sysret) {
-    for (auto& r : out) {
-      r = err(Err::kState,
-              "SYSRET to ring 0 raises #GP (emulation disabled)");
-    }
-    return out;
+    std::ranges::fill(out, err(Err::kState, "SYSRET to ring 0 raises #GP "
+                                            "(emulation disabled)"));
+    return;
   }
   core.charge(hw::costs().sysret_emulated);
-  return out;
 }
 
 // Lazily activate the current thread's address-space root: a tenant thread
@@ -554,7 +526,7 @@ std::vector<Result<std::uint64_t>> Nautilus::syscall_stub_batch(
 // root, so the write (a real CR3 load: register ops plus a TLB flush) only
 // ever happens — and is only ever charged — on actual tenant switches.
 hw::Core& Nautilus::activated_core(NautThread* t) {
-  hw::Core& core = machine_->core(t != nullptr ? t->core : boot_core());
+  hw::Core& core = core_of(t);
   const std::uint64_t want = (t != nullptr && t->cr3 != 0) ? t->cr3 : cr3_;
   if (core.cr3() != want) core.write_cr3(want);
   return core;

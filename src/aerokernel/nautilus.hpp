@@ -9,11 +9,11 @@
 // ring-0 return, IST stacks so interrupts cannot destroy red zones, and the
 // CR0.WP fix that makes ring-0 copy-on-write faults visible.
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,20 +32,10 @@ namespace mv::naut {
 class LegacyChannel {
  public:
   virtual ~LegacyChannel() = default;
-  virtual Result<std::uint64_t> forward_syscall(
-      ros::SysNr nr, std::array<std::uint64_t, 6> args) = 0;
-  // Forward several independent syscalls; results in submission order. The
-  // default loops over forward_syscall; channels with a submission ring
-  // override it to stage the whole batch and flush one doorbell.
-  virtual std::vector<Result<std::uint64_t>> forward_syscall_batch(
-      const std::vector<ros::SysReq>& reqs) {
-    std::vector<Result<std::uint64_t>> out;
-    out.reserve(reqs.size());
-    for (const ros::SysReq& req : reqs) {
-      out.push_back(forward_syscall(req.nr, req.args));
-    }
-    return out;
-  }
+  // Forward independent syscalls; `out[i]` receives `reqs[i]`'s result, in
+  // submission order. A single call is a batch of one.
+  virtual void forward_syscalls(std::span<const ros::SysReq> reqs,
+                                std::span<Result<std::uint64_t>> out) = 0;
   // Forward a page fault on a ROS-half address; returns OK once the ROS has
   // repaired the mapping (the access is then retried).
   virtual Status forward_fault(std::uint64_t vaddr,
@@ -134,6 +124,8 @@ class Nautilus final : public vmm::HrtKernelIface {
                                     int pinned_core = -1);
   Status thread_join(int id);
   [[nodiscard]] NautThread* current_thread();
+  // The executing HRT thread's core, else the boot core.
+  [[nodiscard]] hw::Core& current_core() { return core_of(current_thread()); }
   [[nodiscard]] const NautThread* find_thread(int id) const;
 
   // --- events ------------------------------------------------------------------
@@ -146,17 +138,12 @@ class Nautilus final : public vmm::HrtKernelIface {
   Result<std::uint64_t> kmalloc(std::uint64_t bytes);
 
   // --- Multiverse additions ---------------------------------------------------
-  // Ring-0 SYSCALL entry: the stub the paper added. Forwards to the current
-  // thread's legacy channel; refuses the disallowed calls (execve, clone,
-  // fork, futex).
-  Result<std::uint64_t> syscall_stub(ros::SysNr nr,
-                                     std::array<std::uint64_t, 6> args);
-
-  // Batched stub entry: one SYSCALL/SYSRET pair covers the whole batch; the
-  // disallowed-call filter still applies per request, and allowed requests
-  // forward as one channel batch.
-  std::vector<Result<std::uint64_t>> syscall_stub_batch(
-      const std::vector<ros::SysReq>& reqs);
+  // Ring-0 SYSCALL entry: the stub the paper added. One SYSCALL/SYSRET pair
+  // covers every request; the disallowed calls (execve, clone, fork, futex)
+  // are refused per request, and the rest forward as one batch over the
+  // current thread's legacy channel. `out[i]` receives `reqs[i]`'s result.
+  void syscall_stub(std::span<const ros::SysReq> reqs,
+                    std::span<Result<std::uint64_t>> out);
 
   // Explicit PML4 re-merge from the stored ROS CR3 (repeat-fault path).
   Status remerge();
@@ -189,6 +176,9 @@ class Nautilus final : public vmm::HrtKernelIface {
 
  private:
   [[nodiscard]] std::size_t live_thread_count_internal() const;
+  [[nodiscard]] hw::Core& core_of(const NautThread* t) {
+    return machine_->core(t != nullptr ? t->core : boot_core());
+  }
   // Resolve the core `t` runs on and lazily load its tenant root (or the
   // boot root) into CR3 when the core last ran a different tenant.
   hw::Core& activated_core(NautThread* t);

@@ -19,12 +19,8 @@
 
 namespace mv::hw {
 
-// Exception vectors we model.
+// The exception vector we model.
 inline constexpr std::uint8_t kVecPageFault = 14;
-inline constexpr std::uint8_t kVecGeneralProtection = 13;
-inline constexpr std::uint8_t kVecTimer = 32;
-inline constexpr std::uint8_t kVecIpi = 0xf0;
-inline constexpr std::uint8_t kVecHvmEvent = 0xf2;  // HVM ROS<->HRT doorbell
 
 struct InterruptFrame {
   std::uint8_t vector = 0;

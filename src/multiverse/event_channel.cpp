@@ -537,63 +537,39 @@ void EventChannel::degrade_to_sync(std::uint64_t span) {
   sync_mode_ = true;
 }
 
-Result<std::uint64_t> EventChannel::forward_syscall(
-    ros::SysNr nr, std::array<std::uint64_t, 6> args) {
-  if (partner_ == nullptr) return err(Err::kState, "channel has no partner");
-  if (partner_died_) return err(Err::kIo, "event-channel partner died");
-  const std::uint64_t seq = claim_slot();
-  const std::uint64_t slot = slot_base(seq);
-  page_write(slot + Ring::kSlotSysNr, static_cast<std::uint64_t>(nr));
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    page_write(slot + Ring::kSlotArgs + 8 * i, args[i]);
+void EventChannel::forward_syscalls(std::span<const ros::SysReq> reqs,
+                                    std::span<Result<std::uint64_t>> out) {
+  if (partner_ == nullptr || partner_died_) {
+    std::ranges::fill(out, partner_ == nullptr
+                               ? err(Err::kState, "channel has no partner")
+                               : err(Err::kIo, "event-channel partner died"));
+    return;
   }
-  submit(seq, kSyscall);
-  return complete(seq);
-}
-
-std::vector<Result<std::uint64_t>> EventChannel::forward_syscall_batch(
-    const std::vector<ros::SysReq>& reqs) {
-  std::vector<Result<std::uint64_t>> out;
-  out.reserve(reqs.size());
-  if (partner_ == nullptr) {
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      out.push_back(err(Err::kState, "channel has no partner"));
-    }
-    return out;
-  }
-  if (partner_died_) {
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      out.push_back(err(Err::kIo, "event-channel partner died"));
-    }
-    return out;
-  }
-  // Sliding window over the ring: keep submitting while a slot is available,
-  // reap the oldest in-flight completion when the ring backs up (or when
-  // everything is submitted). With depth 1 this degenerates to the
-  // sequential submit/complete protocol.
-  std::deque<std::uint64_t> inflight;
-  std::size_t next = 0;
-  while (next < reqs.size() || !inflight.empty()) {
+  // Requests complete in submission order, so request i's sequence number
+  // waits in inflight[i % kMaxDepth]: each in-flight request holds a slot,
+  // and there are at most kMaxDepth slots.
+  std::array<std::uint64_t, Ring::kMaxDepth> inflight{};
+  std::size_t submitted = 0;
+  std::size_t completed = 0;
+  while (completed < reqs.size()) {
     const bool can_submit =
-        next < reqs.size() &&
-        (inflight.empty() || slot_is_free(page_read(Ring::kOffSubTail)));
+        submitted < reqs.size() &&
+        (submitted == completed || slot_is_free(page_read(Ring::kOffSubTail)));
     if (can_submit) {
       const std::uint64_t seq = claim_slot();
       const std::uint64_t slot = slot_base(seq);
-      const ros::SysReq& req = reqs[next];
+      const ros::SysReq& req = reqs[submitted];
       page_write(slot + Ring::kSlotSysNr, static_cast<std::uint64_t>(req.nr));
       for (std::size_t i = 0; i < req.args.size(); ++i) {
         page_write(slot + Ring::kSlotArgs + 8 * i, req.args[i]);
       }
       submit(seq, kSyscall);
-      inflight.push_back(seq);
-      ++next;
+      inflight[submitted++ % Ring::kMaxDepth] = seq;
     } else {
-      out.push_back(complete(inflight.front()));
-      inflight.pop_front();
+      out[completed] = complete(inflight[completed % Ring::kMaxDepth]);
+      ++completed;
     }
   }
-  return out;
 }
 
 Status EventChannel::forward_fault(std::uint64_t vaddr,

@@ -31,6 +31,7 @@
 #include <deque>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -181,10 +182,19 @@ class EventChannel final : public naut::LegacyChannel {
   }
 
   // --- HRT side (naut::LegacyChannel) ----------------------------------------
-  Result<std::uint64_t> forward_syscall(
-      ros::SysNr nr, std::array<std::uint64_t, 6> args) override;
-  std::vector<Result<std::uint64_t>> forward_syscall_batch(
-      const std::vector<ros::SysReq>& reqs) override;
+  // Sliding window over the ring: submit while a slot is free, reap the
+  // oldest in-flight request when the ring backs up. With depth 1 this is
+  // the sequential submit/complete protocol.
+  void forward_syscalls(std::span<const ros::SysReq> reqs,
+                        std::span<Result<std::uint64_t>> out) override;
+  // One request through forward_syscalls (white-box protocol tests).
+  Result<std::uint64_t> forward_syscall(ros::SysNr nr,
+                                        std::array<std::uint64_t, 6> args) {
+    const ros::SysReq req{nr, args};
+    Result<std::uint64_t> out{Err::kAgain};
+    forward_syscalls({&req, 1}, {&out, 1});
+    return out;
+  }
   Status forward_fault(std::uint64_t vaddr, std::uint32_t error_code) override;
   void notify_thread_exit(int hrt_tid) override;
 

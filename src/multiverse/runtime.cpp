@@ -41,11 +41,9 @@ Result<std::uint64_t> HrtCtx::syscall(ros::SysNr nr,
   // The first overridden call resolves the AeroKernel symbol (charged
   // lookup); the resolved vaddr is cached in the table entry, so steady-state
   // calls charge no lookup at all.
-  naut::Nautilus& naut = rt_->naut();
   HybridizationGovernor* gov = tenant.governor.get();
-  naut::NautThread* self = naut.current_thread();
-  const unsigned core_id = self != nullptr ? self->core : naut.boot_core();
-  hw::Core& core = rt_->hvm().machine().core(core_id);
+  hw::Core& core = rt_->naut().current_core();
+  const unsigned core_id = core.id();
   if (OverrideEntry* entry = MultiverseRuntime::find_override(nr, tenant);
       entry != nullptr) {
     // Injected override failure: demote the family and fall through to the
@@ -73,63 +71,60 @@ Result<std::uint64_t> HrtCtx::syscall(ros::SysNr nr,
       gov->on_override_failure(nr, core_id, /*injected=*/false);
     }
   }
-  const bool sampled =
-      gov != nullptr && sys_family(nr) != SysFamily::kCount_;
-  const std::uint64_t begin = sampled ? core.cycles() : 0;
-  auto result = naut.syscall_stub(nr, args);
-  if (sampled) gov->note_forwarded(nr, core, core.cycles() - begin);
-  if (nr == ros::SysNr::kExitGroup && result.is_ok()) group_->finished = true;
+  const ros::SysReq req{nr, args};
+  Result<std::uint64_t> result{Err::kAgain};
+  forward({&req, 1}, {&result, 1});
   return result;
 }
 
 std::vector<Result<std::uint64_t>> HrtCtx::syscall_batch(
     const std::vector<ros::SysReq>& reqs) {
   std::vector<Result<std::uint64_t>> out(reqs.size(),
-                                         err(Err::kAgain, "batch pending"));
-  naut::Nautilus& naut = rt_->naut();
-  HybridizationGovernor* gov = group_->tenant->governor.get();
-  naut::NautThread* self = naut.current_thread();
-  const unsigned core_id = self != nullptr ? self->core : naut.boot_core();
-  hw::Core& core = rt_->hvm().machine().core(core_id);
-  std::vector<ros::SysReq> run;
-  std::vector<std::size_t> run_at;
-  const auto flush = [&] {
-    if (run.empty()) return;
-    const std::uint64_t begin = gov != nullptr ? core.cycles() : 0;
-    auto results = naut.syscall_stub_batch(run);
-    if (gov != nullptr) {
-      // Attribute the batch round trip evenly across its calls so promotable
-      // families see their amortized forwarded cost.
-      const std::uint64_t per_call = (core.cycles() - begin) / run.size();
-      for (const ros::SysReq& req : run) {
-        if (sys_family(req.nr) != SysFamily::kCount_) {
-          gov->note_forwarded(req.nr, core, per_call);
-        }
-      }
-    }
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      out[run_at[i]] = std::move(results[i]);
-    }
-    run.clear();
-    run_at.clear();
-  };
+                                         Result<std::uint64_t>(Err::kAgain));
+  const std::span<const ros::SysReq> all(reqs);
+  const std::span<Result<std::uint64_t>> all_out(out);
+  std::size_t run = 0;  // first request of the run not yet forwarded
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     // Same dispatch decision as the single-call path, via the same table.
-    if (MultiverseRuntime::find_override(reqs[i].nr, *group_->tenant) !=
-            nullptr ||
-        reqs[i].nr == ros::SysNr::kExitGroup) {
-      // Overridden memory calls execute kernel-mode (never forwarded) and
-      // exits must keep their group-finished side effect; flushing the
-      // accumulated run first preserves submission order.
-      flush();
-      out[i] = syscall(reqs[i].nr, reqs[i].args);
-    } else {
-      run.push_back(reqs[i]);
-      run_at.push_back(i);
+    // Overridden memory calls execute kernel-mode (never forwarded) and
+    // exits must keep their group-finished side effect; forwarding the run
+    // before them first preserves submission order.
+    if (MultiverseRuntime::find_override(reqs[i].nr, *group_->tenant) ==
+            nullptr &&
+        reqs[i].nr != ros::SysNr::kExitGroup) {
+      continue;
+    }
+    forward(all.subspan(run, i - run), all_out.subspan(run, i - run));
+    out[i] = syscall(reqs[i].nr, reqs[i].args);
+    run = i + 1;
+  }
+  forward(all.subspan(run), all_out.subspan(run));
+  return out;
+}
+
+void HrtCtx::forward(std::span<const ros::SysReq> reqs,
+                     std::span<Result<std::uint64_t>> out) {
+  if (reqs.empty()) return;
+  naut::Nautilus& naut = rt_->naut();
+  HybridizationGovernor* gov = group_->tenant->governor.get();
+  hw::Core& core = naut.current_core();
+  const std::uint64_t begin = core.cycles();
+  naut.syscall_stub(reqs, out);
+  if (gov != nullptr) {
+    // Attribute the round trip evenly across its calls so promotable
+    // families see their amortized forwarded cost.
+    const std::uint64_t per_call = (core.cycles() - begin) / reqs.size();
+    for (const ros::SysReq& req : reqs) {
+      if (sys_family(req.nr) != SysFamily::kCount_) {
+        gov->note_forwarded(req.nr, core, per_call);
+      }
     }
   }
-  flush();
-  return out;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    if (reqs[i].nr == ros::SysNr::kExitGroup && out[i].is_ok()) {
+      group_->finished = true;
+    }
+  }
 }
 
 Status HrtCtx::mem_read(std::uint64_t vaddr, void* out, std::uint64_t len) {
@@ -157,10 +152,7 @@ ros::TimeVal HrtCtx::vdso_gettimeofday() {
   ++proc.vdso_gtod_calls;
   rt_->linux().refresh_vvar(proc);
   naut::Nautilus& naut = rt_->naut();
-  naut::NautThread* self = naut.current_thread();
-  hw::Core& core = rt_->hvm().machine().core(
-      self != nullptr ? self->core : naut.boot_core());
-  core.charge(hw::costs().mem_access * 3 + 28);
+  naut.current_core().charge(hw::costs().mem_access * 3 + 28);
   std::uint64_t sec = 0;
   std::uint64_t usec = 0;
   if (naut.hrt_mem_read(ros::kVvarVaddr + ros::VvarLayout::kOffSec, &sec,
@@ -180,11 +172,7 @@ std::uint64_t HrtCtx::vdso_getpid() {
   ros::Process& proc = *group_->owner_proc;
   ++proc.vdso_getpid_calls;
   naut::Nautilus& naut = rt_->naut();
-  naut::NautThread* self = naut.current_thread();
-  rt_->hvm()
-      .machine()
-      .core(self != nullptr ? self->core : naut.boot_core())
-      .charge(hw::costs().mem_access + 14);
+  naut.current_core().charge(hw::costs().mem_access + 14);
   std::uint64_t pid = 0;
   if (naut.hrt_mem_read(ros::kVvarVaddr + ros::VvarLayout::kOffPid, &pid,
                         sizeof(pid))
@@ -198,12 +186,8 @@ Result<int> HrtCtx::thread_create(ros::GuestThreadFn fn) {
   // Default override: pthread_create -> nk_thread_create. The new thread is
   // a *nested* HRT thread sharing this group's channel (Sec 4.2).
   naut::Nautilus& naut = rt_->naut();
-  naut::NautThread* self = naut.current_thread();
-  const unsigned core = self != nullptr ? self->core : naut.boot_core();
-  MV_RETURN_IF_ERROR(naut.symbols()
-                         .resolve(rt_->hvm().machine().core(core),
-                                  "nk_thread_create")
-                         .status());
+  MV_RETURN_IF_ERROR(
+      naut.symbols().resolve(naut.current_core(), "nk_thread_create").status());
   MultiverseRuntime* rt = rt_;
   ExecGroup* group = group_;
   MV_ASSIGN_OR_RETURN(
@@ -223,12 +207,8 @@ Result<int> HrtCtx::thread_create(ros::GuestThreadFn fn) {
 
 Status HrtCtx::thread_join(int tid) {
   naut::Nautilus& naut = rt_->naut();
-  naut::NautThread* self = naut.current_thread();
-  const unsigned core = self != nullptr ? self->core : naut.boot_core();
   MV_RETURN_IF_ERROR(
-      naut.symbols()
-          .resolve(rt_->hvm().machine().core(core), "nk_thread_join")
-          .status());
+      naut.symbols().resolve(naut.current_core(), "nk_thread_join").status());
   return naut.thread_join(tid);
 }
 
@@ -245,28 +225,20 @@ Status HrtCtx::sigaction(int sig, ros::GuestSigHandler handler) {
   ros::Process& proc = *group_->owner_proc;
   if (sig < 0 || sig >= ros::kNumSignals) return err(Err::kInval);
   proc.sig[static_cast<std::size_t>(sig)] =
-      ros::SigEntry{std::move(handler), true, false};
+      ros::SigEntry{std::move(handler), true};
   return Status::ok();
 }
 
 void HrtCtx::charge_user(std::uint64_t cycles) {
-  naut::Nautilus& naut = rt_->naut();
-  naut::NautThread* self = naut.current_thread();
-  rt_->hvm()
-      .machine()
-      .core(self != nullptr ? self->core : naut.boot_core())
-      .charge(cycles);
+  rt_->naut().current_core().charge(cycles);
   group_->owner_proc->utime_cycles += cycles;
 }
 
 Result<std::uint64_t> HrtCtx::aerokernel_call(std::string_view symbol,
                                               std::uint64_t arg) {
   naut::Nautilus& naut = rt_->naut();
-  naut::NautThread* self = naut.current_thread();
-  const unsigned core = self != nullptr ? self->core : naut.boot_core();
-  MV_ASSIGN_OR_RETURN(
-      const std::uint64_t vaddr,
-      naut.symbols().resolve(rt_->hvm().machine().core(core), symbol));
+  MV_ASSIGN_OR_RETURN(const std::uint64_t vaddr,
+                      naut.symbols().resolve(naut.current_core(), symbol));
   return naut.call_function(vaddr, arg);
 }
 

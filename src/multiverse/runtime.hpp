@@ -147,9 +147,9 @@ class HrtCtx final : public ros::SysIface {
 
   Result<std::uint64_t> syscall(ros::SysNr nr,
                                 std::array<std::uint64_t, 6> args) override;
-  // Batched forwarding: runs of non-overridden syscalls go through the
-  // Nautilus batch stub (one channel flush per run); overridden memory calls
-  // and exits keep their direct paths, in order.
+  // Batched forwarding: each run of non-overridden syscalls goes through the
+  // Nautilus stub as one batch; overridden memory calls and exits keep their
+  // single-call path, in order.
   std::vector<Result<std::uint64_t>> syscall_batch(
       const std::vector<ros::SysReq>& reqs) override;
   Status mem_read(std::uint64_t vaddr, void* out, std::uint64_t len) override;
@@ -174,6 +174,11 @@ class HrtCtx final : public ros::SysIface {
   static constexpr std::uint64_t kScratchSliceBytes = 64 * 1024;
 
  private:
+  // Forward `reqs` through the Nautilus stub into `out`, sample their
+  // forwarded cost for the governor and note a successful exit_group.
+  void forward(std::span<const ros::SysReq> reqs,
+               std::span<Result<std::uint64_t>> out);
+
   MultiverseRuntime* rt_;
   ExecGroup* group_;
   std::uint64_t scratch_slice_ = 0;
@@ -251,7 +256,6 @@ class MultiverseRuntime {
   // ------ accessors -----------------------------------------------------------
   [[nodiscard]] naut::Nautilus& naut() noexcept { return *naut_; }
   [[nodiscard]] ros::LinuxSim& linux() noexcept { return *linux_; }
-  [[nodiscard]] vmm::Hvm& hvm() noexcept { return *hvm_; }
   [[nodiscard]] bool started() const noexcept { return started_; }
   [[nodiscard]] std::uint64_t groups_created() const noexcept {
     return next_group_id_ - 1;

@@ -21,7 +21,6 @@ vmm::HvmConfig hvm_config(const SystemConfig& cfg) {
   vmm::HvmConfig hc;
   hc.ros_cores = cfg.ros_cores;
   hc.hrt_cores = cfg.hrt_cores;
-  hc.ros_mem_bytes = cfg.ros_mem_bytes;
   return hc;
 }
 
@@ -29,7 +28,6 @@ ros::LinuxSim::Config linux_config(const SystemConfig& cfg) {
   ros::LinuxSim::Config lc;
   lc.cores = cfg.ros_cores;
   lc.virtualized = cfg.virtualized;
-  lc.numa_zone = 0;
   return lc;
 }
 
@@ -40,7 +38,7 @@ HybridSystem::HybridSystem(SystemConfig config)
       machine_(machine_config(config)),
       hvm_(machine_, hvm_config(config)),
       linux_(machine_, sched_, linux_config(config)),
-      naut_(machine_, sched_, hvm_, config.naut_config),
+      naut_(machine_, sched_, hvm_),
       runtime_(sched_, linux_, hvm_, naut_) {
   runtime_.set_group_mode(config.group_mode);
   Toolchain::BuildInputs inputs;

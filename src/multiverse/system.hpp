@@ -33,7 +33,6 @@ struct SystemConfig {
   unsigned sockets = 2;
   unsigned cores_per_socket = 2;
   std::uint64_t dram_bytes = 1ull << 30;      // 1 GiB guest, as the paper
-  std::uint64_t ros_mem_bytes = 1ull << 29;   // ROS partition
   // The two partitions. Both default to one core on socket 0 (Fig 2 moves
   // the HRT to core 2 for the cross-socket rows). The runtime spreads
   // top-level HRT threads over hrt_cores round-robin; the ROS schedules its
@@ -42,7 +41,6 @@ struct SystemConfig {
   std::vector<unsigned> hrt_cores{1};
   bool virtualized = true;
   std::string extra_override_config;  // appended to the defaults at build
-  naut::Nautilus::Config naut_config;
   // Execution-group structure (future-work variant switch).
   GroupMode group_mode = GroupMode::kDedicatedPartner;
 };

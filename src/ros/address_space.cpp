@@ -11,10 +11,9 @@ using hw::kPageSize;
 using hw::page_ceil;
 using hw::page_floor;
 
-AddressSpace::AddressSpace(hw::Machine& machine, unsigned numa_zone,
-                           std::uint64_t zero_page_paddr)
-    : machine_(&machine), zone_(numa_zone), zero_page_(zero_page_paddr) {
-  auto root = machine_->paging().new_root(zone_);
+AddressSpace::AddressSpace(hw::Machine& machine, std::uint64_t zero_page_paddr)
+    : machine_(&machine), zero_page_(zero_page_paddr) {
+  auto root = machine_->paging().new_root();
   MV_CHECK_OK(root);
   cr3_ = *root;
 }
@@ -230,7 +229,7 @@ AddressSpace::FaultOutcome AddressSpace::handle_fault_impl(
       // Read of untouched anonymous page: map the shared zero page RO.
       std::uint64_t flags = prot_to_flags(vma->prot) & ~hw::kPteWrite;
       if (machine_->paging()
-              .map_page(cr3_, page, zero_page_, flags, zone_)
+              .map_page(cr3_, page, zero_page_, flags)
               .is_ok()) {
         ++resident_pages_;
         max_resident_pages_ = std::max(max_resident_pages_, resident_pages_);
@@ -240,7 +239,7 @@ AddressSpace::FaultOutcome AddressSpace::handle_fault_impl(
       return FaultOutcome{false, false};
     }
     // First write (or any file-backed touch): allocate a private frame.
-    auto frame = machine_->mem().alloc_frame(zone_);
+    auto frame = machine_->mem().alloc_frame();
     if (!frame) return FaultOutcome{false, false};
     if (file_backed) {
       const std::uint64_t off = page - vma->start + vma->file_offset;
@@ -251,7 +250,7 @@ AddressSpace::FaultOutcome AddressSpace::handle_fault_impl(
       }
     }
     if (!machine_->paging()
-             .map_page(cr3_, page, *frame, prot_to_flags(vma->prot), zone_)
+             .map_page(cr3_, page, *frame, prot_to_flags(vma->prot))
              .is_ok()) {
       (void)machine_->mem().free_frame(*frame);
       return FaultOutcome{false, false};
@@ -272,7 +271,7 @@ AddressSpace::FaultOutcome AddressSpace::handle_fault_impl(
     if (leaf && page_floor(leaf->paddr) == zero_page_ &&
         (vma->prot & kProtWrite) != 0) {
       // COW break of a zero-page mapping.
-      auto frame = machine_->mem().alloc_frame(zone_);
+      auto frame = machine_->mem().alloc_frame();
       if (!frame) return FaultOutcome{false, false};
       // Copy current contents: normally zeros, but if ring-0 code corrupted
       // the shared zero page (the paper's CR0.WP quirk) the corruption
@@ -282,7 +281,7 @@ AddressSpace::FaultOutcome AddressSpace::handle_fault_impl(
       (void)machine_->mem().write(*frame, buf, kPageSize);
       (void)machine_->paging().unmap_page(cr3_, page);
       if (!machine_->paging()
-               .map_page(cr3_, page, *frame, prot_to_flags(vma->prot), zone_)
+               .map_page(cr3_, page, *frame, prot_to_flags(vma->prot))
                .is_ok()) {
         // Failed mid-break: don't leak the fresh frame, and put the zero-page
         // mapping back so the PTE state matches resident_pages_. If even the
@@ -290,7 +289,7 @@ AddressSpace::FaultOutcome AddressSpace::handle_fault_impl(
         (void)machine_->mem().free_frame(*frame);
         if (!machine_->paging()
                  .map_page(cr3_, page, zero_page_,
-                           prot_to_flags(vma->prot) & ~hw::kPteWrite, zone_)
+                           prot_to_flags(vma->prot) & ~hw::kPteWrite)
                  .is_ok()) {
           MV_CHECK(resident_pages_ > 0, "resident_pages_ underflow");
           --resident_pages_;

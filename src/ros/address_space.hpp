@@ -36,10 +36,8 @@ inline constexpr std::uint64_t kUserCeiling = 0x0000800000000000ull;
 
 class AddressSpace {
  public:
-  // `zero_page_paddr` is the kernel's shared all-zero frame; `numa_zone`
-  // selects where fresh anonymous frames come from.
-  AddressSpace(hw::Machine& machine, unsigned numa_zone,
-               std::uint64_t zero_page_paddr);
+  // `zero_page_paddr` is the kernel's shared all-zero frame.
+  AddressSpace(hw::Machine& machine, std::uint64_t zero_page_paddr);
   ~AddressSpace();
 
   AddressSpace(const AddressSpace&) = delete;
@@ -123,7 +121,6 @@ class AddressSpace {
   void split_around(std::uint64_t addr, std::uint64_t len);
 
   hw::Machine* machine_;
-  unsigned zone_;
   std::uint64_t zero_page_;
   std::uint64_t cr3_ = 0;
   std::map<std::uint64_t, Vma> vmas_;  // keyed by start

@@ -17,7 +17,7 @@ constexpr std::uint64_t kScratchSize = 64 * 1024;
 
 LinuxSim::LinuxSim(hw::Machine& machine, Sched& sched, Config config)
     : machine_(&machine), sched_(&sched), config_(std::move(config)) {
-  auto zp = machine_->mem().alloc_frame(config_.numa_zone);
+  auto zp = machine_->mem().alloc_frame();
   MV_CHECK_OK(zp);
   zero_page_ = *zp;
   for (unsigned c : config_.cores) {
@@ -68,17 +68,16 @@ Result<Process*> LinuxSim::spawn(std::string name,
   auto proc = std::make_unique<Process>();
   proc->pid = next_pid_++;
   proc->name = std::move(name);
-  proc->as = std::make_unique<AddressSpace>(*machine_, config_.numa_zone,
-                                            zero_page_);
+  proc->as = std::make_unique<AddressSpace>(*machine_, zero_page_);
   proc->as->set_coherency_domain(config_.cores);
   // Map the per-process vvar page (read-only, user-visible) so the vdso
   // fast paths have real kernel-exported data to read.
-  auto vvar = machine_->mem().alloc_frame(config_.numa_zone);
+  auto vvar = machine_->mem().alloc_frame();
   if (!vvar) return vvar.status();
   proc->vvar_frame = *vvar;
   MV_RETURN_IF_ERROR(machine_->paging().map_page(
       proc->as->cr3(), kVvarVaddr, proc->vvar_frame,
-      hw::kPtePresent | hw::kPteUser | hw::kPteNx, config_.numa_zone));
+      hw::kPtePresent | hw::kPteUser | hw::kPteNx));
   proc->as->note_kernel_page(kVvarVaddr);
   refresh_vvar(*proc);
 
@@ -279,7 +278,6 @@ Result<std::uint64_t> LinuxSim::dispatch_syscall(
   switch (nr) {
     case SysNr::kRead: return sys_read(thread, args);
     case SysNr::kWrite: return sys_write(thread, args);
-    case SysNr::kWritev: return sys_write(thread, args);
     case SysNr::kOpen:
     case SysNr::kOpenat: return sys_open(thread, args);
     case SysNr::kClose: return sys_close(thread, args);
@@ -298,23 +296,6 @@ Result<std::uint64_t> LinuxSim::dispatch_syscall(
       // Handler registration happens through SysIface::sigaction (the functor
       // cannot travel through registers); this path just accounts the call.
       core.charge(500);
-      return std::uint64_t{0};
-    }
-    case SysNr::kRtSigprocmask: {
-      core.charge(350);
-      return std::uint64_t{0};
-    }
-    case SysNr::kRtSigreturn: {
-      core.charge(400);
-      return std::uint64_t{0};
-    }
-    case SysNr::kSigaltstack: {
-      proc.altstack_base = args[0];
-      core.charge(400);
-      return std::uint64_t{0};
-    }
-    case SysNr::kIoctl: {
-      core.charge(600);
       return std::uint64_t{0};
     }
     case SysNr::kSchedYield: {
@@ -336,10 +317,6 @@ Result<std::uint64_t> LinuxSim::dispatch_syscall(
       core.charge(us_to_cycles(static_cast<double>(args[0])));
       sched_->yield();
       return std::uint64_t{0};
-    }
-    case SysNr::kGetitimer: {
-      core.charge(400);
-      return proc.itimer_interval_us;
     }
     case SysNr::kSetitimer: {
       core.charge(600);
@@ -364,11 +341,6 @@ Result<std::uint64_t> LinuxSim::dispatch_syscall(
       return err(Err::kNoSys, "fork not modeled");
     case SysNr::kExecve:
       return err(Err::kNoSys, "execve not modeled");
-    case SysNr::kExit: {
-      core.charge(1200);
-      thread.exited = true;
-      return std::uint64_t{0};
-    }
     case SysNr::kExitGroup: {
       core.charge(2000);
       proc.exited = true;
@@ -391,28 +363,10 @@ Result<std::uint64_t> LinuxSim::dispatch_syscall(
       MV_RETURN_IF_ERROR(fs_.mkdir(proc.cwd, path));
       return std::uint64_t{0};
     }
-    case SysNr::kUnlink: {
-      std::string path;
-      MV_RETURN_IF_ERROR(copy_path_from_user(thread, args[0], &path).status());
-      core.charge(1300);
-      MV_RETURN_IF_ERROR(fs_.unlink(proc.cwd, path));
-      return std::uint64_t{0};
-    }
-    case SysNr::kGettimeofday: return sys_gettimeofday(thread, args);
-    case SysNr::kClockGettime: return sys_gettimeofday(thread, args);
     case SysNr::kGetrusage: return sys_getrusage(thread, args);
     case SysNr::kFutex: return sys_futex(thread, args);
-    case SysNr::kTimerCreate: {
-      core.charge(800);
-      return std::uint64_t{1};
-    }
-    case SysNr::kTimerSettime: {
-      core.charge(700);
-      proc.itimer_interval_us = args[1];
-      const std::uint64_t value_us = args[2] != 0 ? args[2] : args[1];
-      proc.itimer_deadline_us = value_us == 0 ? 0 : now_us() + value_us;
-      return std::uint64_t{0};
-    }
+    // Counted by deliver_signal as the handler's return; no guest calls it.
+    case SysNr::kRtSigreturn:
     case SysNr::kCount_: break;
   }
   return err(Err::kNoSys, strfmt("syscall %u", static_cast<unsigned>(nr)));
@@ -527,7 +481,7 @@ Status NativeCtx::sigaction(int sig, GuestSigHandler handler) {
   k_->core_of(*t_).charge(500 + hw::costs().syscall_insn);
   if (sig < 0 || sig >= kNumSignals) return err(Err::kInval, "bad signal");
   proc.sig[static_cast<std::size_t>(sig)] =
-      SigEntry{std::move(handler), true, false};
+      SigEntry{std::move(handler), true};
   return Status::ok();
 }
 

@@ -3,7 +3,7 @@
 // LinuxSim: the "Regular OS" of the HVM pair. Implements the slice of the
 // Linux ABI the paper's Racket evaluation exercises — processes, threads
 // (clone), demand-paged mmap/munmap/mprotect, brk, signals (rt_sigaction /
-// rt_sigreturn / sigaltstack), futex, poll, itimers, getrusage, an in-memory
+// rt_sigreturn), futex, poll, itimers, getrusage, an in-memory
 // filesystem, and the vdso fast paths — with per-process accounting of every
 // syscall, page fault, and context switch (Figs 10-12 are read straight off
 // these counters).
@@ -44,7 +44,6 @@ struct VvarLayout {
 struct SigEntry {
   GuestSigHandler handler;
   bool installed = false;
-  bool on_altstack = false;
 };
 
 class Thread {
@@ -71,7 +70,6 @@ class Process {
   FdTable fds;
   std::string cwd = "/";
   std::array<SigEntry, kNumSignals> sig{};
-  std::uint64_t altstack_base = 0;
 
   // Accounting (Figs 10-12).
   std::array<std::uint64_t, static_cast<std::size_t>(SysNr::kCount_)>
@@ -181,7 +179,6 @@ class LinuxSim {
   struct Config {
     std::vector<unsigned> cores{0};
     bool virtualized = false;  // running as the ROS of an HVM guest
-    unsigned numa_zone = 0;
   };
 
   LinuxSim(hw::Machine& machine, Sched& sched, Config config);
@@ -274,7 +271,6 @@ class LinuxSim {
   Result<std::uint64_t> sys_munmap(Thread&, std::array<std::uint64_t, 6>);
   Result<std::uint64_t> sys_brk(Thread&, std::array<std::uint64_t, 6>);
   Result<std::uint64_t> sys_getcwd(Thread&, std::array<std::uint64_t, 6>);
-  Result<std::uint64_t> sys_gettimeofday(Thread&, std::array<std::uint64_t, 6>);
   Result<std::uint64_t> sys_getrusage(Thread&, std::array<std::uint64_t, 6>);
   Result<std::uint64_t> sys_futex(Thread&, std::array<std::uint64_t, 6>);
 

@@ -207,15 +207,6 @@ Result<std::uint64_t> LinuxSim::sys_getcwd(Thread& t,
   return cwd.size();
 }
 
-Result<std::uint64_t> LinuxSim::sys_gettimeofday(
-    Thread& t, std::array<std::uint64_t, 6> args) {
-  core_of(t).charge(400);
-  const std::uint64_t us = now_us();
-  const TimeVal tv{us / 1000000, us % 1000000};
-  MV_RETURN_IF_ERROR(core_of(t).mem_write(args[0], &tv, sizeof(tv)));
-  return std::uint64_t{0};
-}
-
 Result<std::uint64_t> LinuxSim::sys_getrusage(
     Thread& t, std::array<std::uint64_t, 6> args) {
   Process& proc = *t.proc;

@@ -23,31 +23,20 @@ enum class SysNr : std::uint32_t {
   kMunmap = 11,
   kBrk = 12,
   kRtSigaction = 13,
-  kRtSigprocmask = 14,
   kRtSigreturn = 15,
-  kIoctl = 16,
-  kWritev = 20,
   kSchedYield = 24,
   kDup = 32,
   kNanosleep = 35,
-  kGetitimer = 36,
   kSetitimer = 38,
   kGetpid = 39,
   kClone = 56,
   kFork = 57,
   kExecve = 59,
-  kExit = 60,
   kGetcwd = 79,
   kChdir = 80,
   kMkdir = 83,
-  kUnlink = 87,
-  kGettimeofday = 96,
   kGetrusage = 98,
-  kSigaltstack = 131,
   kFutex = 202,
-  kTimerCreate = 222,
-  kTimerSettime = 223,
-  kClockGettime = 228,
   kExitGroup = 231,
   kOpenat = 257,
   kCount_ = 300,
@@ -55,9 +44,9 @@ enum class SysNr : std::uint32_t {
 
 const char* sysnr_name(SysNr nr) noexcept;
 
-// One raw system call request, as staged in a submission batch. The batch
-// paths (SysIface::syscall_batch, the event-channel submission ring) carry
-// vectors of these instead of one (nr, args) pair at a time.
+// One raw system call request, as staged in a submission batch. The HRT
+// forwarding path (the Nautilus stub, the event-channel submission ring)
+// carries spans of these; a single call is a batch of one.
 struct SysReq {
   SysNr nr{};
   std::array<std::uint64_t, 6> args{};

@@ -12,6 +12,8 @@ namespace {
 // SIGALRM ticks observed (per-process would be cleaner; the simulator runs
 // one engine per process).
 thread_local std::uint64_t g_alarm_ticks = 0;
+// The itimer period: the SIGALRM cadence of the runtime's green threads.
+constexpr std::uint64_t kTimerUs = 20000;
 }  // namespace
 
 Engine::Engine(ros::SysIface& sys, Config config)
@@ -112,7 +114,7 @@ Status Engine::init() {
     MV_RETURN_IF_ERROR(sys().sigaction(
         ros::kSigAlrm,
         [](int, std::uint64_t, ros::SysIface&) { ++g_alarm_ticks; }));
-    MV_RETURN_IF_ERROR(sys().setitimer(config_.timer_us));
+    MV_RETURN_IF_ERROR(sys().setitimer(kTimerUs));
   }
 
   if (config_.load_boot_files) {

@@ -48,7 +48,6 @@ class Engine {
     // engine polls for events and checks timers (Racket's thread scheduler
     // does the same; this produces Fig 12's poll/getrusage/timer traffic).
     std::uint64_t tick_every_evals = 32768;
-    std::uint64_t timer_us = 20000;  // itimer period (SIGALRM cadence)
     bool install_timer = true;
     bool load_boot_files = true;  // stat/open/read/close the collection tree
   };

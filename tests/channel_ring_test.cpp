@@ -194,13 +194,13 @@ TEST(ChannelRingTest, BatchCompletesInSubmissionOrderAndCoalescesDoorbells) {
   auto* proc = rig.start_partner(/*serve=*/true);
   ASSERT_NE(proc, nullptr);
 
-  std::vector<Result<std::uint64_t>> results;
+  std::vector<Result<std::uint64_t>> results(8, Err::kAgain);
   rig.sched.spawn(
       1,
       [&] {
         std::vector<ros::SysReq> reqs(8);
         for (auto& req : reqs) req.nr = SysNr::kGetpid;
-        results = rig.chan.forward_syscall_batch(reqs);
+        rig.chan.forward_syscalls(reqs, results);
         rig.chan.mark_exit();
       },
       "batcher");
@@ -248,13 +248,13 @@ TEST(ChannelRingTest, ExitWhileBatchInFlightDrainsRing) {
   auto* proc = rig.start_partner(/*serve=*/true);
   ASSERT_NE(proc, nullptr);
 
-  std::vector<Result<std::uint64_t>> results;
+  std::vector<Result<std::uint64_t>> results(3, Err::kAgain);
   rig.sched.spawn(
       1,
       [&] {
         std::vector<ros::SysReq> reqs(3);
         for (auto& req : reqs) req.nr = SysNr::kGetpid;
-        results = rig.chan.forward_syscall_batch(reqs);
+        rig.chan.forward_syscalls(reqs, results);
       },
       "batcher");
   // Runs after the batcher has staged its submissions but before the partner
@@ -336,6 +336,39 @@ TEST(ChannelRingTest, BatchedMmapsServeInSubmissionOrder) {
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   EXPECT_EQ(r->exit_code, 0);
   EXPECT_GT(r->forwarded_syscalls, 0u);
+}
+
+TEST(ChannelRingTest, BatchRefusesADisallowedCallAndForwardsTheRest) {
+  // The stub's filter applies per entry: a disallowed call between two
+  // allowed ones answers kNoSys (the ROS would say EINVAL for a raw clone),
+  // and the other two forward as one channel batch (one doorbell) that
+  // completes in submission order (mmap hands out addresses top-down).
+  SystemConfig cfg;
+  cfg.extra_override_config = "option ring_depth 4\n";
+  HybridSystem sys(cfg);
+  std::uint64_t forwarded = 0;
+  std::uint64_t doorbells = 0;
+  auto r = sys.run_hybrid("batch-filter", [&](SysIface& s) {
+    const ros::SysReq map{SysNr::kMmap,
+                          {0, hw::kPageSize, ros::kProtRead | ros::kProtWrite,
+                           ros::kMapPrivate | ros::kMapAnonymous, 0, 0}};
+    const std::uint64_t fwd_before = sys.naut().forwarded_syscalls();
+    const std::uint64_t raise_before =
+        sys.hvm().hypercall_count(vmm::Hypercall::kRaiseRos);
+    auto results = s.syscall_batch({map, ros::SysReq{SysNr::kClone, {}}, map});
+    forwarded = sys.naut().forwarded_syscalls() - fwd_before;
+    doorbells =
+        sys.hvm().hypercall_count(vmm::Hypercall::kRaiseRos) - raise_before;
+    if (results.size() != 3) return 1;
+    if (results[1].code() != Err::kNoSys) return 2;
+    if (!results[0].is_ok() || !results[2].is_ok()) return 3;
+    if (*results[2] >= *results[0]) return 4;
+    return 0;
+  });
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(r->exit_code, 0);
+  EXPECT_EQ(forwarded, 2u);
+  EXPECT_EQ(doorbells, 1u);
 }
 
 TEST(ChannelRingTest, RingDepthOptionParsesAndClamps) {

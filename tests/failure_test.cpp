@@ -52,7 +52,7 @@ TEST(FailureTest, PhysicalMemoryExhaustionKillsGuestNotHost) {
   // guest dies of SIGSEGV, and the simulation reports it cleanly.
   hw::Machine machine(hw::MachineConfig{1, 1, 96 * hw::kPageSize});
   Sched sched;
-  ros::LinuxSim kernel(machine, sched, ros::LinuxSim::Config{{0}, false, 0});
+  ros::LinuxSim kernel(machine, sched, ros::LinuxSim::Config{{0}, false});
   auto proc = kernel.spawn("oom", [](ros::SysIface& sys) {
     auto a = sys.mmap(0, 512 * hw::kPageSize,
                       ros::kProtRead | ros::kProtWrite,
@@ -75,7 +75,7 @@ TEST(FailureTest, PhysicalMemoryExhaustionKillsGuestNotHost) {
 TEST(FailureTest, FdTableExhaustion) {
   hw::Machine machine(hw::MachineConfig{1, 1, 1 << 26});
   Sched sched;
-  ros::LinuxSim kernel(machine, sched, ros::LinuxSim::Config{{0}, false, 0});
+  ros::LinuxSim kernel(machine, sched, ros::LinuxSim::Config{{0}, false});
   auto proc = kernel.spawn("fd-exhaust", [](ros::SysIface& sys) {
     int opened = 0;
     for (int i = 0; i < 400; ++i) {
@@ -97,7 +97,7 @@ TEST(FailureTest, FdTableExhaustion) {
 TEST(FailureTest, DeadlockIsDiagnosedWithTaskNames) {
   hw::Machine machine(hw::MachineConfig{1, 1, 1 << 26});
   Sched sched;
-  ros::LinuxSim kernel(machine, sched, ros::LinuxSim::Config{{0}, false, 0});
+  ros::LinuxSim kernel(machine, sched, ros::LinuxSim::Config{{0}, false});
   auto proc = kernel.spawn("deadlocker", [](ros::SysIface& sys) {
     // FUTEX_WAIT on a word nobody will ever wake.
     auto a = sys.mmap(0, hw::kPageSize, ros::kProtRead | ros::kProtWrite,
@@ -118,7 +118,7 @@ TEST(FailureTest, SchemeHeapErrorsPropagateAsErrors) {
   // survives to return a clean nonzero exit.
   hw::Machine machine(hw::MachineConfig{1, 1, 1 << 27});
   Sched sched;
-  ros::LinuxSim kernel(machine, sched, ros::LinuxSim::Config{{0}, false, 0});
+  ros::LinuxSim kernel(machine, sched, ros::LinuxSim::Config{{0}, false});
   auto proc = kernel.spawn("scheme-err", [](ros::SysIface& sys) {
     return scheme::vessel_main(sys, "(error \"deliberate\" 1 2 3)", false);
   });

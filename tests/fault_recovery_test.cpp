@@ -250,8 +250,9 @@ TEST(ChannelRecoveryTest, DuplicatedCompletionDetectedBySequence) {
 
 TEST(ChannelRecoveryTest, PartnerDeathFailsInFlightAndFutureRequests) {
   // The partner dies on its first wakeup: the in-flight request completes
-  // with kIo (not a hang), later requests fail fast, and the partner's task
-  // lingers until the exit signal so join semantics survive.
+  // with kIo (not a hang), later requests fail fast, every entry of a later
+  // batch too, and the partner's task lingers until the exit signal so join
+  // semantics survive.
   ChannelRig rig;
   FaultPlan plan = make_plan(FaultClass::kPartnerDeath, 1.0);
   rig.chan.set_fault_plan(&plan);
@@ -260,17 +261,21 @@ TEST(ChannelRecoveryTest, PartnerDeathFailsInFlightAndFutureRequests) {
 
   Result<std::uint64_t> first = err(Err::kState, "never ran");
   Result<std::uint64_t> second = err(Err::kState, "never ran");
+  const std::vector<ros::SysReq> batch(3, ros::SysReq{SysNr::kGetpid, {}});
+  std::vector<Result<std::uint64_t>> batched(batch.size(), Err::kAgain);
   rig.sched.spawn(
       1,
       [&] {
         first = rig.chan.forward_syscall(SysNr::kGetpid, {});
         second = rig.chan.forward_syscall(SysNr::kGetpid, {});
+        rig.chan.forward_syscalls(batch, batched);
         rig.chan.mark_exit();
       },
       "req");
   ASSERT_TRUE(rig.sched.run().is_ok()) << "partner death stranded a task";
   EXPECT_EQ(first.code(), Err::kIo);
   EXPECT_EQ(second.code(), Err::kIo);
+  for (const auto& r : batched) EXPECT_EQ(r.code(), Err::kIo);
   EXPECT_TRUE(rig.chan.partner_dead());
   EXPECT_EQ(plan.injected(FaultClass::kPartnerDeath), 1u);
   EXPECT_EQ(rig.chan.requests_served(), 0u);
@@ -540,7 +545,7 @@ class LegacyFixTest : public ::testing::Test {
  protected:
   LegacyFixTest()
       : machine_(hw::MachineConfig{1, 2, 1 << 26}),
-        linux_(machine_, sched_, ros::LinuxSim::Config{{0}, false, 0}) {}
+        linux_(machine_, sched_, ros::LinuxSim::Config{{0}, false}) {}
 
   int run(std::function<int(SysIface&)> guest) {
     auto proc = linux_.spawn("test", std::move(guest));

@@ -156,17 +156,24 @@ TEST_F(NautTest, FunctionRegistryDispatch) {
   EXPECT_EQ(naut_.call_function(0xbeef0000, 0).code(), Err::kNoEnt);
 }
 
+// One call through the stub: a batch of one.
+Result<std::uint64_t> stub_call(Nautilus& naut, ros::SysNr nr) {
+  const ros::SysReq req{nr, {}};
+  Result<std::uint64_t> out{Err::kAgain};
+  naut.syscall_stub({&req, 1}, {&out, 1});
+  return out;
+}
+
 TEST_F(NautTest, SyscallStubRefusesDisallowedCalls) {
   boot();
   sched_.spawn(1, [&] {
     auto t = naut_.thread_create([&] {
       for (const auto nr : {ros::SysNr::kExecve, ros::SysNr::kClone,
                             ros::SysNr::kFork, ros::SysNr::kFutex}) {
-        EXPECT_EQ(naut_.syscall_stub(nr, {}).code(), Err::kNoSys);
+        EXPECT_EQ(stub_call(naut_, nr).code(), Err::kNoSys);
       }
       // And forwarding without a channel is a state error, not a crash.
-      EXPECT_EQ(naut_.syscall_stub(ros::SysNr::kGetpid, {}).code(),
-                Err::kState);
+      EXPECT_EQ(stub_call(naut_, ros::SysNr::kGetpid).code(), Err::kState);
     }, false, nullptr, "stub-test");
     ASSERT_TRUE(t.is_ok());
   }, "driver");
@@ -176,10 +183,12 @@ TEST_F(NautTest, SyscallStubRefusesDisallowedCalls) {
 // A fake legacy channel for stub/fault tests.
 class FakeChannel : public LegacyChannel {
  public:
-  Result<std::uint64_t> forward_syscall(
-      ros::SysNr nr, std::array<std::uint64_t, 6>) override {
-    syscalls.push_back(nr);
-    return std::uint64_t{1234};
+  void forward_syscalls(std::span<const ros::SysReq> reqs,
+                        std::span<Result<std::uint64_t>> out) override {
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      syscalls.push_back(reqs[i].nr);
+      out[i] = std::uint64_t{1234};
+    }
   }
   Status forward_fault(std::uint64_t vaddr, std::uint32_t) override {
     faults.push_back(vaddr);
@@ -196,7 +205,7 @@ TEST_F(NautTest, SyscallStubForwardsThroughChannel) {
   FakeChannel channel;
   sched_.spawn(1, [&] {
     auto t = naut_.thread_create([&] {
-      auto r = naut_.syscall_stub(ros::SysNr::kGetpid, {});
+      auto r = stub_call(naut_, ros::SysNr::kGetpid);
       ASSERT_TRUE(r.is_ok());
       EXPECT_EQ(*r, 1234u);
     }, false, &channel, "forwarder");
@@ -211,7 +220,8 @@ TEST_F(NautTest, SyscallStubForwardsThroughChannel) {
 
 TEST_F(NautTest, SysretEmulationRequired) {
   // With emulation disabled, the unconditional ring-3 return of SYSRET is a
-  // #GP — the stub must fail rather than corrupt state.
+  // #GP — the stub must fail rather than corrupt state, for a single call
+  // and for every entry of a batch, the forwarded ones included.
   Nautilus::Config cfg;
   cfg.emulate_sysret = false;
   Nautilus naut2(machine_, sched_, hvm_, cfg);
@@ -219,14 +229,20 @@ TEST_F(NautTest, SysretEmulationRequired) {
   ASSERT_TRUE(hvm_.install_hrt_image(0, blob).is_ok());
   ASSERT_TRUE(hvm_.hypercall(0, vmm::Hypercall::kBootHrt).is_ok());
   FakeChannel channel;
+  const std::vector<ros::SysReq> batch = {{ros::SysNr::kGetpid, {}},
+                                          {ros::SysNr::kFutex, {}},
+                                          {ros::SysNr::kGetpid, {}}};
+  std::vector<Result<std::uint64_t>> out(batch.size(), Err::kAgain);
   sched_.spawn(1, [&] {
     auto t = naut2.thread_create([&] {
-      EXPECT_EQ(naut2.syscall_stub(ros::SysNr::kGetpid, {}).code(),
-                Err::kState);
+      EXPECT_EQ(stub_call(naut2, ros::SysNr::kGetpid).code(), Err::kState);
+      naut2.syscall_stub(batch, out);
     }, false, &channel, "t");
     ASSERT_TRUE(t.is_ok());
   }, "driver");
   ASSERT_TRUE(sched_.run().is_ok());
+  for (const auto& r : out) EXPECT_EQ(r.code(), Err::kState);
+  EXPECT_EQ(channel.syscalls.size(), 3u);
 }
 
 TEST_F(NautTest, MergeCopiesPml4AndHrtDone) {

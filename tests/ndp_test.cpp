@@ -23,7 +23,7 @@ class NdpTest : public ::testing::Test {
     machine_ = std::make_unique<hw::Machine>(hw::MachineConfig{1, 1, 1 << 26});
     sched_ = std::make_unique<Sched>();
     linux_ = std::make_unique<ros::LinuxSim>(
-        *machine_, *sched_, ros::LinuxSim::Config{{0}, false, 0});
+        *machine_, *sched_, ros::LinuxSim::Config{{0}, false});
     auto proc = linux_->spawn("rill", [&, source](ros::SysIface& sys) {
       const Status s = compile_and_run(sys, source);
       if (status != nullptr) *status = s;

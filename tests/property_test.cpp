@@ -243,7 +243,7 @@ TEST_P(VmaPropertyTest, ResidentAccountingAndAccessSemantics) {
   Rng rng(GetParam());
   hw::Machine machine(hw::MachineConfig{1, 1, 1 << 26});
   Sched sched;
-  ros::LinuxSim kernel(machine, sched, ros::LinuxSim::Config{{0}, false, 0});
+  ros::LinuxSim kernel(machine, sched, ros::LinuxSim::Config{{0}, false});
 
   auto proc = kernel.spawn("vma-prop", [&rng](ros::SysIface& sys) {
     (void)sys.sigaction(ros::kSigSegv, [](int, std::uint64_t, ros::SysIface&) {
@@ -425,7 +425,7 @@ class ReaderPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(ReaderPropertyTest, WriteReadRoundTrip) {
   hw::Machine machine(hw::MachineConfig{1, 1, 1 << 27});
   Sched sched;
-  ros::LinuxSim kernel(machine, sched, ros::LinuxSim::Config{{0}, false, 0});
+  ros::LinuxSim kernel(machine, sched, ros::LinuxSim::Config{{0}, false});
   const std::uint64_t seed = GetParam();
   auto proc = kernel.spawn("reader-prop", [seed](ros::SysIface& sys) {
     scheme::Engine::Config cfg;
@@ -488,7 +488,7 @@ class GcPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(GcPropertyTest, RetainedValuesSurviveChurn) {
   hw::Machine machine(hw::MachineConfig{1, 1, 1 << 27});
   Sched sched;
-  ros::LinuxSim kernel(machine, sched, ros::LinuxSim::Config{{0}, false, 0});
+  ros::LinuxSim kernel(machine, sched, ros::LinuxSim::Config{{0}, false});
   const std::uint64_t seed = GetParam();
   auto proc = kernel.spawn("gc-prop", [seed](ros::SysIface& sys) {
     scheme::Engine::Config cfg;

@@ -65,7 +65,7 @@ class SchemeTest : public ::testing::Test {
     machine_ = std::make_unique<hw::Machine>(hw::MachineConfig{1, 2, 1 << 28});
     sched_ = std::make_unique<Sched>();
     linux_ = std::make_unique<ros::LinuxSim>(
-        *machine_, *sched_, ros::LinuxSim::Config{{0}, false, 0});
+        *machine_, *sched_, ros::LinuxSim::Config{{0}, false});
     ASSERT_TRUE(install_boot_files(linux_->fs()).is_ok());
     for (GuestFn& guest : guests) {
       auto proc = linux_->spawn("scheme", std::move(guest));
@@ -930,7 +930,7 @@ TEST_F(SchemeTest, ReplInteractiveSession) {
   machine_ = std::make_unique<hw::Machine>(hw::MachineConfig{1, 2, 1 << 28});
   sched_ = std::make_unique<Sched>();
   linux_ = std::make_unique<ros::LinuxSim>(
-      *machine_, *sched_, ros::LinuxSim::Config{{0}, false, 0});
+      *machine_, *sched_, ros::LinuxSim::Config{{0}, false});
   ASSERT_TRUE(install_boot_files(linux_->fs()).is_ok());
   auto proc = linux_->spawn("repl", [](ros::SysIface& sys) {
     return vessel_main(sys, "", false);

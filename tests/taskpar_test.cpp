@@ -25,7 +25,7 @@ class TaskparTest : public ::testing::Test {
     machine_ = std::make_unique<hw::Machine>(hw::MachineConfig{1, 2, 1 << 27});
     sched_ = std::make_unique<Sched>();
     linux_ = std::make_unique<ros::LinuxSim>(
-        *machine_, *sched_, ros::LinuxSim::Config{{0}, false, 0});
+        *machine_, *sched_, ros::LinuxSim::Config{{0}, false});
     auto proc = linux_->spawn("taskpar", std::move(guest));
     ASSERT_TRUE(proc.is_ok());
     proc_ = *proc;

@@ -68,7 +68,7 @@ class VcodeTest : public ::testing::Test {
     machine_ = std::make_unique<hw::Machine>(hw::MachineConfig{1, 1, 1 << 26});
     sched_ = std::make_unique<Sched>();
     linux_ = std::make_unique<ros::LinuxSim>(
-        *machine_, *sched_, ros::LinuxSim::Config{{0}, false, 0});
+        *machine_, *sched_, ros::LinuxSim::Config{{0}, false});
     auto proc = linux_->spawn("vcode", [&, program](ros::SysIface& sys) {
       FailingTouchIface failing(sys);
       Vm vm(fail_touch ? static_cast<ros::SysIface&>(failing) : sys);
