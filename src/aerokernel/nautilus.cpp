@@ -13,9 +13,8 @@ namespace mv::naut {
 
 using hw::kPageSize;
 
-Nautilus::Nautilus(hw::Machine& machine, Sched& sched, vmm::Hvm& hvm,
-                   Config config)
-    : machine_(&machine), sched_(&sched), hvm_(&hvm), config_(config) {
+Nautilus::Nautilus(hw::Machine& machine, Sched& sched, vmm::Hvm& hvm)
+    : machine_(&machine), sched_(&sched), hvm_(&hvm) {
   hvm_->attach_hrt(this);
 }
 
@@ -29,13 +28,9 @@ Status Nautilus::boot(const vmm::BootInfo& info) {
     core.set_cpl(0);
     // The paper's fix: "there is a bit to enforce write faults in ring 0 in
     // the cr0 control register." Without it, COW breaks silently.
-    core.set_cr0_wp(config_.enforce_cr0_wp);
+    core.set_cr0_wp(true);
   }
   install_idt();
-
-  // Kernel heap: HRT-private memory past the image and comm page.
-  heap_bump_ = 0;  // allocated on demand through the HVM's HRT partition
-  heap_end_ = info.dram_bytes;
 
   symbols_.load(vmm::HrtImageBuilder::default_nautilus_image(),
                 image_base_vaddr());
@@ -512,11 +507,6 @@ void Nautilus::syscall_stub(std::span<const ros::SysReq> reqs,
   // ...but SYSRET cannot return to ring 0 (its return to ring 3 is
   // unconditional), so the stub emulates it with a direct jmp to the rip
   // saved at SYSCALL.
-  if (!config_.emulate_sysret) {
-    std::ranges::fill(out, err(Err::kState, "SYSRET to ring 0 raises #GP "
-                                            "(emulation disabled)"));
-    return;
-  }
   core.charge(hw::costs().sysret_emulated);
 }
 

@@ -62,17 +62,7 @@ struct NautThread {
 
 class Nautilus final : public vmm::HrtKernelIface {
  public:
-  struct Config {
-    // The paper's fix: enforce write faults in ring 0 so COW and GC barriers
-    // work. Disabling this reproduces the "mysterious memory corruption".
-    bool enforce_cr0_wp = true;
-    // Emulate SYSRET with a direct jmp (SYSRET cannot return to ring 0).
-    bool emulate_sysret = true;
-  };
-
-  Nautilus(hw::Machine& machine, Sched& sched, vmm::Hvm& hvm, Config config);
-  Nautilus(hw::Machine& machine, Sched& sched, vmm::Hvm& hvm)
-      : Nautilus(machine, sched, hvm, Config{}) {}
+  Nautilus(hw::Machine& machine, Sched& sched, vmm::Hvm& hvm);
 
   // --- HrtKernelIface -------------------------------------------------------
   Status boot(const vmm::BootInfo& info) override;
@@ -134,7 +124,7 @@ class Nautilus final : public vmm::HrtKernelIface {
   Status event_signal(int event);
 
   // --- kernel heap ----------------------------------------------------------------
-  // Bump allocator over HRT-private memory; returns kernel virtual addresses.
+  // Allocates from the HVM's HRT partition; returns kernel virtual addresses.
   Result<std::uint64_t> kmalloc(std::uint64_t bytes);
 
   // --- Multiverse additions ---------------------------------------------------
@@ -199,12 +189,9 @@ class Nautilus final : public vmm::HrtKernelIface {
   hw::Machine* machine_;
   Sched* sched_;
   vmm::Hvm* hvm_;
-  Config config_;
   vmm::BootInfo boot_info_;
   bool booted_ = false;
   std::uint64_t cr3_ = 0;
-  std::uint64_t heap_bump_ = 0;
-  std::uint64_t heap_end_ = 0;
   SymbolTable symbols_;
 
   std::map<std::uint64_t, std::function<std::uint64_t(std::uint64_t)>>

@@ -8,7 +8,7 @@ namespace mv::hw {
 
 Machine::Machine(const MachineConfig& config)
     : config_(config),
-      mem_(config.dram_bytes, config.sockets),
+      mem_(config.dram_bytes),
       paging_(mem_) {
   for (unsigned s = 0; s < config.sockets; ++s) {
     for (unsigned c = 0; c < config.cores_per_socket; ++c) {

@@ -1,8 +1,9 @@
 #pragma once
 
-// Machine topology: sockets × cores, shared physical memory with NUMA zones
-// (one per socket), page-table plumbing, and IPI delivery (used for TLB
-// shootdowns and HVM event doorbells).
+// Machine topology: sockets × cores, shared physical memory, page-table
+// plumbing, and IPI delivery (used for TLB shootdowns and HVM event
+// doorbells). Sockets set the cache-line transfer costs between cores; they
+// do not split memory.
 
 #include <cstdint>
 #include <functional>

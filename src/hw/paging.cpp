@@ -19,8 +19,8 @@ unsigned pt_index(std::uint64_t vaddr, int level) noexcept {
   return static_cast<unsigned>((vaddr >> shift) & 0x1ff);
 }
 
-Result<std::uint64_t> PageTables::new_root(unsigned zone) {
-  return mem_->alloc_frame(zone);
+Result<std::uint64_t> PageTables::new_root() {
+  return mem_->alloc_frame();
 }
 
 std::uint64_t PageTables::entry_at(std::uint64_t table, unsigned index) const {
@@ -37,11 +37,11 @@ void PageTables::set_entry_at(std::uint64_t table, unsigned index,
 }
 
 Result<std::uint64_t> PageTables::descend(std::uint64_t table, unsigned index,
-                                          bool create, unsigned zone) {
+                                          bool create) {
   std::uint64_t entry = entry_at(table, index);
   if ((entry & kPtePresent) == 0) {
     if (!create) return err(Err::kNoEnt, "table entry not present");
-    MV_ASSIGN_OR_RETURN(const std::uint64_t next, mem_->alloc_frame(zone));
+    MV_ASSIGN_OR_RETURN(const std::uint64_t next, mem_->alloc_frame());
     // Permissive intermediate flags: leaf entries gate the access.
     entry = next | kPtePresent | kPteWrite | kPteUser;
     set_entry_at(table, index, entry);
@@ -50,22 +50,20 @@ Result<std::uint64_t> PageTables::descend(std::uint64_t table, unsigned index,
 }
 
 Status PageTables::map_page(std::uint64_t root, std::uint64_t vaddr,
-                            std::uint64_t paddr, std::uint64_t flags,
-                            unsigned zone) {
+                            std::uint64_t paddr, std::uint64_t flags) {
   if (!is_canonical(vaddr)) return err(Err::kBadAddr, "non-canonical vaddr");
   if ((flags & kPtePresent) == 0) return err(Err::kInval, "mapping !present");
   std::uint64_t table = root;
   for (int level = 4; level >= 2; --level) {
     MV_ASSIGN_OR_RETURN(table, descend(table, pt_index(vaddr, level),
-                                       /*create=*/true, zone));
+                                       /*create=*/true));
   }
   set_entry_at(table, pt_index(vaddr, 1), (paddr & kPteAddrMask) | flags);
   return Status::ok();
 }
 
 Status PageTables::map_large_page(std::uint64_t root, std::uint64_t vaddr,
-                                  std::uint64_t paddr, std::uint64_t flags,
-                                  unsigned zone) {
+                                  std::uint64_t paddr, std::uint64_t flags) {
   if (!is_canonical(vaddr)) return err(Err::kBadAddr, "non-canonical vaddr");
   if ((vaddr & (kLargePageSize - 1)) != 0 ||
       (paddr & (kLargePageSize - 1)) != 0) {
@@ -75,7 +73,7 @@ Status PageTables::map_large_page(std::uint64_t root, std::uint64_t vaddr,
   std::uint64_t table = root;
   for (int level = 4; level >= 3; --level) {
     MV_ASSIGN_OR_RETURN(table, descend(table, pt_index(vaddr, level),
-                                       /*create=*/true, zone));
+                                       /*create=*/true));
   }
   set_entry_at(table, pt_index(vaddr, 2),
                (paddr & kPteAddrMask) | flags | kPtePs);
@@ -87,7 +85,7 @@ Result<std::uint64_t> PageTables::unmap_page(std::uint64_t root,
   std::uint64_t table = root;
   for (int level = 4; level >= 2; --level) {
     MV_ASSIGN_OR_RETURN(table, descend(table, pt_index(vaddr, level),
-                                       /*create=*/false, 0));
+                                       /*create=*/false));
   }
   const unsigned idx = pt_index(vaddr, 1);
   const std::uint64_t entry = entry_at(table, idx);
@@ -101,7 +99,7 @@ Status PageTables::protect_page(std::uint64_t root, std::uint64_t vaddr,
   std::uint64_t table = root;
   for (int level = 4; level >= 2; --level) {
     MV_ASSIGN_OR_RETURN(table, descend(table, pt_index(vaddr, level),
-                                       /*create=*/false, 0));
+                                       /*create=*/false));
   }
   const unsigned idx = pt_index(vaddr, 1);
   const std::uint64_t entry = entry_at(table, idx);

@@ -70,18 +70,17 @@ class PageTables {
   explicit PageTables(PhysMem& mem) : mem_(&mem) {}
 
   // Allocate an empty top-level table; returns its physical address (CR3).
-  Result<std::uint64_t> new_root(unsigned zone = 0);
+  Result<std::uint64_t> new_root();
 
   // Map one 4 KiB page. `flags` must include kPtePresent. Intermediate tables
   // are created with Present|Write|User so leaf flags alone govern access.
   Status map_page(std::uint64_t root, std::uint64_t vaddr, std::uint64_t paddr,
-                  std::uint64_t flags, unsigned zone = 0);
+                  std::uint64_t flags);
 
   // Map one 2 MiB page (a PS-bit PD entry). vaddr and paddr must be 2 MiB
   // aligned. Real Nautilus identity-maps its higher half this way.
   Status map_large_page(std::uint64_t root, std::uint64_t vaddr,
-                        std::uint64_t paddr, std::uint64_t flags,
-                        unsigned zone = 0);
+                        std::uint64_t paddr, std::uint64_t flags);
 
   // Remove one mapping; returns the old physical address if it existed.
   Result<std::uint64_t> unmap_page(std::uint64_t root, std::uint64_t vaddr);
@@ -129,7 +128,7 @@ class PageTables {
   void set_entry_at(std::uint64_t table, unsigned index, std::uint64_t entry);
   // Descend one level, optionally creating the next table.
   Result<std::uint64_t> descend(std::uint64_t table, unsigned index,
-                                bool create, unsigned zone);
+                                bool create);
 
   void free_level(std::uint64_t table, int level);
   void visit_level(

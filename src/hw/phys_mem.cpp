@@ -6,25 +6,13 @@
 
 namespace mv::hw {
 
-PhysMem::PhysMem(std::uint64_t bytes, unsigned numa_zones)
-    : frame_count_(page_ceil(bytes) / kPageSize) {
-  if (numa_zones == 0) numa_zones = 1;
-  const std::uint64_t per_zone = frame_count_ / numa_zones;
-  std::uint64_t next = 0;
-  for (unsigned z = 0; z < numa_zones; ++z) {
-    const std::uint64_t count =
-        z + 1 == numa_zones ? frame_count_ - next : per_zone;
-    zones_.push_back(NumaZone{next, count});
-    next += count;
-  }
+PhysMem::PhysMem(std::uint64_t bytes)
+    : frame_count_(page_ceil(bytes) / kPageSize), pool_frames_(frame_count_) {
   allocated_.assign(frame_count_, false);
 }
 
-Result<std::uint64_t> PhysMem::alloc_frame(unsigned zone) {
-  if (zone >= zones_.size()) return err(Err::kInval, "bad NUMA zone");
-  const NumaZone& z = zones_[zone];
-  for (std::uint64_t f = z.first_frame; f < z.first_frame + z.frame_count;
-       ++f) {
+Result<std::uint64_t> PhysMem::alloc_frame() {
+  for (std::uint64_t f = 0; f < pool_frames_; ++f) {
     if (!allocated_[f]) {
       allocated_[f] = true;
       ++used_;
@@ -32,7 +20,7 @@ Result<std::uint64_t> PhysMem::alloc_frame(unsigned zone) {
       return f * kPageSize;
     }
   }
-  return err(Err::kNoMem, "NUMA zone exhausted");
+  return err(Err::kNoMem, "frame pool exhausted");
 }
 
 Status PhysMem::free_frame(std::uint64_t paddr) {

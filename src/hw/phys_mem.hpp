@@ -1,9 +1,12 @@
 #pragma once
 
-// Simulated physical memory: a sparse page-frame store plus a frame allocator
-// partitioned into NUMA zones. Page tables, guest payload bytes, and the HVM
-// shared data pages all live here.
+// Simulated physical memory: a sparse page-frame store plus one frame
+// allocator. The allocator's pool is all of DRAM until a partitioning VMM
+// ends it at its guest's slice (the HVM ends it at the ROS partition); frames
+// above the pool stay reachable through reserve_range. Page tables, guest
+// payload bytes, and the HVM shared data pages all live here.
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -27,25 +30,21 @@ inline constexpr std::uint64_t page_offset(std::uint64_t addr) noexcept {
   return addr & (kPageSize - 1);
 }
 
-struct NumaZone {
-  std::uint64_t first_frame = 0;
-  std::uint64_t frame_count = 0;
-};
-
 class PhysMem {
  public:
-  // Builds memory of `bytes` total split evenly across `numa_zones` zones.
-  explicit PhysMem(std::uint64_t bytes, unsigned numa_zones = 1);
+  explicit PhysMem(std::uint64_t bytes);
 
-  [[nodiscard]] unsigned zone_count() const noexcept {
-    return static_cast<unsigned>(zones_.size());
-  }
-  [[nodiscard]] const NumaZone& zone(unsigned i) const { return zones_.at(i); }
   [[nodiscard]] std::uint64_t frames_in_use() const noexcept { return used_; }
 
-  // Allocate one physical frame from the given zone; returns its physical
+  // End the allocator's pool at `bytes`: alloc_frame hands out only frames
+  // wholly below it.
+  void end_pool_at(std::uint64_t bytes) noexcept {
+    pool_frames_ = std::min(bytes / kPageSize, frame_count_);
+  }
+
+  // Allocate the lowest free frame of the pool; returns its physical
   // address. Frames are zero-filled on allocation.
-  Result<std::uint64_t> alloc_frame(unsigned zone = 0);
+  Result<std::uint64_t> alloc_frame();
   Status free_frame(std::uint64_t paddr);
 
   // Reserve a specific frame range (used to pin the HRT image region).
@@ -69,8 +68,8 @@ class PhysMem {
   Page& backing(std::uint64_t frame) const;
 
   std::uint64_t frame_count_;
+  std::uint64_t pool_frames_;
   std::uint64_t used_ = 0;
-  std::vector<NumaZone> zones_;
   std::vector<bool> allocated_;
   // Sparse backing: most of the simulated DRAM is never touched.
   mutable std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages_;

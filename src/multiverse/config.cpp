@@ -7,8 +7,8 @@ namespace mv::multiverse {
 
 namespace {
 
-// `option hybridize on,promote_after=8,demote_on_fail=2,threshold=4000,
-// window=200000000` — leading on/off, then key=value knobs in any order.
+// `option hybridize on,promote_after=8,threshold=4000` — leading on/off,
+// then key=value knobs in any order.
 Result<HybridizeOptions> parse_hybridize_spec(std::string_view text) {
   HybridizeOptions opts;
   bool saw_mode = false;
@@ -33,18 +33,10 @@ Result<HybridizeOptions> parse_hybridize_spec(std::string_view text) {
       const auto n = parse_number<std::uint64_t>(value);
       ok = n.is_ok() && *n > 0;
       if (ok) opts.promote_after = *n;
-    } else if (key == "demote_on_fail") {
-      const auto n = parse_number<int>(value);
-      ok = n.is_ok() && *n >= 1;
-      if (ok) opts.demote_on_fail = *n;
     } else if (key == "threshold") {
       const auto x = parse_number<double>(value);
       ok = x.is_ok() && *x >= 0.0;
       if (ok) opts.threshold_cycles = *x;
-    } else if (key == "window") {
-      const auto n = parse_number<std::uint64_t>(value);
-      ok = n.is_ok() && *n > 0;
-      if (ok) opts.window_cycles = *n;
     } else {
       return err(Err::kParse,
                  strfmt("hybridize spec: unknown key '%s'", key.c_str()));

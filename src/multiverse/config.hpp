@@ -27,8 +27,8 @@ struct OverrideSpec {
 
 // Adaptive hybridization: the governor watches per-family forwarded-syscall
 // cost online and promotes hot families to kernel-mode overrides at runtime
-// (`option hybridize on,promote_after=N,demote_on_fail=M,...`). Spec is a
-// single comma-separated token because `option` takes exactly two operands.
+// (`option hybridize on,promote_after=N,threshold=X`). Spec is a single
+// comma-separated token because `option` takes exactly two operands.
 struct HybridizeOptions {
   bool enabled = false;
   // Promote a family once it has made this many forwarded calls inside one
@@ -38,12 +38,6 @@ struct HybridizeOptions {
   // sits far below the ~25K-cycle forwarded round trip and far above every
   // kernel-mode variant, so any sustained forwarded traffic qualifies.
   double threshold_cycles = 4000.0;
-  // Consecutive override failures after which the family is pinned to
-  // forwarding for the rest of the run (no more promotion attempts).
-  int demote_on_fail = 3;
-  // Virtual-time observation window; call counts reset when it elapses so a
-  // long-idle family must re-earn promotion.
-  std::uint64_t window_cycles = 200'000'000;
 };
 
 struct ToolchainOptions {

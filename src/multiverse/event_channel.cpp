@@ -57,7 +57,7 @@ EventChannel::~EventChannel() {
   FlightRecorder::instance().unregister_state_providers(this);
   // Return the ring page to the HRT allocator's freelist — channel churn
   // (tenant destroy/recreate) must not leak HRT physical memory.
-  if (page_ != 0) hvm_->hrt_free(page_, hw::kPageSize);
+  if (page_ != 0) hvm_->hrt_free_page(page_);
 }
 
 Status EventChannel::init() {
@@ -640,17 +640,7 @@ bool EventChannel::serve_pending(ros::Thread& server) {
     }
     // Forwarded syscalls execute — and are accounted — in the originating
     // ROS thread context, exactly as strace of the hybrid would show.
-    ros::Process& proc = *server.proc;
-    ++proc.sys_counts[static_cast<std::size_t>(nr)];
-    ++proc.total_syscalls;
-    const Cycles before = ros_core.cycles();
     auto result = kernel.do_syscall(server, nr, args, /*forwarded=*/true);
-    proc.stime_cycles += ros_core.cycles() - before;
-    if (proc.syscall_trace_enabled) {
-      proc.syscall_trace.push_back(ros::Process::SyscallEvent{
-          nr, server.tid, /*forwarded=*/true, args, result.value_or(0),
-          result.code()});
-    }
     if (result) {
       rsp_value = *result;
     } else {

@@ -13,6 +13,12 @@ namespace {
 // EWMA smoothing factor: new samples weigh 1/8, so the estimate converges
 // within a few dozen calls but one outlier cannot flip a decision.
 constexpr double kEwmaAlpha = 0.125;
+// Consecutive override failures after which the family is pinned to
+// forwarding for the rest of the run (no more promotion attempts).
+constexpr int kDemoteOnFail = 3;
+// Virtual-time observation window; call counts reset when it elapses so a
+// long-idle family must re-earn promotion.
+constexpr std::uint64_t kWindowCycles = 200'000'000;
 }  // namespace
 
 SysFamily sys_family(ros::SysNr nr) noexcept {
@@ -75,7 +81,7 @@ void HybridizationGovernor::note_forwarded(ros::SysNr nr, hw::Core& core,
   if (family == SysFamily::kCount_) return;
   Family& f = fam(family);
   const std::uint64_t now = core.cycles();
-  if (now - f.window_start > opts_.window_cycles) {
+  if (now - f.window_start > kWindowCycles) {
     // New observation window: a long-idle family re-earns promotion.
     f.window_start = now;
     f.window_calls = 0;
@@ -146,7 +152,7 @@ void HybridizationGovernor::on_override_failure(ros::SysNr nr, unsigned core,
   ++f.failures;
   f.window_start = 0;
   f.window_calls = 0;
-  if (f.failures > opts_.demote_on_fail) {
+  if (f.failures > kDemoteOnFail) {
     f.state = State::kPinned;
   } else {
     f.state = State::kForwarding;

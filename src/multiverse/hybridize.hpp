@@ -129,7 +129,7 @@ class HybridizationGovernor {
   [[nodiscard]] bool inject_override_failure(ros::SysNr nr, Cycles now);
 
   // Demote the family back to forwarding after an override execution
-  // failure. Exponential-backoff re-promotion until demote_on_fail
+  // failure. Exponential-backoff re-promotion until more than three
   // consecutive failures pin the family.
   void on_override_failure(ros::SysNr nr, unsigned core, bool injected);
 

@@ -10,11 +10,8 @@ namespace mv::multiverse {
 namespace {
 
 hw::MachineConfig machine_config(const SystemConfig& cfg) {
-  hw::MachineConfig mc;
-  mc.sockets = cfg.sockets;
-  mc.cores_per_socket = cfg.cores_per_socket;
-  mc.dram_bytes = cfg.dram_bytes;
-  return mc;
+  // A 1 GiB guest, as the paper's.
+  return {cfg.sockets, cfg.cores_per_socket, 1ull << 30};
 }
 
 vmm::HvmConfig hvm_config(const SystemConfig& cfg) {
@@ -29,6 +26,22 @@ ros::LinuxSim::Config linux_config(const SystemConfig& cfg) {
   lc.cores = cfg.ros_cores;
   lc.virtualized = cfg.virtualized;
   return lc;
+}
+
+// Run `guest_main` in the HRT on behalf of `self`: its exit code, or 126
+// when the HRT refused the call.
+int main_in_hrt(MultiverseRuntime& runtime, ros::Thread& self,
+                const std::function<int(ros::SysIface&)>& guest_main) {
+  int exit_code = 0;
+  const Status st = runtime.hrt_invoke_func(
+      self, [&exit_code, &guest_main](ros::SysIface& hrt_iface) {
+        exit_code = guest_main(hrt_iface);
+      });
+  if (!st.is_ok()) {
+    MV_ERROR("multiverse", "hrt_invoke_func failed: " + st.to_string());
+    return 126;
+  }
+  return exit_code;
 }
 
 }  // namespace
@@ -91,39 +104,35 @@ Result<ProgramResult> HybridSystem::run(
   return collect(*proc, start_us, /*hybrid=*/false);
 }
 
-Result<ProgramResult> HybridSystem::run_hybrid(
-    const std::string& name, std::function<int(ros::SysIface&)> guest_main) {
-  const std::uint64_t start_us = linux_.now_us();
-  MultiverseRuntime* rt = &runtime_;
-  ros::LinuxSim* kernel = &linux_;
-  const std::vector<std::uint8_t>* fat = &fat_binary_;
-
-  MV_ASSIGN_OR_RETURN(
-      ros::Process* const proc,
-      linux_.spawn(name, [rt, kernel, fat, guest_main = std::move(guest_main)](
-                             ros::SysIface& iface) -> int {
+Result<ros::Process*> HybridSystem::spawn_hybrid(
+    const std::string& name,
+    std::function<int(ros::SysIface&, ros::Thread&)> body) {
+  return linux_.spawn(
+      name, [this, body = std::move(body)](ros::SysIface& iface) -> int {
         // ---- toolchain-inserted hooks run before the program's main ----
-        ros::Thread* self = kernel->current_thread();
+        ros::Thread* self = linux_.current_thread();
         assert(self != nullptr);
-        const Status up = rt->startup(*self, *fat);
+        const Status up = runtime_.startup(*self, fat_binary_);
         if (!up.is_ok()) {
           MV_ERROR("multiverse", "startup failed: " + up.to_string());
           return 127;
         }
-        // ---- incremental model: main() executes in the HRT ----
-        int exit_code = 0;
-        (void)iface;
-        const Status st = rt->hrt_invoke_func(
-            *self, [&exit_code, &guest_main](ros::SysIface& hrt_iface) {
-              exit_code = guest_main(hrt_iface);
-            });
-        if (!st.is_ok()) {
-          MV_ERROR("multiverse", "hrt_invoke_func failed: " + st.to_string());
-          return 126;
-        }
+        const int exit_code = body(iface, *self);
         // ---- exit hook: HRT shutdown ----
-        (void)rt->shutdown();
+        (void)runtime_.shutdown();
         return exit_code;
+      });
+}
+
+Result<ProgramResult> HybridSystem::run_hybrid(
+    const std::string& name, std::function<int(ros::SysIface&)> guest_main) {
+  const std::uint64_t start_us = linux_.now_us();
+  // Incremental model: main() executes in the HRT.
+  MV_ASSIGN_OR_RETURN(
+      ros::Process* const proc,
+      spawn_hybrid(name, [this, guest_main = std::move(guest_main)](
+                             ros::SysIface&, ros::Thread& self) {
+        return main_in_hrt(runtime_, self, guest_main);
       }));
   MV_RETURN_IF_ERROR(linux_.run_all());
   return collect(*proc, start_us, /*hybrid=*/true);
@@ -146,7 +155,6 @@ Result<HybridSystem::TenantRunResult> HybridSystem::run_tenants(
   const std::uint64_t start_us = linux_.now_us();
   MultiverseRuntime* rt = &runtime_;
   ros::LinuxSim* kernel = &linux_;
-  const std::vector<std::uint8_t>* fat = &fat_binary_;
   // Shared completion count (cooperative scheduler: no atomicity needed).
   auto done = std::make_shared<std::size_t>(0);
   const std::size_t tenants = programs.size() - 1;
@@ -158,34 +166,17 @@ Result<HybridSystem::TenantRunResult> HybridSystem::run_tenants(
   // every created tenant has finished.
   MV_ASSIGN_OR_RETURN(
       procs[0],
-      linux_.spawn(
-          programs[0].name,
-          [rt, kernel, fat, done, tenants,
-           guest_main =
-               std::move(programs[0].guest_main)](ros::SysIface& iface) -> int {
-            (void)iface;
-            ros::Thread* self = kernel->current_thread();
-            assert(self != nullptr);
-            const Status up = rt->startup(*self, *fat);
-            if (!up.is_ok()) {
-              MV_ERROR("multiverse", "startup failed: " + up.to_string());
-              return 127;
-            }
-            if (!rt->warm_service_pool(*self).is_ok()) return 126;
-            int exit_code = 0;
-            const Status st = rt->hrt_invoke_func(
-                *self, [&exit_code, &guest_main](ros::SysIface& hrt_iface) {
-                  exit_code = guest_main(hrt_iface);
-                });
-            if (!st.is_ok()) {
-              MV_ERROR("multiverse",
-                       "hrt_invoke_func failed: " + st.to_string());
-              exit_code = 126;
-            }
-            while (*done < tenants) kernel->sched().yield();
-            (void)rt->shutdown();
-            return exit_code;
-          }));
+      spawn_hybrid(programs[0].name,
+                   [this, done, tenants,
+                    guest_main = std::move(programs[0].guest_main)](
+                       ros::SysIface&, ros::Thread& self) {
+                     const int exit_code =
+                         runtime_.warm_service_pool(self).is_ok()
+                             ? main_in_hrt(runtime_, self, guest_main)
+                             : 126;
+                     while (*done < tenants) linux_.sched().yield();
+                     return exit_code;
+                   }));
   for (std::size_t i = 1; i < programs.size(); ++i) {
     MV_ASSIGN_OR_RETURN(
         procs[i],
@@ -258,21 +249,11 @@ HybridSystem::TenantMetricsExport HybridSystem::export_tenant_metrics(
 Result<ProgramResult> HybridSystem::run_accelerator(const std::string& name,
                                                     AcceleratorMain main_fn) {
   const std::uint64_t start_us = linux_.now_us();
-  MultiverseRuntime* rt = &runtime_;
-  ros::LinuxSim* kernel = &linux_;
-  const std::vector<std::uint8_t>* fat = &fat_binary_;
-
   MV_ASSIGN_OR_RETURN(
       ros::Process* const proc,
-      linux_.spawn(name, [rt, kernel, fat, main_fn = std::move(main_fn)](
-                             ros::SysIface& iface) -> int {
-        ros::Thread* self = kernel->current_thread();
-        assert(self != nullptr);
-        const Status up = rt->startup(*self, *fat);
-        if (!up.is_ok()) return 127;
-        const int code = main_fn(iface, *rt, *self);
-        (void)rt->shutdown();
-        return code;
+      spawn_hybrid(name, [this, main_fn = std::move(main_fn)](
+                             ros::SysIface& iface, ros::Thread& self) {
+        return main_fn(iface, runtime_, self);
       }));
   MV_RETURN_IF_ERROR(linux_.run_all());
   return collect(*proc, start_us, /*hybrid=*/true);

@@ -32,7 +32,6 @@ namespace mv::multiverse {
 struct SystemConfig {
   unsigned sockets = 2;
   unsigned cores_per_socket = 2;
-  std::uint64_t dram_bytes = 1ull << 30;      // 1 GiB guest, as the paper
   // The two partitions. Both default to one core on socket 0 (Fig 2 moves
   // the HRT to core 2 for the cross-socket rows). The runtime spreads
   // top-level HRT threads over hrt_cores round-robin; the ROS schedules its
@@ -148,6 +147,12 @@ class HybridSystem {
  private:
   ProgramResult collect(const ros::Process& proc, std::uint64_t start_us,
                         bool hybrid);
+  // Spawn a hybridized process: the toolchain-inserted startup hook runs
+  // before `body` (a failed startup exits 127 without it), the exit hook
+  // (HRT shutdown) after it.
+  Result<ros::Process*> spawn_hybrid(
+      const std::string& name,
+      std::function<int(ros::SysIface&, ros::Thread&)> body);
 
   // First member: snapshots the telemetry singletons before any component
   // (machine clock binding, instrument creation) touches them, and rolls

@@ -73,7 +73,6 @@ class FdTable {
  private:
   static constexpr int kMaxFds = 256;
   std::map<int, OpenFile> files_;
-  int next_fd_ = 3;
 };
 
 }  // namespace mv::ros

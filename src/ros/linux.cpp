@@ -222,17 +222,7 @@ Result<std::uint64_t> LinuxSim::syscall_entry(
   hw::Core& core = core_of(thread);
   ensure_address_space(thread);
   core.charge(hw::costs().syscall_insn);
-  Process& proc = *thread.proc;
-  ++proc.sys_counts[static_cast<std::size_t>(nr)];
-  ++proc.total_syscalls;
-  const Cycles before = core.cycles();
   auto result = do_syscall(thread, nr, args);
-  proc.stime_cycles += core.cycles() - before;
-  if (proc.syscall_trace_enabled) {
-    proc.syscall_trace.push_back(Process::SyscallEvent{
-        nr, thread.tid, /*forwarded=*/false, args, result.value_or(0),
-        result.code()});
-  }
   core.charge(hw::costs().sysret_insn);
   check_itimer(thread);
   return result;
@@ -253,12 +243,22 @@ metrics::Histogram* LinuxSim::syscall_metric(SysNr nr, bool forwarded) {
 Result<std::uint64_t> LinuxSim::do_syscall(Thread& thread, SysNr nr,
                                            std::array<std::uint64_t, 6> args,
                                            bool forwarded) {
-  // Latency is the dispatched handler's cycle delta on the executing core —
-  // pure observation, so simulated results are identical with metrics off.
+  // The call is counted, and its handler's cycle delta on the executing core
+  // charged as system time, in the thread's process, as strace would show.
+  // The latency histogram and trace event are pure observation, so
+  // simulated results are identical with metrics off.
   hw::Core& core = core_of(thread);
+  Process& proc = *thread.proc;
+  ++proc.sys_counts[static_cast<std::size_t>(nr)];
+  ++proc.total_syscalls;
   const Cycles before = core.cycles();
   auto result = dispatch_syscall(thread, nr, args);
   const Cycles after = core.cycles();
+  proc.stime_cycles += after - before;
+  if (proc.syscall_trace_enabled) {
+    proc.syscall_trace.push_back(Process::SyscallEvent{
+        nr, thread.tid, forwarded, args, result.value_or(0), result.code()});
+  }
   MV_HISTOGRAM_RECORD(syscall_metric(nr, forwarded),
                       static_cast<double>(after - before));
   if (Tracer::instance().enabled()) {

@@ -199,13 +199,16 @@ class LinuxSim {
   Status run_all() { return sched_->run(); }
 
   // --- syscall paths ---------------------------------------------------------
-  // Full user->kernel transition: SYSCALL cost, counting, timer check.
+  // Full user->kernel transition: SYSCALL/SYSRET cost around do_syscall,
+  // then the timer check.
   Result<std::uint64_t> syscall_entry(Thread& thread, SysNr nr,
                                       std::array<std::uint64_t, 6> args);
-  // Kernel-internal dispatch without the transition. Multiverse's partner
-  // threads call this when servicing forwarded events (the forwarding costs
-  // are charged by the event channel, not here); they pass `forwarded=true`
-  // so the per-syscall latency histograms stay split by origin.
+  // Dispatch without the transition, with the per-process accounting every
+  // syscall gets (counts, system time, the strace record). Multiverse's
+  // partner threads call this when servicing forwarded events (the
+  // forwarding costs are charged by the event channel, not here); they pass
+  // `forwarded=true` so the trace and latency histograms stay split by
+  // origin.
   Result<std::uint64_t> do_syscall(Thread& thread, SysNr nr,
                                    std::array<std::uint64_t, 6> args,
                                    bool forwarded = false);
@@ -252,7 +255,7 @@ class LinuxSim {
   Result<std::uint64_t> copy_path_from_user(Thread& t, std::uint64_t vaddr,
                                             std::string* out);
 
-  // The big syscall switch (do_syscall minus the latency accounting).
+  // The big syscall switch (do_syscall minus the accounting).
   Result<std::uint64_t> dispatch_syscall(Thread& thread, SysNr nr,
                                          std::array<std::uint64_t, 6> args);
   // Lazily resolved `ros/syscall/<name>/{native,forwarded}` histogram; only

@@ -9,15 +9,18 @@ namespace mv::taskpar {
 
 namespace {
 
-// Banded SPD operator: a_ii = 2*band + 1, a_ij = -1 for 0 < |i-j| <= band.
+// Semi-bandwidth of A.
+constexpr int kBand = 4;
+
+// Banded SPD operator: a_ii = 2*kBand + 1, a_ij = -1 for 0 < |i-j| <= kBand.
 // Diagonally dominant, so CG converges briskly.
 void spmv_rows(const std::vector<double>& x, std::vector<double>& y,
-               int band, std::size_t begin, std::size_t end) {
+               std::size_t begin, std::size_t end) {
   const auto n = static_cast<std::ptrdiff_t>(x.size());
   for (std::size_t i = begin; i < end; ++i) {
-    double acc = (2.0 * band + 1.0) * x[i];
+    double acc = (2.0 * kBand + 1.0) * x[i];
     const auto si = static_cast<std::ptrdiff_t>(i);
-    for (int d = 1; d <= band; ++d) {
+    for (int d = 1; d <= kBand; ++d) {
       if (si - d >= 0) acc -= x[i - static_cast<std::size_t>(d)];
       if (si + d < n) acc -= x[i + static_cast<std::size_t>(d)];
     }
@@ -29,19 +32,18 @@ void spmv_rows(const std::vector<double>& x, std::vector<double>& y,
 
 Result<CgResult> run_hpcg_like(ros::SysIface& sys, const CgConfig& config) {
   const std::size_t n = config.n;
-  const int band = config.band;
   std::vector<double> x(n, 0.0), r(n), p(n), ap(n);
 
   // b = A * ones, so the exact solution is all-ones.
   {
     const std::vector<double> ones(n, 1.0);
-    spmv_rows(ones, r, band, 0, n);  // r = b - A*0 = b
+    spmv_rows(ones, r, 0, n);  // r = b - A*0 = b
   }
   p = r;
 
   CgResult result;
   std::uint64_t tasks = 0;
-  const auto flops_per_row = static_cast<std::uint64_t>(4 * band + 6);
+  const auto flops_per_row = static_cast<std::uint64_t>(4 * kBand + 6);
 
   auto dot = [&](const std::vector<double>& a,
                  const std::vector<double>& b) {
@@ -61,7 +63,7 @@ Result<CgResult> run_hpcg_like(ros::SysIface& sys, const CgConfig& config) {
     MV_RETURN_IF_ERROR(parallel_for(
         sys, config.workers, n, config.chunks,
         [&](ros::SysIface& worker, std::size_t begin, std::size_t end) {
-          spmv_rows(p, ap, band, begin, end);
+          spmv_rows(p, ap, begin, end);
           worker.charge_user(static_cast<std::uint64_t>(
               static_cast<double>((end - begin) * flops_per_row) *
               config.flop_cycles));

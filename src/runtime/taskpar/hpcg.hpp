@@ -17,7 +17,6 @@ namespace mv::taskpar {
 
 struct CgConfig {
   std::size_t n = 2048;       // unknowns
-  int band = 4;               // semi-bandwidth of A
   int iterations = 24;        // CG iterations
   unsigned workers = 4;       // worker threads (incl. the caller)
   std::size_t chunks = 24;    // tasks per wave

@@ -8,6 +8,14 @@
 
 namespace mv::vcode {
 
+namespace {
+// Simulated cycles charged per element of vector work.
+constexpr double kElementCycles = 2.0;
+// A program that outgrows either bound fails instead of exhausting the host.
+constexpr std::size_t kMaxStack = 256;
+constexpr std::size_t kMaxVector = 1 << 22;
+}  // namespace
+
 Vm::~Vm() {
   for (Vec& vec : stack_) release(vec);
 }
@@ -15,11 +23,11 @@ Vm::~Vm() {
 void Vm::charge_elements(std::size_t n) {
   stats_.elements_processed += n;
   sys_->charge_user(static_cast<std::uint64_t>(
-      static_cast<double>(n) * config_.element_cycles + 20));
+      static_cast<double>(n) * kElementCycles + 20));
 }
 
 Result<Vm::Vec> Vm::make_vec(std::vector<double> data) {
-  if (data.size() > config_.max_vector) {
+  if (data.size() > kMaxVector) {
     return err(Err::kLimit, "vector exceeds the VM's size limit");
   }
   Vec vec;
@@ -62,7 +70,7 @@ Result<Vm::Vec> Vm::pop() {
 }
 
 Status Vm::push(Vec vec) {
-  if (stack_.size() >= config_.max_stack) {
+  if (stack_.size() >= kMaxStack) {
     release(vec);
     return err(Err::kLimit, "VCODE stack overflow");
   }
@@ -175,7 +183,7 @@ Status Vm::exec(const std::string& opcode, const std::string& operand) {
   }
   if (opcode == "IOTA") {
     MV_ASSIGN_OR_RETURN(const double n, pop_scalar());
-    if (n < 0 || n > static_cast<double>(config_.max_vector)) {
+    if (n < 0 || n > static_cast<double>(kMaxVector)) {
       return err(Err::kInval, "IOTA: bad length");
     }
     std::vector<double> out(static_cast<std::size_t>(n));
@@ -189,7 +197,7 @@ Status Vm::exec(const std::string& opcode, const std::string& operand) {
   if (opcode == "DIST") {
     MV_ASSIGN_OR_RETURN(const double n, pop_scalar());
     MV_ASSIGN_OR_RETURN(const double v, pop_scalar());
-    if (n < 0 || n > static_cast<double>(config_.max_vector)) {
+    if (n < 0 || n > static_cast<double>(kMaxVector)) {
       return err(Err::kInval, "DIST: bad length");
     }
     std::vector<double> out(static_cast<std::size_t>(n), v);

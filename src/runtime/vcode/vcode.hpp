@@ -44,15 +44,7 @@ struct VmStats {
 
 class Vm {
  public:
-  struct Config {
-    // Simulated cycles charged per element of vector work.
-    double element_cycles = 2.0;
-    std::size_t max_stack = 256;
-    std::size_t max_vector = 1 << 22;
-  };
-
-  Vm(ros::SysIface& sys, Config config) : sys_(&sys), config_(config) {}
-  explicit Vm(ros::SysIface& sys) : Vm(sys, Config{}) {}
+  explicit Vm(ros::SysIface& sys) : sys_(&sys) {}
   ~Vm();
 
   Vm(const Vm&) = delete;
@@ -88,7 +80,6 @@ class Vm {
   Status exec_reduce(const std::string& op, bool scan);
 
   ros::SysIface* sys_;
-  Config config_;
   std::vector<Vec> stack_;
   VmStats stats_;
 };

@@ -29,8 +29,10 @@ const char* hypercall_name(Hypercall h) noexcept {
 
 Hvm::Hvm(hw::Machine& machine, HvmConfig config)
     : machine_(&machine), config_(std::move(config)) {
-  // The HRT partition starts where the ROS partition ends; the shared data
-  // page lives at its very bottom so both sides can name it trivially.
+  // The ROS partition is the machine's frame pool. The HRT partition starts
+  // where it ends; the shared data page lives at its very bottom so both
+  // sides can name it trivially.
+  machine.mem().end_pool_at(config_.ros_mem_bytes);
   hrt_bump_ = config_.ros_mem_bytes;
   auto page = hrt_alloc(hw::kPageSize);
   MV_CHECK_OK(page);
@@ -82,15 +84,14 @@ bool Hvm::is_hrt_core(unsigned core) const {
 
 Result<std::uint64_t> Hvm::hrt_alloc(std::uint64_t bytes) {
   const std::uint64_t span = hw::page_ceil(bytes);
-  // Exact-size freed ranges are recycled LIFO before the bump cursor grows:
-  // tenant create/destroy cycles allocate the same shapes (channel page,
-  // PML4 root) every time, so churn reaches a steady-state footprint.
-  if (auto it = hrt_freelist_.find(span);
-      it != hrt_freelist_.end() && !it->second.empty()) {
-    const std::uint64_t base = it->second.back();
-    it->second.pop_back();
-    MV_RETURN_IF_ERROR(machine_->mem().reserve_range(base, span));
-    return base;
+  // Freed pages are recycled LIFO before the bump cursor grows: tenant
+  // create/destroy cycles free and reallocate a channel page each, so churn
+  // reaches a steady-state footprint.
+  if (span == hw::kPageSize && !hrt_free_pages_.empty()) {
+    const std::uint64_t page = hrt_free_pages_.back();
+    hrt_free_pages_.pop_back();
+    MV_RETURN_IF_ERROR(machine_->mem().reserve_range(page, span));
+    return page;
   }
   const std::uint64_t base = hw::page_ceil(hrt_bump_);
   const std::uint64_t end = base + span;
@@ -102,12 +103,9 @@ Result<std::uint64_t> Hvm::hrt_alloc(std::uint64_t bytes) {
   return base;
 }
 
-void Hvm::hrt_free(std::uint64_t base, std::uint64_t bytes) {
-  const std::uint64_t span = hw::page_ceil(bytes);
-  for (std::uint64_t off = 0; off < span; off += hw::kPageSize) {
-    MV_CHECK_OK(machine_->mem().free_frame(base + off));
-  }
-  hrt_freelist_[span].push_back(base);
+void Hvm::hrt_free_page(std::uint64_t paddr) {
+  MV_CHECK_OK(machine_->mem().free_frame(paddr));
+  hrt_free_pages_.push_back(paddr);
 }
 
 std::uint64_t Hvm::comm_read(std::uint64_t offset) const {
@@ -139,8 +137,6 @@ Result<std::uint64_t> Hvm::install_hrt_image(
     core.charge(hw::costs().mem_access * (sec.bytes.size() / 64 + 1));
   }
   installed_base_ = base;
-  installed_span_ = span;
-  installed_entry_ = image.entry_offset();
   MV_INFO("hvm", strfmt("installed HRT image at %#llx (%llu bytes)",
                         static_cast<unsigned long long>(base),
                         static_cast<unsigned long long>(span)));
@@ -160,11 +156,7 @@ Result<std::uint64_t> Hvm::do_boot(unsigned vcore) {
   if (installed_base_ == 0) return err(Err::kState, "no HRT image installed");
   BootInfo info;
   info.image_base_paddr = installed_base_;
-  info.image_span = installed_span_;
-  info.entry_offset = installed_entry_;
   info.comm_page_paddr = comm_page_;
-  info.hrt_mem_base = config_.ros_mem_bytes;
-  info.hrt_mem_bytes = machine_->config().dram_bytes - config_.ros_mem_bytes;
   info.dram_bytes = machine_->config().dram_bytes;
   info.hrt_cores = config_.hrt_cores;
 

@@ -11,7 +11,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -77,11 +76,7 @@ struct CommPage {
 // the paper's specialized boot protocol.
 struct BootInfo {
   std::uint64_t image_base_paddr = 0;
-  std::uint64_t image_span = 0;
-  std::uint64_t entry_offset = 0;
   std::uint64_t comm_page_paddr = 0;
-  std::uint64_t hrt_mem_base = 0;   // first byte of HRT-private physical mem
-  std::uint64_t hrt_mem_bytes = 0;
   std::uint64_t dram_bytes = 0;     // full guest-physical span (HRT sees all)
   std::vector<unsigned> hrt_cores;
   std::uint64_t higher_half_base = 0xffff800000000000ull;
@@ -111,6 +106,9 @@ class HrtKernelIface {
 struct HvmConfig {
   std::vector<unsigned> ros_cores{0};
   std::vector<unsigned> hrt_cores{1};
+  // The one statement of the memory split: guest-physical [0, ros_mem_bytes)
+  // is the ROS partition, the machine's frame pool; the HRT partition is the
+  // rest of DRAM.
   std::uint64_t ros_mem_bytes = 1ull << 29;  // 512 MiB to the ROS
 };
 
@@ -176,12 +174,12 @@ class Hvm {
   [[nodiscard]] std::uint64_t ros_mem_limit() const noexcept {
     return config_.ros_mem_bytes;
   }
-  // Allocate HRT-private physical memory (above the ROS partition). Reuses
-  // same-size freed ranges before growing the bump cursor, so tenant churn
-  // (channel pages, per-tenant roots) cannot exhaust the partition.
+  // Allocate HRT-private physical memory (above the ROS partition). A
+  // one-page request reuses a freed page before growing the bump cursor, so
+  // tenant churn (a channel page per tenant) cannot exhaust the partition.
   Result<std::uint64_t> hrt_alloc(std::uint64_t bytes);
-  // Return a range from hrt_alloc to the allocator's freelist.
-  void hrt_free(std::uint64_t base, std::uint64_t bytes);
+  // Return one page from hrt_alloc to the allocator.
+  void hrt_free_page(std::uint64_t paddr);
   // High-water footprint of the HRT partition (tenants/GB accounting).
   [[nodiscard]] std::uint64_t hrt_bytes_used() const noexcept {
     return hrt_bump_ - config_.ros_mem_bytes;
@@ -216,11 +214,9 @@ class Hvm {
   HrtKernelIface* hrt_ = nullptr;
   std::uint64_t comm_page_ = 0;
   std::uint64_t hrt_bump_ = 0;  // bump allocator over the HRT partition
-  // Freed HRT ranges keyed by size, reused LIFO (deterministic).
-  std::map<std::uint64_t, std::vector<std::uint64_t>> hrt_freelist_;
+  // Freed HRT pages, reused LIFO (deterministic).
+  std::vector<std::uint64_t> hrt_free_pages_;
   std::uint64_t installed_base_ = 0;
-  std::uint64_t installed_span_ = 0;
-  std::uint64_t installed_entry_ = 0;
   bool hrt_booted_ = false;
   std::uint64_t exits_ = 0;
   std::uint64_t injections_ = 0;

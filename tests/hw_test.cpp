@@ -1,8 +1,10 @@
-// Hardware-layer tests: physical memory + NUMA, 4-level paging including the
+// Hardware-layer tests: physical memory, 4-level paging including the
 // CR0.WP ring-0 quirk the paper hinges on, TLB + shootdown, cores, IDT/IST,
 // and cost-model calibration against the paper's measured latencies.
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "hw/core.hpp"
 #include "hw/costs.hpp"
@@ -43,15 +45,35 @@ TEST(PhysMemTest, FramesZeroedOnAlloc) {
   for (std::uint8_t byte : out) EXPECT_EQ(byte, 0);
 }
 
-TEST(PhysMemTest, NumaZonesPartitionFrames) {
-  PhysMem mem(1 << 20, 2);
-  ASSERT_EQ(mem.zone_count(), 2u);
-  auto z0 = mem.alloc_frame(0);
-  auto z1 = mem.alloc_frame(1);
-  ASSERT_TRUE(z0.is_ok());
-  ASSERT_TRUE(z1.is_ok());
-  EXPECT_LT(*z0 >> kPageShift, mem.zone(1).first_frame);
-  EXPECT_GE(*z1 >> kPageShift, mem.zone(1).first_frame);
+TEST(PhysMemTest, AllocReturnsLowestFreeFrame) {
+  // One pool, lowest free frame first: a reserved frame is skipped, freed
+  // frames come back lowest first, and the pool is empty only when every
+  // frame is taken.
+  PhysMem mem(8 * kPageSize);
+  ASSERT_TRUE(mem.reserve_range(kPageSize, kPageSize).is_ok());
+  std::vector<std::uint64_t> frames;
+  for (auto f = mem.alloc_frame(); f.is_ok(); f = mem.alloc_frame()) {
+    frames.push_back(*f >> kPageShift);
+  }
+  EXPECT_EQ(frames, (std::vector<std::uint64_t>{0, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(mem.alloc_frame().code(), Err::kNoMem);
+  ASSERT_TRUE(mem.free_frame(5 * kPageSize).is_ok());
+  ASSERT_TRUE(mem.free_frame(3 * kPageSize).is_ok());
+  EXPECT_EQ(*mem.alloc_frame(), 3 * kPageSize);
+  EXPECT_EQ(*mem.alloc_frame(), 5 * kPageSize);
+}
+
+TEST(PhysMemTest, PoolEndLeavesHigherFramesToReserveRange) {
+  PhysMem mem(8 * kPageSize);
+  mem.end_pool_at(3 * kPageSize);
+  for (std::uint64_t f = 0; f < 3; ++f) {
+    EXPECT_EQ(*mem.alloc_frame(), f * kPageSize);
+  }
+  EXPECT_EQ(mem.alloc_frame().code(), Err::kNoMem);
+  // Above the pool, DRAM is still memory: reservable, readable, writable.
+  EXPECT_TRUE(mem.reserve_range(3 * kPageSize, 5 * kPageSize).is_ok());
+  EXPECT_TRUE(mem.write_u64(7 * kPageSize, 42).is_ok());
+  EXPECT_EQ(*mem.read_u64(7 * kPageSize), 42u);
 }
 
 TEST(PhysMemTest, CrossPageReadWrite) {

@@ -25,15 +25,12 @@ using State = HybridizationGovernor::State;
 
 TEST(HybridizeConfigTest, ParseAcceptsFullSpec) {
   auto cfg = parse_override_config(
-      "option hybridize "
-      "on,promote_after=8,demote_on_fail=2,threshold=500,window=1000000\n");
+      "option hybridize on,promote_after=8,threshold=500\n");
   ASSERT_TRUE(cfg.is_ok()) << cfg.status().to_string();
   const HybridizeOptions& h = cfg->options.hybridize;
   EXPECT_TRUE(h.enabled);
   EXPECT_EQ(h.promote_after, 8u);
-  EXPECT_EQ(h.demote_on_fail, 2);
   EXPECT_DOUBLE_EQ(h.threshold_cycles, 500.0);
-  EXPECT_EQ(h.window_cycles, 1000000u);
 }
 
 TEST(HybridizeConfigTest, OffByDefaultAndParseRejectsGarbage) {
@@ -54,7 +51,15 @@ TEST(HybridizeConfigTest, OffByDefaultAndParseRejectsGarbage) {
       parse_override_config("option hybridize on,promote_after=0\n").code(),
       Err::kParse);
   EXPECT_EQ(
-      parse_override_config("option hybridize on,demote_on_fail=zz\n").code(),
+      parse_override_config("option hybridize on,threshold=zz\n").code(),
+      Err::kParse);
+  // The failure bound and the observation window are the governor's
+  // constants, so their old keys are unknown keys.
+  EXPECT_EQ(
+      parse_override_config("option hybridize on,demote_on_fail=2\n").code(),
+      Err::kParse);
+  EXPECT_EQ(
+      parse_override_config("option hybridize on,window=1000000\n").code(),
       Err::kParse);
 }
 
@@ -288,13 +293,13 @@ TEST(HybridizeGovernorTest, StaticOverridesStartOverriddenAndStayQuiet) {
 TEST(HybridizeGovernorTest, InjectedFailureDemotesThenRepromotesWithBackoff) {
   // Every override execution fails (override_fail=1.0): the family promotes
   // after promote_after calls, demotes on the first overridden call, and
-  // re-earns promotion with exponential backoff until demote_on_fail
-  // consecutive failures pin it to forwarding. The program must still
+  // re-earns promotion with exponential backoff until a fourth consecutive
+  // failure pins it to forwarding. The program must still
   // complete with correct results — each failed call transparently retries
   // on the forwarded path.
   SystemConfig cfg;
   cfg.extra_override_config =
-      "option hybridize on,promote_after=2,demote_on_fail=2,threshold=1000\n"
+      "option hybridize on,promote_after=2,threshold=1000\n"
       "option fault override_fail=1,seed=11\n";
   HybridSystem sys(cfg);
   auto r = sys.run_hybrid("demote", [](SysIface& s) {
@@ -317,14 +322,17 @@ TEST(HybridizeGovernorTest, InjectedFailureDemotesThenRepromotesWithBackoff) {
   ASSERT_NE(host, nullptr);
   HybridizationGovernor* gov = host->governor.get();
   ASSERT_NE(gov, nullptr);
-  // promote@2 -> fail (backoff target 4) -> promote@4 -> fail (target 8) ->
-  // promote@8 -> fail -> third consecutive failure exceeds demote_on_fail=2:
-  // pinned.
-  EXPECT_EQ(gov->state(SysFamily::kMmap), State::kPinned);
-  EXPECT_EQ(gov->promote_target(SysFamily::kMmap),
-            gov->options().promote_after << 2);
-  EXPECT_GE(gov->promotions(), 3u);
-  EXPECT_GE(gov->demotions(), 3u);
+  // Per family, mmap and munmap alike: promote@2 -> fail (backoff target
+  // 4) -> promote@4 -> fail (target 8) -> promote@8 -> fail (target 16) ->
+  // promote@16 -> fail -> the fourth consecutive failure exceeds the bound
+  // of three: pinned.
+  for (const SysFamily f : {SysFamily::kMmap, SysFamily::kMunmap}) {
+    EXPECT_EQ(gov->state(f), State::kPinned) << family_name(f);
+    EXPECT_EQ(gov->promote_target(f), gov->options().promote_after << 3)
+        << family_name(f);
+  }
+  EXPECT_EQ(gov->promotions(), 8u);
+  EXPECT_EQ(gov->demotions(), 8u);
   EXPECT_FALSE(host->override_table.at(SysFamily::kMmap).active);
 
   // Every injected override failure was recovered by demoting + retrying
@@ -390,7 +398,7 @@ TEST_P(HybridizeFaultScheduleProperty, OutputIdenticalWithHybridizeOnVsOff) {
   Rng rng(seed);
   const double p_fail = 0.05 + 0.30 * rng.uniform();
   const std::string spec = strfmt(
-      "option hybridize on,promote_after=4,demote_on_fail=2,threshold=1000\n"
+      "option hybridize on,promote_after=4,threshold=1000\n"
       "option fault override_fail=%.3f,seed=%llu\n",
       p_fail, static_cast<unsigned long long>(seed));
 

@@ -56,9 +56,9 @@ TEST(OverrideConfigTest, RejectsMalformedValues) {
       "option ring_depth 4.5\n",
       "option service_workers 2k\n",
       "option tenants 1e3\n",
-      "option hybridize on,window=2e8\n",
+      "option hybridize on,promote_after=6e1\n",
       "option hybridize on,promote_after=-3\n",
-      "option hybridize on,demote_on_fail=2.5\n",
+      "option hybridize on,promote_after=2.5\n",
       "option hybridize on,threshold=nan\n",
       "option hybridize on,threshold=inf\n",
       "option hybridize on,threshold=4000cycles\n",
@@ -78,7 +78,7 @@ TEST(OverrideConfigTest, RejectsMalformedValues) {
   // The strict forms of the same knobs still parse.
   auto ok = parse_override_config(
       "option spin_cycles 150000\n"
-      "option hybridize on,window=200000000,threshold=4000.5\n"
+      "option hybridize on,promote_after=60,threshold=4000.5\n"
       "option fault window=100000000000:200000000000,seed=18446744073709551615,"
       "drop_doorbell=0.5\n"
       "option sync_channel on\n"
@@ -87,7 +87,7 @@ TEST(OverrideConfigTest, RejectsMalformedValues) {
       "override mmap nk_mmap args=0:1\n");
   ASSERT_TRUE(ok.is_ok()) << ok.status().to_string();
   EXPECT_EQ(ok->options.spin_cycles, 150000);
-  EXPECT_EQ(ok->options.hybridize.window_cycles, 200000000u);
+  EXPECT_EQ(ok->options.hybridize.promote_after, 60u);
   EXPECT_EQ(ok->options.hybridize.threshold_cycles, 4000.5);
   EXPECT_FALSE(ok->options.sync_channel);
   EXPECT_TRUE(ok->options.symbol_cache);

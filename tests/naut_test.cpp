@@ -1,6 +1,6 @@
 // AeroKernel (Nautilus) tests: boot, lazy higher-half identity map, kernel
 // threads and events, symbol resolution + cache, the syscall stub's
-// disallowed-call policy and SYSRET emulation, and the PML4 merge machinery.
+// disallowed-call policy, and the PML4 merge machinery.
 
 #include <gtest/gtest.h>
 
@@ -218,33 +218,6 @@ TEST_F(NautTest, SyscallStubForwardsThroughChannel) {
   EXPECT_EQ(channel.exited, 1);  // top-level exit signaled
 }
 
-TEST_F(NautTest, SysretEmulationRequired) {
-  // With emulation disabled, the unconditional ring-3 return of SYSRET is a
-  // #GP — the stub must fail rather than corrupt state, for a single call
-  // and for every entry of a batch, the forwarded ones included.
-  Nautilus::Config cfg;
-  cfg.emulate_sysret = false;
-  Nautilus naut2(machine_, sched_, hvm_, cfg);
-  const auto blob = vmm::HrtImageBuilder::default_nautilus_image().serialize();
-  ASSERT_TRUE(hvm_.install_hrt_image(0, blob).is_ok());
-  ASSERT_TRUE(hvm_.hypercall(0, vmm::Hypercall::kBootHrt).is_ok());
-  FakeChannel channel;
-  const std::vector<ros::SysReq> batch = {{ros::SysNr::kGetpid, {}},
-                                          {ros::SysNr::kFutex, {}},
-                                          {ros::SysNr::kGetpid, {}}};
-  std::vector<Result<std::uint64_t>> out(batch.size(), Err::kAgain);
-  sched_.spawn(1, [&] {
-    auto t = naut2.thread_create([&] {
-      EXPECT_EQ(stub_call(naut2, ros::SysNr::kGetpid).code(), Err::kState);
-      naut2.syscall_stub(batch, out);
-    }, false, &channel, "t");
-    ASSERT_TRUE(t.is_ok());
-  }, "driver");
-  ASSERT_TRUE(sched_.run().is_ok());
-  for (const auto& r : out) EXPECT_EQ(r.code(), Err::kState);
-  EXPECT_EQ(channel.syscalls.size(), 3u);
-}
-
 TEST_F(NautTest, MergeCopiesPml4AndHrtDone) {
   boot();
   // Build a fake "ROS" address space with one user mapping.
@@ -341,13 +314,10 @@ TEST(NautMultiCoreTest, ThreadsDistributeAndShootdownsReachAllCores) {
 TEST_F(NautTest, Cr0WpOffReproducesZeroPageCorruption) {
   // The paper's war story: without the CR0.WP fix, ring-0 writes sail
   // through read-only mappings. We map the frame read-only and write to it
-  // from ring 0 with WP off — the write lands, corrupting the shared frame.
-  Nautilus::Config cfg;
-  cfg.enforce_cr0_wp = false;
-  Nautilus naut2(machine_, sched_, hvm_, cfg);
-  const auto blob = vmm::HrtImageBuilder::default_nautilus_image().serialize();
-  ASSERT_TRUE(hvm_.install_hrt_image(0, blob).is_ok());
-  ASSERT_TRUE(hvm_.hypercall(0, vmm::Hypercall::kBootHrt).is_ok());
+  // from ring 0 with WP cleared on the booted HRT core — the write lands,
+  // corrupting the shared frame.
+  boot();
+  machine_.core(1).set_cr0_wp(false);
 
   auto ros_root = machine_.paging().new_root();
   auto zero_frame = machine_.mem().alloc_frame();  // stands in for zero page
@@ -360,17 +330,25 @@ TEST_F(NautTest, Cr0WpOffReproducesZeroPageCorruption) {
           .is_ok());
 
   std::uint64_t poison = 0xbadc0ffee;
-  ASSERT_TRUE(naut2.hrt_mem_write(0x400000, &poison, sizeof(poison)).is_ok());
+  ASSERT_TRUE(naut_.hrt_mem_write(0x400000, &poison, sizeof(poison)).is_ok());
   std::uint64_t corrupted = 0;
   ASSERT_TRUE(
       machine_.mem().read(*zero_frame, &corrupted, sizeof(corrupted)).is_ok());
   EXPECT_EQ(corrupted, poison);  // "mysterious memory corruption"
 
-  // With the fix (default config), the same write faults instead.
+  // The fix: every boot sets WP on the HRT cores, and the same write then
+  // faults instead of landing.
   ASSERT_TRUE(hvm_.hypercall(0, vmm::Hypercall::kRebootHrt).is_ok());
-  // naut2 is still attached; re-merge and retry with WP on this time.
-  Nautilus::Config fixed;
-  ASSERT_TRUE(fixed.enforce_cr0_wp);
+  EXPECT_TRUE(machine_.core(1).cr0_wp());
+  ASSERT_TRUE(
+      hvm_.hypercall(0, vmm::Hypercall::kMergeAddressSpaces, *ros_root)
+          .is_ok());
+  const std::uint64_t again = 0x5eed;
+  EXPECT_EQ(naut_.hrt_mem_write(0x400000, &again, sizeof(again)).code(),
+            Err::kFault);
+  ASSERT_TRUE(
+      machine_.mem().read(*zero_frame, &corrupted, sizeof(corrupted)).is_ok());
+  EXPECT_EQ(corrupted, poison);
 }
 
 }  // namespace

@@ -189,6 +189,22 @@ TEST_F(VcodeTest, Errors) {
   EXPECT_NE(s.detail().find("line 3"), std::string::npos);
 }
 
+TEST_F(VcodeTest, OversizeProgramsRejected) {
+  // The stack holds 256 vectors and a vector 2^22 elements; a program past
+  // either bound fails.
+  Status s;
+  std::string deep;
+  for (int i = 0; i < 256; ++i) deep += "CONST 1\n";
+  run(deep, &s);
+  EXPECT_TRUE(s.is_ok()) << s.to_string();
+  run(deep + "CONST 1\n", &s);
+  EXPECT_EQ(s.code(), Err::kLimit);  // stack overflow
+  run("CONST 4194305\nIOTA\n", &s);
+  EXPECT_EQ(s.code(), Err::kInval);  // IOTA past the vector bound
+  run("CONST 0\nCONST 4194305\nDIST\n", &s);
+  EXPECT_EQ(s.code(), Err::kInval);  // DIST past the vector bound
+}
+
 TEST_F(VcodeTest, VectorStorageIsGuestMemory) {
   run("CONST 3000\nIOTA\nDUP\nADD\nREDUCE +\nPRINT\n");
   // Vector buffers were mmap'd and munmap'd through the guest interface.

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "hw/machine.hpp"
 #include "vmm/hrt_image.hpp"
 #include "vmm/hvm.hpp"
@@ -94,6 +96,34 @@ TEST_F(HvmTest, PartitionQueries) {
   EXPECT_TRUE(hvm_.is_hrt_core(1));
   EXPECT_GE(hvm_.comm_page_paddr(), hvm_.ros_mem_limit());
 }
+
+// HvmConfig::ros_mem_bytes states the ROS/HRT split once, whatever the
+// socket count: the machine's frame allocator hands out exactly the frames
+// below the ROS limit, and the HRT partition above it stays the HVM's.
+class HvmPartitionTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(HvmPartitionTest, RosFramePoolEndsAtRosMemLimit) {
+  hw::Machine machine(hw::MachineConfig{GetParam(), 2, 4u << 20});
+  Hvm hvm(machine, HvmConfig{{0}, {1}, 2u << 20});
+  std::uint64_t frames = 0;
+  std::uint64_t hrt_frames = 0;
+  auto frame = machine.mem().alloc_frame();
+  for (; frame.is_ok(); frame = machine.mem().alloc_frame()) {
+    ++frames;
+    if (*frame >= hvm.ros_mem_limit()) ++hrt_frames;
+  }
+  EXPECT_EQ(frames, 512u);
+  EXPECT_EQ(hrt_frames, 0u);
+  EXPECT_EQ(frame.code(), Err::kNoMem);
+  const auto page = hvm.hrt_alloc(hw::kPageSize);
+  EXPECT_TRUE(page.is_ok()) << page.status().to_string();
+}
+
+INSTANTIATE_TEST_SUITE_P(Sockets, HvmPartitionTest,
+                         ::testing::Values(1u, 2u, 4u),
+                         [](const ::testing::TestParamInfo<unsigned>& p) {
+                           return std::to_string(p.param) + "_sockets";
+                         });
 
 TEST_F(HvmTest, HrtAllocStaysInHrtPartition) {
   auto a = hvm_.hrt_alloc(0x3000);
