@@ -75,14 +75,16 @@ std::size_t Nautilus::live_thread_count_internal() const {
 }
 
 void Nautilus::install_idt() {
+  constexpr std::uint64_t kIstStackBytes = 16 * 1024;
   for (const unsigned c : boot_info_.hrt_cores) {
     hw::Core& core = machine_->core(c);
     // Interrupts/exceptions run on a dedicated IST stack so the hardware
     // frame push cannot destroy the red zone of interrupted leaf functions
-    // (Sec 4.4). We model the stack as a kernel heap block.
-    auto stack = kmalloc(16 * 1024);
-    if (stack) {
-      core.set_ist_stack(1, *stack + 16 * 1024);
+    // (Sec 4.4). We model the stack as a kernel heap block, allocated on the
+    // core's first boot and reused by every reboot, which frees no heap.
+    if (core.ist_stack(1) == 0) {
+      auto stack = kmalloc(kIstStackBytes);
+      if (stack) core.set_ist_stack(1, *stack + kIstStackBytes);
     }
     core.set_idt_entry(
         hw::kVecPageFault,

@@ -88,7 +88,16 @@ Status PhysMem::write_u64(std::uint64_t paddr, std::uint64_t value) {
   return write(paddr, &value, sizeof(value));
 }
 
+Result<std::uint8_t*> PhysMem::frame_bytes(std::uint64_t paddr) {
+  const std::uint64_t frame = paddr >> kPageShift;
+  if (page_offset(paddr) != 0 || frame >= frame_count_ || !allocated_[frame]) {
+    return err(Err::kInval, "host view of an unreserved frame");
+  }
+  return backing(frame).data();
+}
+
 PhysMem::Page& PhysMem::backing(std::uint64_t frame) const {
+  ++page_map_lookups_;
   auto it = pages_.find(frame);
   if (it == pages_.end()) {
     it = pages_.emplace(frame, std::make_unique<Page>()).first;

@@ -4,7 +4,9 @@
 // allocator. The allocator's pool is all of DRAM until a partitioning VMM
 // ends it at its guest's slice (the HVM ends it at the ROS partition); frames
 // above the pool stay reachable through reserve_range. Page tables, guest
-// payload bytes, and the HVM shared data pages all live here.
+// payload bytes, and the HVM shared data pages all live here; both sides of an
+// event channel read and write its ring page through one host view
+// (frame_bytes).
 
 #include <algorithm>
 #include <array>
@@ -57,6 +59,16 @@ class PhysMem {
   Result<std::uint64_t> read_u64(std::uint64_t paddr) const;
   Status write_u64(std::uint64_t paddr, std::uint64_t value);
 
+  // Host view of the reserved frame at page-aligned `paddr`: its bytes, valid
+  // until that frame's free_frame. Loads and stores through it are the same
+  // simulated DRAM that read/write reach, without a page-map lookup.
+  Result<std::uint8_t*> frame_bytes(std::uint64_t paddr);
+
+  // Host-side work count: lookups in the sparse page map. Charges nothing.
+  [[nodiscard]] std::uint64_t page_map_lookups() const noexcept {
+    return page_map_lookups_;
+  }
+
  private:
   using Page = std::array<std::uint8_t, kPageSize>;
 
@@ -71,8 +83,10 @@ class PhysMem {
   std::uint64_t pool_frames_;
   std::uint64_t used_ = 0;
   std::vector<bool> allocated_;
-  // Sparse backing: most of the simulated DRAM is never touched.
+  // Sparse backing: most of the simulated DRAM is never touched. A frame's
+  // Page stays at one host address from its first touch to its free_frame.
   mutable std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages_;
+  mutable std::uint64_t page_map_lookups_ = 0;
 };
 
 }  // namespace mv::hw

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "support/flightrec.hpp"
 #include "support/log.hpp"
@@ -62,6 +63,7 @@ EventChannel::~EventChannel() {
 
 Status EventChannel::init() {
   MV_ASSIGN_OR_RETURN(page_, hvm_->hrt_alloc(hw::kPageSize));
+  MV_ASSIGN_OR_RETURN(ring_, hvm_->machine().mem().frame_bytes(page_));
   page_write(Ring::kOffDepth, depth_);
   FlightRecorder::instance().register_state_provider(
       this,
@@ -77,19 +79,17 @@ void EventChannel::set_ring_depth(unsigned depth) {
   // Depth 1 keeps the eager doorbell: every submission pays the full
   // transport round trip, reproducing the single-slot protocol exactly.
   eager_ = depth_ == 1;
-  if (page_ != 0) page_write(Ring::kOffDepth, depth_);
+  if (ring_ != nullptr) page_write(Ring::kOffDepth, depth_);
 }
 
 std::uint64_t EventChannel::page_read(std::uint64_t off) const {
-  // MV_CHECK, not assert: under NDEBUG an assert would compile out and a
-  // failed channel-page read would silently return garbage protocol state.
-  auto r = hvm_->machine().mem().read_u64(page_ + off);
-  MV_CHECK_OK(r);
-  return *r;
+  std::uint64_t value = 0;
+  std::memcpy(&value, ring_ + off, sizeof(value));
+  return value;
 }
 
 void EventChannel::page_write(std::uint64_t off, std::uint64_t value) {
-  MV_CHECK_OK(hvm_->machine().mem().write_u64(page_ + off, value));
+  std::memcpy(ring_ + off, &value, sizeof(value));
 }
 
 Cycles EventChannel::requester_cycles() const {
@@ -97,7 +97,7 @@ Cycles EventChannel::requester_cycles() const {
 }
 
 void EventChannel::set_consumer_polling(bool on, Cycles spin_window) {
-  if (page_ == 0) return;
+  if (ring_ == nullptr) return;
   page_write(Ring::kOffConsumerPoll, on ? 1 : 0);
   spin_window_hint_ = on ? spin_window : 0;
 }
@@ -840,7 +840,7 @@ void EventChannel::check_watchdog(std::uint64_t seq) {
 }
 
 std::string EventChannel::debug_state() const {
-  if (page_ == 0) return "uninitialized";
+  if (ring_ == nullptr) return "uninitialized";
   const std::uint64_t head = page_read(Ring::kOffSubHead);
   const std::uint64_t tail = page_read(Ring::kOffSubTail);
   std::string out = strfmt(

@@ -106,6 +106,13 @@ class EventChannel final : public naut::LegacyChannel {
     // it at submit and both sides thread it through their trace/flight-
     // recorder events, so one request is one arrow chain across contexts.
     static constexpr std::uint64_t kSlotSpan = 0x70;
+    // Every ring word lies inside the page: the last slot's span word ends
+    // at 0x838. The protocol forms offsets only from these constants and
+    // slot_base(), whose slot index is below depth <= kMaxDepth, so the
+    // page's host view needs no per-access bounds check.
+    static_assert(kSlot0 + (kMaxDepth - 1) * kSlotStride + kSlotSpan +
+                      sizeof(std::uint64_t) <=
+                  hw::kPageSize);
     // Slot lifecycle: free -> submitted -> completed -> free. A slot is
     // reusable only once the submitter has reaped the completion.
     enum State : std::uint64_t {
@@ -129,7 +136,8 @@ class EventChannel final : public naut::LegacyChannel {
   // match the core the group's HRT thread actually runs on.
   [[nodiscard]] unsigned hrt_core() const noexcept { return hrt_core_; }
 
-  // Allocate the shared channel page. Must be called before use.
+  // Allocate the shared channel page and take its host view, through which
+  // both sides read and write the ring. Must be called before use.
   Status init();
 
   // Ring geometry. Depth 1 (the default) also selects the eager doorbell,
@@ -178,7 +186,7 @@ class EventChannel final : public naut::LegacyChannel {
   // charges the store on its own core.
   void set_consumer_polling(bool on, Cycles spin_window = 0);
   [[nodiscard]] bool consumer_polling() const {
-    return page_ != 0 && page_read(Ring::kOffConsumerPoll) != 0;
+    return ring_ != nullptr && page_read(Ring::kOffConsumerPoll) != 0;
   }
 
   // --- HRT side (naut::LegacyChannel) ----------------------------------------
@@ -348,6 +356,9 @@ class EventChannel final : public naut::LegacyChannel {
   std::string tenant_args_;
   std::string tenant_tag_;
   std::uint64_t page_ = 0;
+  // Host view of the ring page (PhysMem::frame_bytes), set by init(). It
+  // stays valid until the destructor returns the page with hrt_free_page.
+  std::uint8_t* ring_ = nullptr;
   ros::Thread* partner_ = nullptr;
   ros::Process* owner_ = nullptr;
   bool sync_mode_ = false;

@@ -592,9 +592,13 @@ void MultiverseRuntime::enqueue_ready(ExecGroup* group) {
   if (!group->ready_enqueued) {
     group->ready_enqueued = true;
     shard.ready.push_back(group);
-    MV_HISTOGRAM_RECORD(
-        &metrics::Registry::instance().histogram("service/ready_depth"),
-        static_cast<double>(shard.ready.size()));
+    // Resolved at the first doorbell, so the instrument is registered at the
+    // same point of the run as ever (TelemetryScope rolls back by count).
+    if (ready_depth_metric_ == nullptr) {
+      ready_depth_metric_ =
+          &metrics::Registry::instance().histogram("service/ready_depth");
+    }
+    ready_depth_metric_->record(static_cast<double>(shard.ready.size()));
     FlightRecorder::instance().record(group->hrt_core, FrKind::kReadyEnqueue, 0,
                                       static_cast<std::uint64_t>(group->id),
                                       shard.ready.size(), "",

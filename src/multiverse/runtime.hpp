@@ -365,6 +365,9 @@ class MultiverseRuntime {
   GroupMode group_mode_ = GroupMode::kDedicatedPartner;
   std::vector<ServiceWorker> workers_;
   bool pool_stop_ = false;
+  // service/ready_depth in the process registry, cached by enqueue_ready.
+  // The runtime dies before HybridSystem's TelemetryScope truncates it.
+  metrics::Histogram* ready_depth_metric_ = nullptr;
   // Placement state: the round-robin cursor over the HRT partition.
   std::size_t next_hrt_core_rr_ = 0;
   // Tenant state (only tenant 0 at tenants=1).

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "multiverse/system.hpp"
 #include "support/faultplan.hpp"
@@ -83,6 +84,98 @@ TEST(ChannelRingTest, OutOfRangeStatusCountsAsProtocolError) {
   ASSERT_TRUE(rig.sched.run().is_ok());
   EXPECT_EQ(res.code(), Err::kProtocol);
   EXPECT_EQ(rig.chan.protocol_errors(), 1u);
+}
+
+TEST(ChannelRingTest, RingWordsMoveWithoutPageMapLookups) {
+  // Both sides reach the ring through the page's host view: a forwarded
+  // request costs no lookup in PhysMem's page map, and the words it left
+  // behind are the simulated DRAM that PhysMem reads (the rogue partner
+  // above covers the other direction).
+  using Ring = EventChannel::Ring;
+  ChannelRig rig;
+  ASSERT_TRUE(rig.chan.init().is_ok());
+  auto* proc = rig.start_partner(/*serve=*/true);
+  ASSERT_NE(proc, nullptr);
+
+  hw::PhysMem& mem = rig.machine.mem();
+  Result<std::uint64_t> res = err(Err::kState, "never ran");
+  std::uint64_t lookups = 0;
+  rig.sched.spawn(
+      1,
+      [&] {
+        const std::uint64_t before = mem.page_map_lookups();
+        res = rig.chan.forward_syscall(SysNr::kGetpid, {});
+        lookups = mem.page_map_lookups() - before;
+        rig.chan.mark_exit();
+      },
+      "req");
+  ASSERT_TRUE(rig.sched.run().is_ok());
+  ASSERT_TRUE(res.is_ok()) << res.status().to_string();
+  EXPECT_EQ(*res, static_cast<std::uint64_t>(proc->pid));
+  EXPECT_EQ(lookups, 0u);
+
+  const std::uint64_t page = rig.chan.page_base();
+  const std::uint64_t slot = page + Ring::kSlot0;
+  EXPECT_EQ(*mem.read_u64(page + Ring::kOffDepth), 1u);
+  EXPECT_EQ(*mem.read_u64(page + Ring::kOffSubHead), 1u);
+  EXPECT_EQ(*mem.read_u64(page + Ring::kOffSubTail), 1u);
+  EXPECT_EQ(*mem.read_u64(slot + Ring::kSlotSysNr),
+            static_cast<std::uint64_t>(SysNr::kGetpid));
+  EXPECT_EQ(*mem.read_u64(slot + Ring::kSlotRspValue),
+            static_cast<std::uint64_t>(proc->pid));
+  EXPECT_EQ(*mem.read_u64(slot + Ring::kSlotState),
+            static_cast<std::uint64_t>(Ring::kFree));
+}
+
+TEST(ChannelRingTest, RecycledRingPageStartsZeroed) {
+  // A destroyed channel returns its page to the HVM's LIFO freelist, and the
+  // next channel on the same HVM gets that page back. Its ring must start
+  // zeroed apart from the depth word, and it must carry traffic through its
+  // own view of the page (a view that outlived the freed page is a
+  // use-after-free the sanitizer build reports).
+  using Ring = EventChannel::Ring;
+  ChannelRig rig;
+  const auto serve_and_forward = [&rig](EventChannel& chan, int requests) {
+    auto proc = rig.kernel.spawn("partner", [&rig, &chan](SysIface&) {
+      chan.bind_partner(rig.kernel.current_thread());
+      chan.service_loop();
+      return 0;
+    });
+    ASSERT_TRUE(proc.is_ok());
+    rig.sched.spawn(
+        1,
+        [&chan, requests] {
+          for (int i = 0; i < requests; ++i) {
+            EXPECT_TRUE(chan.forward_syscall(SysNr::kGetpid, {}).is_ok());
+          }
+          chan.mark_exit();
+        },
+        "req");
+    ASSERT_TRUE(rig.sched.run().is_ok());
+    EXPECT_EQ(chan.requests_served(), static_cast<std::uint64_t>(requests));
+  };
+
+  auto first = std::make_unique<EventChannel>(rig.hvm, rig.kernel, rig.sched,
+                                              /*hrt_core=*/1, /*id=*/91);
+  first->set_ring_depth(4);
+  ASSERT_TRUE(first->init().is_ok());
+  const std::uint64_t page = first->page_base();
+  serve_and_forward(*first, 3);
+  first->set_consumer_polling(true);
+  first.reset();
+
+  EventChannel second(rig.hvm, rig.kernel, rig.sched, /*hrt_core=*/1,
+                      /*id=*/92);
+  ASSERT_TRUE(second.init().is_ok());
+  ASSERT_EQ(second.page_base(), page);
+  hw::PhysMem& mem = rig.machine.mem();
+  for (std::uint64_t off = 0; off < hw::kPageSize; off += 8) {
+    EXPECT_EQ(*mem.read_u64(page + off), off == Ring::kOffDepth ? 1u : 0u)
+        << "word at " << off;
+  }
+  EXPECT_FALSE(second.has_request());
+  EXPECT_FALSE(second.consumer_polling());
+  serve_and_forward(second, 2);
 }
 
 TEST(ChannelRingTest, ExitTidRecordedOnBothSignalPaths) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "aerokernel/nautilus.hpp"
@@ -308,6 +309,32 @@ TEST(NautMultiCoreTest, ThreadsDistributeAndShootdownsReachAllCores) {
           .is_ok());
   for (unsigned c : {1u, 2u, 3u}) {
     EXPECT_EQ(machine.core(c).tlb().entries(), 0u) << "core " << c;
+  }
+}
+
+TEST(NautMultiCoreTest, RebootReusesEachCoresIstStack) {
+  // Each HRT core's IST stack comes from the kernel heap on its first boot.
+  // A reboot frees no heap, so it must reuse those stacks: three reboots
+  // leave the HRT partition's footprint where the boot left it.
+  hw::Machine machine(hw::MachineConfig{2, 2, 1 << 26});
+  Sched sched;
+  vmm::Hvm hvm(machine, vmm::HvmConfig{{0}, {1, 2, 3}, 1 << 25});
+  Nautilus naut(machine, sched, hvm);
+  const auto blob = vmm::HrtImageBuilder::default_nautilus_image().serialize();
+  ASSERT_TRUE(hvm.install_hrt_image(0, blob).is_ok());
+  ASSERT_TRUE(hvm.hypercall(0, vmm::Hypercall::kBootHrt).is_ok());
+  const std::uint64_t booted_bytes = hvm.hrt_bytes_used();
+  std::map<unsigned, std::uint64_t> ist_tops;
+  for (unsigned c : {1u, 2u, 3u}) {
+    ist_tops[c] = machine.core(c).ist_stack(1);
+    EXPECT_NE(ist_tops[c], 0u);
+  }
+  for (int reboot = 1; reboot <= 3; ++reboot) {
+    ASSERT_TRUE(hvm.hypercall(0, vmm::Hypercall::kRebootHrt).is_ok());
+    EXPECT_EQ(hvm.hrt_bytes_used(), booted_bytes) << "after reboot " << reboot;
+    for (unsigned c : {1u, 2u, 3u}) {
+      EXPECT_EQ(machine.core(c).ist_stack(1), ist_tops[c]) << "core " << c;
+    }
   }
 }
 
