@@ -35,29 +35,13 @@ Status Core::deliver(InterruptFrame frame) {
 
 Result<TranslateOk> Core::translate(std::uint64_t vaddr, Access access,
                                     PageFaultInfo* fault) {
-  // TLB consult.
+  // TLB consult. The permission check still applies on a hit.
   if (const Tlb::Entry* e = tlb_.lookup(vaddr)) {
     charge(costs().tlb_hit);
-    // Permission check still applies on a hit.
-    PageFaultInfo info;
-    info.vaddr = vaddr;
-    info.write = access == Access::kWrite;
-    info.user = cpl_ == 3;
-    info.instruction = access == Access::kExec;
-    const std::uint64_t flags = e->flags;
-    bool violation = false;
-    if (cpl_ == 3 && (flags & kPteUser) == 0) violation = true;
-    if (access == Access::kWrite && (flags & kPteWrite) == 0 &&
-        (cpl_ == 3 || cr0_wp_)) {
-      violation = true;
+    if (!permits(e->flags, access, cpl_, cr0_wp_)) {
+      return page_fault(vaddr, access, cpl_, /*present=*/true, fault);
     }
-    if (access == Access::kExec && (flags & kPteNx) != 0) violation = true;
-    if (!violation) {
-      return TranslateOk{e->page_paddr | page_offset(vaddr), flags};
-    }
-    info.present = true;
-    if (fault != nullptr) *fault = info;
-    return err(Err::kPageFault);
+    return TranslateOk{e->page_paddr | page_offset(vaddr), e->flags};
   }
 
   // Miss: charged hardware page walk against CR3.

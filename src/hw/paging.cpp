@@ -36,152 +36,87 @@ void PageTables::set_entry_at(std::uint64_t table, unsigned index,
   MV_CHECK_OK(mem_->write_u64(table + index * 8, entry));
 }
 
-Result<std::uint64_t> PageTables::descend(std::uint64_t table, unsigned index,
-                                          bool create) {
-  std::uint64_t entry = entry_at(table, index);
-  if ((entry & kPtePresent) == 0) {
-    if (!create) return err(Err::kNoEnt, "table entry not present");
-    MV_ASSIGN_OR_RETURN(const std::uint64_t next, mem_->alloc_frame());
-    // Permissive intermediate flags: leaf entries gate the access.
-    entry = next | kPtePresent | kPteWrite | kPteUser;
-    set_entry_at(table, index, entry);
+Status PageTables::map_leaf(std::uint64_t root, std::uint64_t vaddr,
+                            int level, std::uint64_t entry) {
+  if (!is_canonical(vaddr)) return err(Err::kBadAddr, "non-canonical vaddr");
+  if ((entry & kPtePresent) == 0) return err(Err::kInval, "mapping !present");
+  std::uint64_t table = root;
+  for (int l = 4; l > level; --l) {
+    const unsigned index = pt_index(vaddr, l);
+    std::uint64_t next = entry_at(table, index);
+    if ((next & kPtePresent) == 0) {
+      MV_ASSIGN_OR_RETURN(const std::uint64_t frame, mem_->alloc_frame());
+      // Permissive intermediate flags: leaf entries gate the access.
+      next = frame | kPtePresent | kPteWrite | kPteUser;
+      set_entry_at(table, index, next);
+    }
+    table = next & kPteAddrMask;
   }
-  return entry & kPteAddrMask;
+  set_entry_at(table, pt_index(vaddr, level), entry);
+  return Status::ok();
 }
 
 Status PageTables::map_page(std::uint64_t root, std::uint64_t vaddr,
                             std::uint64_t paddr, std::uint64_t flags) {
-  if (!is_canonical(vaddr)) return err(Err::kBadAddr, "non-canonical vaddr");
-  if ((flags & kPtePresent) == 0) return err(Err::kInval, "mapping !present");
-  std::uint64_t table = root;
-  for (int level = 4; level >= 2; --level) {
-    MV_ASSIGN_OR_RETURN(table, descend(table, pt_index(vaddr, level),
-                                       /*create=*/true));
-  }
-  set_entry_at(table, pt_index(vaddr, 1), (paddr & kPteAddrMask) | flags);
-  return Status::ok();
+  return map_leaf(root, vaddr, 1, (paddr & kPteAddrMask) | flags);
 }
 
 Status PageTables::map_large_page(std::uint64_t root, std::uint64_t vaddr,
                                   std::uint64_t paddr, std::uint64_t flags) {
-  if (!is_canonical(vaddr)) return err(Err::kBadAddr, "non-canonical vaddr");
   if ((vaddr & (kLargePageSize - 1)) != 0 ||
       (paddr & (kLargePageSize - 1)) != 0) {
     return err(Err::kInval, "large page must be 2MiB aligned");
   }
-  if ((flags & kPtePresent) == 0) return err(Err::kInval, "mapping !present");
-  std::uint64_t table = root;
-  for (int level = 4; level >= 3; --level) {
-    MV_ASSIGN_OR_RETURN(table, descend(table, pt_index(vaddr, level),
-                                       /*create=*/true));
-  }
-  set_entry_at(table, pt_index(vaddr, 2),
-               (paddr & kPteAddrMask) | flags | kPtePs);
-  return Status::ok();
+  return map_leaf(root, vaddr, 2, (paddr & kPteAddrMask) | flags | kPtePs);
 }
 
-Result<std::uint64_t> PageTables::unmap_page(std::uint64_t root,
-                                             std::uint64_t vaddr) {
+std::optional<PageTables::Walk> PageTables::walk(std::uint64_t root,
+                                                 std::uint64_t vaddr) const {
+  if (!is_canonical(vaddr)) return std::nullopt;
   std::uint64_t table = root;
-  for (int level = 4; level >= 2; --level) {
-    MV_ASSIGN_OR_RETURN(table, descend(table, pt_index(vaddr, level),
-                                       /*create=*/false));
+  std::uint64_t effective = kPteWrite | kPteUser;  // AND-accumulated
+  for (int level = 4;; --level) {
+    const std::uint64_t entry = entry_at(table, pt_index(vaddr, level));
+    if ((entry & kPtePresent) == 0) return std::nullopt;
+    effective &= entry;
+    const bool large = level == 2 && (entry & kPtePs) != 0;
+    if (level == 1 || large) {
+      const std::uint64_t span = large ? kLargePageSize : kPageSize;
+      return Walk{TranslateOk{(entry & kPteAddrMask & ~(span - 1)) |
+                                  (vaddr & (span - 1)),
+                              entry & ~kPteAddrMask},
+                  effective | (entry & kPteNx)};
+    }
+    table = entry & kPteAddrMask;
   }
-  const unsigned idx = pt_index(vaddr, 1);
-  const std::uint64_t entry = entry_at(table, idx);
-  if ((entry & kPtePresent) == 0) return err(Err::kNoEnt, "page not mapped");
-  set_entry_at(table, idx, 0);
-  return entry & kPteAddrMask;
-}
-
-Status PageTables::protect_page(std::uint64_t root, std::uint64_t vaddr,
-                                std::uint64_t flags) {
-  std::uint64_t table = root;
-  for (int level = 4; level >= 2; --level) {
-    MV_ASSIGN_OR_RETURN(table, descend(table, pt_index(vaddr, level),
-                                       /*create=*/false));
-  }
-  const unsigned idx = pt_index(vaddr, 1);
-  const std::uint64_t entry = entry_at(table, idx);
-  if ((entry & kPtePresent) == 0) return err(Err::kNoEnt, "page not mapped");
-  set_entry_at(table, idx, (entry & kPteAddrMask) | flags);
-  return Status::ok();
 }
 
 std::optional<TranslateOk> PageTables::lookup(std::uint64_t root,
                                               std::uint64_t vaddr) const {
-  if (!is_canonical(vaddr)) return std::nullopt;
-  std::uint64_t table = root;
-  for (int level = 4; level >= 2; --level) {
-    const std::uint64_t entry = entry_at(table, pt_index(vaddr, level));
-    if ((entry & kPtePresent) == 0) return std::nullopt;
-    if (level == 2 && (entry & kPtePs) != 0) {
-      return TranslateOk{(entry & kPteAddrMask & ~(kLargePageSize - 1)) |
-                             (vaddr & (kLargePageSize - 1)),
-                         entry & ~kPteAddrMask};
-    }
-    table = entry & kPteAddrMask;
+  const auto found = walk(root, vaddr);
+  if (!found) return std::nullopt;
+  return found->leaf;
+}
+
+Status page_fault(std::uint64_t vaddr, Access access, int cpl, bool present,
+                  PageFaultInfo* fault) {
+  if (fault != nullptr) {
+    *fault = PageFaultInfo{vaddr, present, access == Access::kWrite, cpl == 3,
+                           access == Access::kExec};
   }
-  const std::uint64_t leaf = entry_at(table, pt_index(vaddr, 1));
-  if ((leaf & kPtePresent) == 0) return std::nullopt;
-  return TranslateOk{(leaf & kPteAddrMask) | page_offset(vaddr),
-                     leaf & ~kPteAddrMask};
+  return err(Err::kPageFault);
 }
 
 Result<TranslateOk> PageTables::translate(std::uint64_t root,
                                           std::uint64_t vaddr, Access access,
                                           int cpl, bool cr0_wp,
                                           PageFaultInfo* fault) const {
-  PageFaultInfo info;
-  info.vaddr = vaddr;
-  info.write = access == Access::kWrite;
-  info.user = cpl == 3;
-  info.instruction = access == Access::kExec;
-
-  const auto raise = [&](bool present) -> Status {
-    info.present = present;
-    if (fault != nullptr) *fault = info;
-    return err(Err::kPageFault);
-  };
-
-  if (!is_canonical(vaddr)) return raise(false);
-
-  std::uint64_t table = root;
-  std::uint64_t effective = kPteWrite | kPteUser;  // AND-accumulated
-  std::uint64_t leaf = 0;
-  std::uint64_t leaf_paddr = 0;
-  bool large = false;
-  for (int level = 4; level >= 2; --level) {
-    const std::uint64_t entry = entry_at(table, pt_index(vaddr, level));
-    if ((entry & kPtePresent) == 0) return raise(false);
-    effective &= entry;
-    if (level == 2 && (entry & kPtePs) != 0) {
-      leaf = entry;
-      leaf_paddr = (entry & kPteAddrMask & ~(kLargePageSize - 1)) |
-                   (vaddr & (kLargePageSize - 1));
-      large = true;
-      break;
-    }
-    table = entry & kPteAddrMask;
+  const auto found = walk(root, vaddr);
+  if (!found) return page_fault(vaddr, access, cpl, /*present=*/false, fault);
+  if (!permits(found->check_flags, access, cpl, cr0_wp)) {
+    return page_fault(vaddr, access, cpl, /*present=*/true, fault);
   }
-  if (!large) {
-    leaf = entry_at(table, pt_index(vaddr, 1));
-    if ((leaf & kPtePresent) == 0) return raise(false);
-    effective &= leaf;
-    leaf_paddr = (leaf & kPteAddrMask) | page_offset(vaddr);
-  }
-
-  // Permission checks, per the SDM.
-  if (cpl == 3 && (effective & kPteUser) == 0) return raise(true);
-  if (access == Access::kWrite && (effective & kPteWrite) == 0) {
-    // Ring-0 writes bypass the R/W bit unless CR0.WP is set. This is the
-    // exact quirk that gave the paper "mysterious memory corruption" until
-    // Nautilus set WP.
-    if (cpl == 3 || cr0_wp) return raise(true);
-  }
-  if (access == Access::kExec && (leaf & kPteNx) != 0) return raise(true);
-
-  return TranslateOk{leaf_paddr, leaf & ~kPteAddrMask};
+  return found->leaf;
 }
 
 std::uint64_t PageTables::read_pml4_entry(std::uint64_t root,
@@ -220,10 +155,9 @@ void PageTables::free_hierarchy(std::uint64_t root) {
   (void)mem_->free_frame(root);
 }
 
-void PageTables::visit_level(
-    std::uint64_t table, int level, std::uint64_t vaddr_prefix,
-    std::uint64_t lo, std::uint64_t hi,
-    const std::function<void(std::uint64_t, const TranslateOk&)>& fn) const {
+void PageTables::visit_level(std::uint64_t table, int level,
+                             std::uint64_t vaddr_prefix, std::uint64_t lo,
+                             std::uint64_t hi, const LeafVisitor& fn) {
   const int shift = 12 + 9 * (level - 1);
   // Sign-extend to canonical form; ascending index is ascending vaddr.
   const auto canonical = [](std::uint64_t v) {
@@ -244,7 +178,12 @@ void PageTables::visit_level(
       // The entry covering `lo` may start below it (an unaligned `lo`, or a
       // 2 MiB page straddling it): a leaf is in range only by its base.
       if (vaddr >= lo) {
-        fn(vaddr, TranslateOk{entry & kPteAddrMask, entry & ~kPteAddrMask});
+        TranslateOk leaf{entry & kPteAddrMask, entry & ~kPteAddrMask};
+        fn(vaddr, leaf);
+        const std::uint64_t edited = (leaf.paddr & kPteAddrMask) | leaf.flags;
+        if (edited != entry) {
+          set_entry_at(table, static_cast<unsigned>(i), edited);
+        }
       }
     } else {
       visit_level(entry & kPteAddrMask, level - 1, prefix, lo, hi, fn);
@@ -252,9 +191,8 @@ void PageTables::visit_level(
   }
 }
 
-void PageTables::for_each_mapping(
-    std::uint64_t root, std::uint64_t lo, std::uint64_t hi,
-    const std::function<void(std::uint64_t, const TranslateOk&)>& fn) const {
+void PageTables::for_each_mapping(std::uint64_t root, std::uint64_t lo,
+                                  std::uint64_t hi, const LeafVisitor& fn) {
   // No page lies in the non-canonical hole, so a range starting there starts
   // at the higher half; this keeps `lo` a valid index source at every level.
   if (!is_canonical(lo)) lo = kHigherHalfBase;

@@ -64,9 +64,36 @@ struct TranslateOk {
 // Index helpers (level 4 = PML4 ... level 1 = PT).
 [[nodiscard]] unsigned pt_index(std::uint64_t vaddr, int level) noexcept;
 
+// The SDM's permission check on a present translation, for the page walk and
+// a TLB hit alike: U/S and R/W from `flags` (the walk ANDs them over every
+// level, a TLB entry caches the leaf's), NX from the leaf. `cpl` is 0
+// (kernel) or 3 (user). Ring-0 writes bypass the R/W bit unless CR0.WP is
+// set: the quirk that gave the paper "mysterious memory corruption" until
+// Nautilus set WP.
+[[nodiscard]] inline bool permits(std::uint64_t flags, Access access, int cpl,
+                                  bool cr0_wp) noexcept {
+  if (cpl == 3 && (flags & kPteUser) == 0) return false;
+  if (access == Access::kWrite && (flags & kPteWrite) == 0 &&
+      (cpl == 3 || cr0_wp)) {
+    return false;
+  }
+  return access != Access::kExec || (flags & kPteNx) == 0;
+}
+
+// Record a page fault on `vaddr` in `fault` (when given) and return
+// kPageFault. `present` marks a protection violation, as opposed to a
+// missing translation.
+Status page_fault(std::uint64_t vaddr, Access access, int cpl, bool present,
+                  PageFaultInfo* fault);
+
 // Operations on a page-table hierarchy rooted at a CR3 physical address.
 class PageTables {
  public:
+  // Visits one leaf; an edit to `leaf`, or clearing it with `leaf = {}`, is
+  // stored back into its entry when the visitor returns.
+  using LeafVisitor =
+      std::function<void(std::uint64_t vaddr, TranslateOk& leaf)>;
+
   explicit PageTables(PhysMem& mem) : mem_(&mem) {}
 
   // Allocate an empty top-level table; returns its physical address (CR3).
@@ -82,21 +109,11 @@ class PageTables {
   Status map_large_page(std::uint64_t root, std::uint64_t vaddr,
                         std::uint64_t paddr, std::uint64_t flags);
 
-  // Remove one mapping; returns the old physical address if it existed.
-  Result<std::uint64_t> unmap_page(std::uint64_t root, std::uint64_t vaddr);
-
-  // Change leaf flags of an existing mapping.
-  Status protect_page(std::uint64_t root, std::uint64_t vaddr,
-                      std::uint64_t flags);
-
   // Walk without access checks; returns entry if present.
   [[nodiscard]] std::optional<TranslateOk> lookup(std::uint64_t root,
                                                   std::uint64_t vaddr) const;
 
-  // Full architectural translation with permission checks.
-  // `cpl` is 0 (kernel) or 3 (user); `cr0_wp` applies the ring-0 write-
-  // protect quirk the paper discusses: with WP clear, ring-0 writes to
-  // read-only pages silently succeed.
+  // Full architectural translation with the permission check (permits).
   Result<TranslateOk> translate(std::uint64_t root, std::uint64_t vaddr,
                                 Access access, int cpl, bool cr0_wp,
                                 PageFaultInfo* fault) const;
@@ -113,28 +130,36 @@ class PageTables {
   // Visit, in ascending address order, every present leaf whose base vaddr
   // lies in [lo, hi); [0, kVaddrEnd) is the whole tree. Only entries that
   // overlap the range are read, so the cost follows the range, not the
-  // size of the address space.
-  void for_each_mapping(
-      std::uint64_t root, std::uint64_t lo, std::uint64_t hi,
-      const std::function<void(std::uint64_t vaddr, const TranslateOk&)>& fn)
-      const;
+  // size of the address space. A visitor may edit or clear its leaf: the
+  // walk that found it stores the edit back, and the tables above a cleared
+  // leaf stay.
+  void for_each_mapping(std::uint64_t root, std::uint64_t lo, std::uint64_t hi,
+                        const LeafVisitor& fn);
 
   // Walk depth in table levels touched by the last translate (cost model).
   static constexpr int kWalkLevels = 4;
 
  private:
+  // A present translation: the leaf, and the flags the permission check
+  // reads (U/S and R/W ANDed over every level, the leaf's NX).
+  struct Walk {
+    TranslateOk leaf;
+    std::uint64_t check_flags = 0;
+  };
+
   [[nodiscard]] std::uint64_t entry_at(std::uint64_t table,
                                        unsigned index) const;
   void set_entry_at(std::uint64_t table, unsigned index, std::uint64_t entry);
-  // Descend one level, optionally creating the next table.
-  Result<std::uint64_t> descend(std::uint64_t table, unsigned index,
-                                bool create);
+  // The one read-only walk behind lookup and translate.
+  [[nodiscard]] std::optional<Walk> walk(std::uint64_t root,
+                                         std::uint64_t vaddr) const;
+  // Store `entry` at `level` for `vaddr`, creating the tables above it.
+  Status map_leaf(std::uint64_t root, std::uint64_t vaddr, int level,
+                  std::uint64_t entry);
 
   void free_level(std::uint64_t table, int level);
-  void visit_level(
-      std::uint64_t table, int level, std::uint64_t vaddr_prefix,
-      std::uint64_t lo, std::uint64_t hi,
-      const std::function<void(std::uint64_t, const TranslateOk&)>& fn) const;
+  void visit_level(std::uint64_t table, int level, std::uint64_t vaddr_prefix,
+                   std::uint64_t lo, std::uint64_t hi, const LeafVisitor& fn);
 
   PhysMem* mem_;
 };

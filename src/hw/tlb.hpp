@@ -18,6 +18,10 @@ class Tlb {
     std::uint64_t flags = 0;
   };
 
+  // Buckets for a full TLB up front: it never rehashes as it fills, and
+  // clear() keeps them.
+  Tlb() { map_.reserve(kCapacity); }
+
   [[nodiscard]] const Entry* lookup(std::uint64_t vaddr) const {
     const auto it = map_.find(page_floor(vaddr));
     ++(it != map_.end() ? hits_ : misses_);

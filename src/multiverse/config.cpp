@@ -91,31 +91,13 @@ Result<OverrideConfig> parse_override_config(const std::string& text) {
     if (tokens.empty()) continue;
 
     if (tokens[0] == "override") {
-      if (tokens.size() < 3 || tokens.size() > 4) {
+      if (tokens.size() != 3) {
         return err(Err::kParse,
-                   strfmt("line %d: override takes 2-3 operands", lineno));
+                   strfmt("line %d: override takes 2 operands", lineno));
       }
       OverrideSpec spec;
       spec.legacy_name = tokens[1];
       spec.kernel_symbol = tokens[2];
-      if (tokens.size() == 4) {
-        if (!starts_with(tokens[3], "args=")) {
-          return err(Err::kParse, strfmt("line %d: expected args=", lineno));
-        }
-        for (const std::string& pair :
-             split(std::string_view(tokens[3]).substr(5), ',')) {
-          const auto parts = split(pair, ':');
-          if (parts.size() != 2) {
-            return err(Err::kParse, strfmt("line %d: bad arg map", lineno));
-          }
-          const auto from = parse_number<int>(parts[0]);
-          const auto to = parse_number<int>(parts[1]);
-          if (!from.is_ok() || !to.is_ok()) {
-            return err(Err::kParse, strfmt("line %d: bad arg map", lineno));
-          }
-          spec.arg_map.emplace_back(*from, *to);
-        }
-      }
       config.overrides.push_back(std::move(spec));
     } else if (tokens[0] == "option") {
       if (tokens.size() != 3) {

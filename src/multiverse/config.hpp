@@ -4,10 +4,11 @@
 // the AeroKernel developer can simply make an addition to a configuration
 // file included in the Multiverse toolchain that specifies the function's
 // attributes and argument mappings between the legacy function and the
-// AeroKernel variant."
+// AeroKernel variant." Each kernel-mode variant here takes its legacy
+// call's arguments unchanged, so an override line names only the pair.
 //
 // Grammar (line oriented, '#' comments):
-//   override <legacy_name> <aerokernel_symbol> [args=<i>:<j>,<i>:<j>...]
+//   override <legacy_name> <aerokernel_symbol>
 //   option   <key> <value>
 
 #include <cstdint>
@@ -21,8 +22,6 @@ namespace mv::multiverse {
 struct OverrideSpec {
   std::string legacy_name;     // e.g. "pthread_create", "mmap"
   std::string kernel_symbol;   // e.g. "nk_thread_create", "nk_mmap"
-  // Argument index mapping legacy->kernel; identity when empty.
-  std::vector<std::pair<int, int>> arg_map;
 };
 
 // Adaptive hybridization: the governor watches per-family forwarded-syscall

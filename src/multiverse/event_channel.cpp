@@ -658,11 +658,9 @@ bool EventChannel::serve_pending(ros::Thread& server) {
         static_cast<std::uint32_t>(page_read(slot + Ring::kSlotError));
     const hw::Access access =
         (error & 2u) != 0 ? hw::Access::kWrite : hw::Access::kRead;
-    kernel.ensure_address_space(server);
-    const int saved_cpl = ros_core.cpl();
-    ros_core.set_cpl(3);
-    const Status replayed = ros_core.mem_touch(vaddr, access);
-    ros_core.set_cpl(saved_cpl);
+    const Status replayed = kernel.user_access(server, [&](hw::Core& core) {
+      return core.mem_touch(vaddr, access);
+    });
     if (!replayed.is_ok()) {
       rsp_status = static_cast<std::uint64_t>(replayed.code());
     }

@@ -137,33 +137,27 @@ Status AddressSpace::mprotect(unsigned initiator_core, std::uint64_t addr,
   if (addr != page_floor(addr)) return err(Err::kInval, "unaligned mprotect");
   len = page_ceil(len);
   split_around(addr, len);
+  // Rewrite the already-present PTEs so the new protection takes effect
+  // immediately (this is what arms the GC's write barriers). PROT_NONE keeps
+  // the frame (and its contents!) but strips the user bit so any cpl-3 touch
+  // faults as a protection violation; unmapping the leaf instead would lose
+  // the contents to a demand-zero on the next PROT_READ|WRITE. Zero-page
+  // mappings stay read-only regardless so COW still triggers.
+  const std::uint64_t flags = (prot & (kProtRead | kProtWrite)) == 0
+                                  ? hw::kPtePresent | hw::kPteNx
+                                  : prot_to_flags(prot);
   bool any = false;
   for (auto& [start, vma] : vmas_) {
     if (vma.start >= addr && vma.end <= addr + len) {
       vma.prot = prot;
       any = true;
-      // Update already-present PTEs so the new protection takes effect
-      // immediately (this is what arms the GC's write barriers). Zero-page
-      // mappings stay read-only regardless so COW still triggers.
-      for (std::uint64_t va = vma.start; va < vma.end; va += kPageSize) {
-        auto leaf = machine_->paging().lookup(cr3_, va);
-        if (!leaf) continue;
-        std::uint64_t flags = prot_to_flags(prot);
-        if (page_floor(leaf->paddr) == zero_page_) flags &= ~hw::kPteWrite;
-        if ((prot & kProtRead) == 0 && (prot & kProtWrite) == 0) {
-          // PROT_NONE: keep the frame (and its contents!) but strip the user
-          // bit so any cpl-3 touch faults as a protection violation. The old
-          // code unmapped the leaf here, which freed nothing but lost the
-          // translation — and a later PROT_READ|WRITE restore then demand-
-          // zeroed the page, destroying its contents.
-          MV_RETURN_IF_ERROR(machine_->paging().protect_page(
-              cr3_, va, hw::kPtePresent | hw::kPteNx));
-        } else {
-          MV_RETURN_IF_ERROR(
-              machine_->paging().protect_page(cr3_, va, flags));
-        }
-        machine_->tlb_shootdown(initiator_core, coherency_cores_, va);
-      }
+      machine_->paging().for_each_mapping(
+          cr3_, vma.start, vma.end,
+          [&](std::uint64_t va, hw::TranslateOk& leaf) {
+            leaf.flags =
+                leaf.paddr == zero_page_ ? flags & ~hw::kPteWrite : flags;
+            machine_->tlb_shootdown(initiator_core, coherency_cores_, va);
+          });
     }
   }
   return any ? Status::ok() : err(Err::kNoMem, "mprotect: no mapping");
@@ -279,23 +273,10 @@ AddressSpace::FaultOutcome AddressSpace::handle_fault_impl(
       std::uint8_t buf[kPageSize];
       (void)machine_->mem().read(zero_page_, buf, kPageSize);
       (void)machine_->mem().write(*frame, buf, kPageSize);
-      (void)machine_->paging().unmap_page(cr3_, page);
-      if (!machine_->paging()
-               .map_page(cr3_, page, *frame, prot_to_flags(vma->prot))
-               .is_ok()) {
-        // Failed mid-break: don't leak the fresh frame, and put the zero-page
-        // mapping back so the PTE state matches resident_pages_. If even the
-        // restore fails the page is genuinely gone — account for it.
-        (void)machine_->mem().free_frame(*frame);
-        if (!machine_->paging()
-                 .map_page(cr3_, page, zero_page_,
-                           prot_to_flags(vma->prot) & ~hw::kPteWrite)
-                 .is_ok()) {
-          MV_CHECK(resident_pages_ > 0, "resident_pages_ underflow");
-          --resident_pages_;
-        }
-        return FaultOutcome{false, false};
-      }
+      // The zero-page leaf's tables exist, so overwriting it allocates
+      // nothing and cannot fail.
+      MV_CHECK_OK(machine_->paging().map_page(cr3_, page, *frame,
+                                              prot_to_flags(vma->prot)));
       machine_->tlb_shootdown(core, coherency_cores_, page);
       ++minflt_;
       return FaultOutcome{true, false};
@@ -308,32 +289,28 @@ AddressSpace::FaultOutcome AddressSpace::handle_fault_impl(
 
 void AddressSpace::unmap_range_pages(std::uint64_t start, std::uint64_t end,
                                      int initiator_core) {
-  // Walk existing leaf mappings in [start, end): free private frames, leave
-  // the shared zero page alone.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> present;
-  machine_->paging().for_each_mapping(
-      cr3_, start, end, [&](std::uint64_t va, const hw::TranslateOk& t) {
-        present.emplace_back(va, t.paddr);
-      });
-  if (present.empty()) return;
+  // Clear each leaf mapping in [start, end) as the walk finds it: free
+  // private frames, leave the shared zero page alone.
   std::vector<std::uint64_t> vaddrs;
-  vaddrs.reserve(present.size());
-  for (const auto& [va, paddr] : present) {
-    (void)machine_->paging().unmap_page(cr3_, va);
-    if (page_floor(paddr) != zero_page_) {
-      (void)machine_->mem().free_frame(page_floor(paddr));
-    }
-    const auto kp = std::find(kernel_pages_.begin(), kernel_pages_.end(), va);
-    if (kp != kernel_pages_.end()) {
-      // Kernel-mapped page (vvar): never counted resident, so don't charge
-      // its teardown against the VMA residency either.
-      kernel_pages_.erase(kp);
-    } else {
-      MV_CHECK(resident_pages_ > 0, "resident_pages_ underflow");
-      --resident_pages_;
-    }
-    vaddrs.push_back(va);
-  }
+  machine_->paging().for_each_mapping(
+      cr3_, start, end, [&](std::uint64_t va, hw::TranslateOk& leaf) {
+        if (leaf.paddr != zero_page_) {
+          (void)machine_->mem().free_frame(leaf.paddr);
+        }
+        leaf = {};
+        const auto kp =
+            std::find(kernel_pages_.begin(), kernel_pages_.end(), va);
+        if (kp != kernel_pages_.end()) {
+          // Kernel-mapped page (vvar): never counted resident, so don't
+          // charge its teardown against the VMA residency either.
+          kernel_pages_.erase(kp);
+        } else {
+          MV_CHECK(resident_pages_ > 0, "resident_pages_ underflow");
+          --resident_pages_;
+        }
+        vaddrs.push_back(va);
+      });
+  if (vaddrs.empty()) return;
   // One batched shootdown round for the whole range: each remote core in the
   // coherency domain gets a single IPI (charged to the initiator) covering
   // every invalidated page. The old per-page loop poked remote TLBs directly

@@ -382,34 +382,21 @@ Result<std::uint64_t> NativeCtx::syscall(SysNr nr,
 }
 
 Status NativeCtx::mem_read(std::uint64_t vaddr, void* out, std::uint64_t len) {
-  hw::Core& core = k_->core_of(*t_);
-  k_->ensure_address_space(*t_);
-  const int saved = core.cpl();
-  core.set_cpl(3);
-  const Status s = core.mem_read(vaddr, out, len);
-  core.set_cpl(saved);
-  return s;
+  return k_->user_access(*t_, [&](hw::Core& core) {
+    return core.mem_read(vaddr, out, len);
+  });
 }
 
 Status NativeCtx::mem_write(std::uint64_t vaddr, const void* in,
                             std::uint64_t len) {
-  hw::Core& core = k_->core_of(*t_);
-  k_->ensure_address_space(*t_);
-  const int saved = core.cpl();
-  core.set_cpl(3);
-  const Status s = core.mem_write(vaddr, in, len);
-  core.set_cpl(saved);
-  return s;
+  return k_->user_access(*t_, [&](hw::Core& core) {
+    return core.mem_write(vaddr, in, len);
+  });
 }
 
 Status NativeCtx::mem_touch(std::uint64_t vaddr, hw::Access access) {
-  hw::Core& core = k_->core_of(*t_);
-  k_->ensure_address_space(*t_);
-  const int saved = core.cpl();
-  core.set_cpl(3);
-  const Status s = core.mem_touch(vaddr, access);
-  core.set_cpl(saved);
-  return s;
+  return k_->user_access(
+      *t_, [&](hw::Core& core) { return core.mem_touch(vaddr, access); });
 }
 
 void LinuxSim::refresh_vvar(Process& proc) {
@@ -426,30 +413,25 @@ TimeVal NativeCtx::vdso_gettimeofday() {
   // vdso: a user-mode read of the vvar page, no kernel entry.
   ++t_->proc->vdso_gtod_calls;
   k_->refresh_vvar(*t_->proc);
-  hw::Core& core = k_->core_of(*t_);
-  k_->ensure_address_space(*t_);
-  core.charge(hw::costs().mem_access * 4 + 36);  // vdso code on a warm cache
-  std::uint64_t sec = 0;
-  std::uint64_t usec = 0;
-  const int saved = core.cpl();
-  core.set_cpl(3);
-  (void)core.mem_read(kVvarVaddr + VvarLayout::kOffSec, &sec, sizeof(sec));
-  (void)core.mem_read(kVvarVaddr + VvarLayout::kOffUsec, &usec, sizeof(usec));
-  core.set_cpl(saved);
-  return TimeVal{sec, usec};
+  return k_->user_access(*t_, [](hw::Core& core) {
+    core.charge(hw::costs().mem_access * 4 + 36);  // vdso code on a warm cache
+    std::uint64_t sec = 0;
+    std::uint64_t usec = 0;
+    (void)core.mem_read(kVvarVaddr + VvarLayout::kOffSec, &sec, sizeof(sec));
+    (void)core.mem_read(kVvarVaddr + VvarLayout::kOffUsec, &usec,
+                        sizeof(usec));
+    return TimeVal{sec, usec};
+  });
 }
 
 std::uint64_t NativeCtx::vdso_getpid() {
   ++t_->proc->vdso_getpid_calls;
-  hw::Core& core = k_->core_of(*t_);
-  k_->ensure_address_space(*t_);
-  core.charge(hw::costs().mem_access * 2 + 18);
-  std::uint64_t pid = 0;
-  const int saved = core.cpl();
-  core.set_cpl(3);
-  (void)core.mem_read(kVvarVaddr + VvarLayout::kOffPid, &pid, sizeof(pid));
-  core.set_cpl(saved);
-  return pid;
+  return k_->user_access(*t_, [](hw::Core& core) {
+    core.charge(hw::costs().mem_access * 2 + 18);
+    std::uint64_t pid = 0;
+    (void)core.mem_read(kVvarVaddr + VvarLayout::kOffPid, &pid, sizeof(pid));
+    return pid;
+  });
 }
 
 Result<int> NativeCtx::thread_create(GuestThreadFn fn) {

@@ -236,6 +236,18 @@ class LinuxSim {
     hw::Core& core = core_of(t);
     if (core.cr3() != t.proc->as->cr3()) core.write_cr3(t.proc->as->cr3());
   }
+  // Run `access(core)` as a user-mode access of `t`: on its core, in its
+  // process's address space, at CPL 3, restoring the CPL afterwards.
+  template <typename Fn>
+  auto user_access(Thread& t, Fn&& access) {
+    ensure_address_space(t);
+    hw::Core& core = core_of(t);
+    const int saved_cpl = core.cpl();
+    core.set_cpl(3);
+    auto result = access(core);
+    core.set_cpl(saved_cpl);
+    return result;
+  }
   // Deliver a signal to a process (synchronously runs the guest handler).
   Status deliver_signal(Thread& thread, int sig, std::uint64_t fault_addr);
 

@@ -17,7 +17,6 @@ namespace mv {
 
 std::vector<std::string> split(std::string_view s, char sep);
 std::string_view trim(std::string_view s);
-bool starts_with(std::string_view s, std::string_view prefix);
 
 // printf-style formatting into std::string.
 std::string strfmt(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

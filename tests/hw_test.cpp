@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "hw/core.hpp"
@@ -202,15 +203,34 @@ TEST_F(PagingTest, UnmapAndProtect) {
   ASSERT_TRUE(pt_.map_page(*root, 0x400000, *frame,
                            kPtePresent | kPteWrite | kPteUser)
                   .is_ok());
-  ASSERT_TRUE(pt_.protect_page(*root, 0x400000, kPtePresent | kPteUser)
-                  .is_ok());
+  // Edits go through the range walk, which stores the leaf back in place.
+  const auto edit_page = [&](const std::function<void(TranslateOk&)>& edit) {
+    int visited = 0;
+    pt_.for_each_mapping(*root, 0x400000, 0x401000,
+                         [&](std::uint64_t, TranslateOk& leaf) {
+                           ++visited;
+                           edit(leaf);
+                         });
+    return visited;
+  };
+  ASSERT_EQ(edit_page([](TranslateOk& leaf) {
+              leaf.flags = kPtePresent | kPteUser;
+            }),
+            1);
   EXPECT_FALSE(
       pt_.translate(*root, 0x400000, Access::kWrite, 3, true, nullptr)
           .is_ok());
-  auto old = pt_.unmap_page(*root, 0x400000);
-  ASSERT_TRUE(old.is_ok());
-  EXPECT_EQ(*old, *frame);
+  EXPECT_TRUE(
+      pt_.translate(*root, 0x400000, Access::kRead, 3, true, nullptr).is_ok());
+  std::uint64_t old = 0;
+  ASSERT_EQ(edit_page([&](TranslateOk& leaf) {
+              old = leaf.paddr;
+              leaf = {};
+            }),
+            1);
+  EXPECT_EQ(old, *frame);
   EXPECT_FALSE(pt_.lookup(*root, 0x400000).has_value());
+  EXPECT_EQ(edit_page([](TranslateOk&) {}), 0);
 }
 
 TEST_F(PagingTest, Pml4EntrySharingMakesMappingsVisible) {
@@ -395,7 +415,13 @@ TEST(MachineTest, StaleTlbServesOldMappingUntilFlush) {
   PageFaultInfo fault;
   auto t1 = core.translate(0x3000, Access::kRead, &fault);
   ASSERT_TRUE(t1.is_ok());
-  ASSERT_TRUE(m.paging().unmap_page(*root, 0x3000).is_ok());
+  int cleared = 0;
+  m.paging().for_each_mapping(*root, 0x3000, 0x4000,
+                              [&](std::uint64_t, TranslateOk& leaf) {
+                                ++cleared;
+                                leaf = {};
+                              });
+  ASSERT_EQ(cleared, 1);
   ASSERT_TRUE(
       m.paging().map_page(*root, 0x3000, *f2, kPtePresent | kPteWrite).is_ok());
   auto stale = core.translate(0x3000, Access::kRead, &fault);

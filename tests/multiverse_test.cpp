@@ -22,7 +22,7 @@ TEST(OverrideConfigTest, ParsesOverridesAndOptions) {
   auto cfg = parse_override_config(
       "# comment\n"
       "override mmap nk_mmap\n"
-      "override pthread_create nk_thread_create args=0:1,1:0\n"
+      "override pthread_create nk_thread_create\n"
       "option symbol_cache on\n"
       "option sync_channel on\n"
       "\n"
@@ -30,7 +30,7 @@ TEST(OverrideConfigTest, ParsesOverridesAndOptions) {
   ASSERT_TRUE(cfg.is_ok());
   ASSERT_EQ(cfg->overrides.size(), 2u);
   EXPECT_EQ(cfg->overrides[0].legacy_name, "mmap");
-  EXPECT_EQ(cfg->overrides[1].arg_map.size(), 2u);
+  EXPECT_EQ(cfg->overrides[1].kernel_symbol, "nk_thread_create");
   EXPECT_TRUE(cfg->options.symbol_cache);
   EXPECT_FALSE(cfg->options.sync_channel);
   EXPECT_TRUE(parse_override_config("option sync_channel on\n")
@@ -43,6 +43,14 @@ TEST(OverrideConfigTest, RejectsBadDirectives) {
   EXPECT_EQ(parse_override_config("overide mmap nk_mmap\n").code(),
             Err::kParse);
   EXPECT_EQ(parse_override_config("override onlyone\n").code(), Err::kParse);
+  // An override names the legacy call and its kernel-mode variant, nothing
+  // more: a third operand, such as an argument map, is a parse error.
+  EXPECT_EQ(parse_override_config(
+                "override pthread_create nk_thread_create args=0:1,1:0\n")
+                .code(),
+            Err::kParse);
+  EXPECT_EQ(parse_override_config("override mmap nk_mmap args=0:1\n").code(),
+            Err::kParse);
   EXPECT_EQ(parse_override_config("option nonsense on\n").code(), Err::kParse);
 }
 
@@ -84,7 +92,7 @@ TEST(OverrideConfigTest, RejectsMalformedValues) {
       "option sync_channel on\n"
       "option sync_channel false\n"
       "option symbol_cache 1\n"
-      "override mmap nk_mmap args=0:1\n");
+      "override mmap nk_mmap\n");
   ASSERT_TRUE(ok.is_ok()) << ok.status().to_string();
   EXPECT_EQ(ok->options.spin_cycles, 150000);
   EXPECT_EQ(ok->options.hybridize.promote_after, 60u);
@@ -92,7 +100,7 @@ TEST(OverrideConfigTest, RejectsMalformedValues) {
   EXPECT_FALSE(ok->options.sync_channel);
   EXPECT_TRUE(ok->options.symbol_cache);
   ASSERT_EQ(ok->overrides.size(), 1u);
-  EXPECT_EQ(ok->overrides[0].arg_map.size(), 1u);
+  EXPECT_EQ(ok->overrides[0].kernel_symbol, "nk_mmap");
 }
 
 TEST(OverrideConfigTest, DefaultsIncludePthreadInterposition) {
@@ -272,10 +280,13 @@ TEST(HybridTest, PthreadOverrideCreatesNestedHrtThreads) {
 }
 
 TEST(HybridTest, SigsegvBarrierRoundTripsThroughRos) {
-  // The GC write-barrier path under hybridization: HRT write -> fault
-  // forwarded -> ROS replays -> SIGSEGV -> handler mprotects -> HRT retry OK.
-  HybridSystem sys;
-  auto r = sys.run_hybrid("barrier", [](SysIface& s) {
+  // The GC write-barrier path, which transparency says reads the same
+  // Native and hybridized: a write to a page mprotected read-only takes one
+  // SIGSEGV, whose handler re-enables writes, and the retried write lands.
+  // Hybridized, the HRT write faults, the fault is forwarded, the ROS
+  // replays it and delivers the SIGSEGV. The HRT's mprotect is forwarded to
+  // the ROS or, overridden, edits the page tables in kernel mode.
+  const auto barrier = [](SysIface& s) {
     auto addr = s.mmap(0, hw::kPageSize, ros::kProtRead | ros::kProtWrite,
                        ros::kMapPrivate | ros::kMapAnonymous);
     std::uint64_t x = 1;
@@ -294,12 +305,35 @@ TEST(HybridTest, SigsegvBarrierRoundTripsThroughRos) {
     EXPECT_TRUE(s.mprotect(*addr, hw::kPageSize, ros::kProtRead).is_ok());
     x = 2;
     EXPECT_TRUE(s.mem_write(*addr, &x, sizeof(x)).is_ok());
+    std::uint64_t back = 0;
+    EXPECT_TRUE(s.mem_read(*addr, &back, sizeof(back)).is_ok());
+    EXPECT_EQ(back, 2u);
     EXPECT_EQ(hits, 1);
-    return 0;
-  });
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_EQ(r->exit_code, 0);
-  EXPECT_GE(r->syscall_histogram["rt_sigreturn"], 1u);
+    return hits == 1 && back == 2 ? 0 : 1;
+  };
+  struct Mode {
+    const char* name;
+    bool hybrid;
+    const char* overrides;
+    std::uint64_t ros_mprotects;  // the handler's, plus a forwarded one
+  };
+  for (const Mode& mode :
+       {Mode{"native", false, "", 2}, Mode{"forwarded", true, "", 2},
+        Mode{"overridden", true, "override mprotect nk_mprotect\n", 1}}) {
+    SystemConfig cfg;
+    cfg.virtualized = mode.hybrid;
+    cfg.extra_override_config = mode.overrides;
+    HybridSystem sys(cfg);
+    auto r = mode.hybrid ? sys.run_hybrid("barrier", barrier)
+                         : sys.run("barrier", barrier);
+    ASSERT_TRUE(r.is_ok()) << mode.name;
+    EXPECT_EQ(r->exit_code, 0) << mode.name;
+    EXPECT_FALSE(r->killed) << mode.name;
+    EXPECT_EQ(r->signals_delivered, 1u) << mode.name;
+    EXPECT_GE(r->syscall_histogram["rt_sigreturn"], 1u) << mode.name;
+    EXPECT_EQ(r->syscall_histogram["mprotect"], mode.ros_mprotects)
+        << mode.name;
+  }
 }
 
 TEST(HybridTest, FaultTraceEquivalence) {

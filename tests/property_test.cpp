@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <map>
 #include <set>
 #include <tuple>
@@ -23,7 +24,8 @@ namespace mv {
 namespace {
 
 // =========================================================================
-// Paging: random map/protect/unmap sequences agree with a reference model.
+// Paging: random map/protect/unmap sequences agree with a reference model;
+// protect and unmap edit the leaf their range walk finds.
 // =========================================================================
 
 class PagingPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -41,6 +43,19 @@ TEST_P(PagingPropertyTest, TranslateAgreesWithReferenceModel) {
     bool user;
   };
   std::map<std::uint64_t, RefEntry> model;
+  // Edit the page at `vaddr` through the range walk; returns the leaves it
+  // visited.
+  const auto edit_leaf =
+      [&](std::uint64_t vaddr,
+          const std::function<void(hw::TranslateOk&)>& edit) {
+        int visited = 0;
+        pt.for_each_mapping(*root, vaddr, vaddr + hw::kPageSize,
+                            [&](std::uint64_t, hw::TranslateOk& leaf) {
+                              ++visited;
+                              edit(leaf);
+                            });
+        return visited;
+      };
   // Addresses drawn from a few PML4 regions, lower and higher half.
   const std::uint64_t bases[] = {0x400000, 0x7f0000000000, 0x500000000000,
                                  0xffff800000000000ull};
@@ -65,7 +80,8 @@ TEST_P(PagingPropertyTest, TranslateAgreesWithReferenceModel) {
         if (model.empty()) break;
         auto it = model.begin();
         std::advance(it, static_cast<long>(rng.below(model.size())));
-        ASSERT_TRUE(pt.unmap_page(*root, it->first).is_ok());
+        ASSERT_EQ(
+            edit_leaf(it->first, [](hw::TranslateOk& leaf) { leaf = {}; }), 1);
         model.erase(it);
         break;
       }
@@ -77,7 +93,9 @@ TEST_P(PagingPropertyTest, TranslateAgreesWithReferenceModel) {
         std::uint64_t flags = hw::kPtePresent;
         if (it->second.writable) flags |= hw::kPteWrite;
         if (it->second.user) flags |= hw::kPteUser;
-        ASSERT_TRUE(pt.protect_page(*root, it->first, flags).is_ok());
+        ASSERT_EQ(edit_leaf(it->first,
+                            [&](hw::TranslateOk& leaf) { leaf.flags = flags; }),
+                  1);
         break;
       }
     }

@@ -90,11 +90,6 @@ TEST(StringsTest, TrimRemovesAllWhitespaceKinds) {
   EXPECT_EQ(trim("   "), "");
 }
 
-TEST(StringsTest, PrefixSuffix) {
-  EXPECT_TRUE(starts_with("override foo", "override"));
-  EXPECT_FALSE(starts_with("over", "override"));
-}
-
 TEST(StringsTest, Strfmt) {
   EXPECT_EQ(strfmt("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(strfmt("%s", std::string(500, 'a').c_str()).size(), 500u);
